@@ -47,13 +47,13 @@ from .model import (
 from .noise import (
     BasisSpec,
     FilterKernel,
-    NoisePath,
     apply_filter,
     covariance_of_filter,
     d0_from_spectral,
     f0_sup,
     filtered_noise_path,
     ito_nisio_path,
+    noise_path,
     sample_driver,
     simulate_increments,
     spectral_density,

@@ -37,11 +37,13 @@ from .config import (
     build_kernel,
     build_model,
     build_norming,
+    build_regressors,
     config_to_dict,
     load_config,
 )
 from .errors import ConfigError, ContractError
 from .harness import (
+    MIN_TAIL_TRIALS,
     STREAM_MGF,
     STREAM_PATHS,
     STREAM_PAIRS,
@@ -57,10 +59,10 @@ from .model import estimate_equivalence_constants, exp_model_constants, ExpModel
 from .noise import (
     WHITE_NOISE_F0,
     covariance_of_filter,
+    d0_from_spectral,
     f0_sup,
-    filtered_noise_path,
     ito_nisio_path,
-    white_noise_path,
+    noise_path,
 )
 
 MGF_DEFAULT_REPS = 10_000
@@ -174,17 +176,23 @@ def _constants_dict(consts: BoundConstants) -> dict:
 
 
 def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+    n = cfg.montecarlo.n_trials
+    n_train = 0
+    if cfg.bounds.b_cal_mode == "calibrate":
+        n_train = max(1, round(cfg.bounds.calibration_fraction * n))
+    if n - n_train < MIN_TAIL_TRIALS:
+        raise ConfigError(
+            f"montecarlo.n_trials: {n} trials leave {n - n_train} for tail estimation "
+            f"after {n_train} calibration trials; need at least {MIN_TAIL_TRIALS}"
+        )
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
     consts, extras = resolve_constants(cfg, model, grid, kernel)
 
     records = run_trials(cfg, workers=workers)
-    n = len(records)
     r_grid = np.asarray(cfg.montecarlo.r_grid)
-    n_train = 0
-    if cfg.bounds.b_cal_mode == "calibrate":
-        n_train = max(1, round(cfg.bounds.calibration_fraction * n))
+    if n_train:
         train_devs = deviations(records[:n_train])
         p_train = np.array([(train_devs >= r).mean() for r in r_grid])
         consts = consts.with_prefactor(calibrate_prefactor(p_train, r_grid, consts.b))
@@ -277,15 +285,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     samples = np.zeros((n_paths, len(lag_steps)))
     for i in range(n_paths):
         seed = derive_seed(master, STREAM_PATHS, i)
-        if kernel is None:
-            path = white_noise_path(cfg.noise.driver, grid, seed)
-        else:
-            path = filtered_noise_path(cfg.noise.driver, kernel, grid, seed,
-                                       prehistory=cfg.noise.prehistory)
+        eps = noise_path(cfg.noise.driver, grid, seed, kernel, cfg.noise.prehistory)
         if i < n_files:
             _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", "eps"],
-                        [[float(t), float(v)] for t, v in zip(grid.nodes, path.values)], sep="\t")
-        samples[i] = [path.values[0] * path.values[k] for k in lag_steps]
+                        [[float(t), float(v)] for t, v in zip(grid.nodes, eps)], sep="\t")
+        samples[i] = [eps[0] * eps[k] for k in lag_steps]
     entries = []
     ok = True
     for j, k in enumerate(lag_steps):
@@ -322,7 +326,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     payload["c1_hat"] = c1_hat
 
     if model.name == "exp_inner":
-        spec = ExpModelSpec(regressors=_model_regressors(cfg))
+        spec = ExpModelSpec(regressors=build_regressors(cfg))
         consts = exp_model_constants(spec, model.box, grid)
         payload.update({
             "c0_theory": consts.c0_theory, "c1_theory": consts.c1_theory,
@@ -333,19 +337,20 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             c0_hat >= consts.c0_theory * 0.99 and c1_hat <= consts.c1_theory * 1.01
         )
 
-    f0 = WHITE_NOISE_F0 if kernel is None else f0_sup(kernel)
-    d0 = 2.0 * np.pi * f0
-    payload["f0"] = f0
-    payload["d0"] = d0
-
-    if kernel is not None:
+    if kernel is None:
+        f0 = WHITE_NOISE_F0
+        d0 = d0_from_spectral(f0)
+    else:
         qf = quadratic_form_check(kernel, grid, n_probe=50, seed=master)
+        f0, d0 = qf.f0, qf.d0
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
         payload["quadratic_form"] = {
             "max_ratio": qf.max_ratio, "min_form": qf.min_form, "n_probes": qf.n_probes,
         }
         payload["verdicts"]["quadratic_form"] = qf.passed
+    payload["f0"] = f0
+    payload["d0"] = d0
 
     # two weight probes: a flat weight exercises the integrated path, a unit-norm
     # node spike exercises a single margin (where a non-sub-Gaussian driver
@@ -373,14 +378,6 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "check_report.json", cfg, payload)
     return 0
-
-
-def _model_regressors(cfg: ExperimentConfig):
-    from .model import make_regressors, tabulated_regressors
-
-    if cfg.model.regressor_file is not None:
-        return tabulated_regressors(cfg.model.regressor_file)
-    return make_regressors(cfg.model.regressors, len(cfg.model.theta_true))
 
 
 def _mgf_dict(report) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -357,17 +358,20 @@ def build_grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.grid.T, n_steps)
 
 
+def build_regressors(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Regressor functions y(t) of the exp_inner model: from a file, else a named family."""
+    if cfg.model.regressor_file is not None:
+        return tabulated_regressors(cfg.model.regressor_file)
+    return make_regressors(cfg.model.regressors, len(cfg.model.box_lower))
+
+
 def build_model(cfg: ExperimentConfig) -> RegressionModel:
     box = ParameterBox(cfg.model.box_lower, cfg.model.box_upper)
     if cfg.model.name == "linear":
         return linear_model(box)
     if cfg.model.name == "constant":
         return constant_model(box)
-    if cfg.model.regressor_file is not None:
-        regressors = tabulated_regressors(cfg.model.regressor_file)
-    else:
-        regressors = make_regressors(cfg.model.regressors, box.q)
-    return exp_inner_model(regressors, box)
+    return exp_inner_model(build_regressors(cfg), box)
 
 
 def build_kernel(cfg: ExperimentConfig) -> FilterKernel | None:

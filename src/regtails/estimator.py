@@ -22,12 +22,10 @@ from .numerics import TimeGrid, trapezoid_weights
 
 @dataclass(frozen=True)
 class Observation:
-    """Sampled observations X(t_j) on a grid, with provenance when synthetic."""
+    """Sampled observations X(t_j) on a grid."""
 
     grid: TimeGrid
     x_values: np.ndarray = field(repr=False, compare=False)
-    theta_true: tuple[float, ...] | None = None
-    noise_seed: int | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x_values, dtype=float)
@@ -54,8 +52,6 @@ class FitOptions:
 class LseResult:
     theta_hat: tuple[float, ...]
     q_value: float
-    n_restarts: int
-    converged: bool
     boundary: bool
     lattice_tie_count: int = 1
 
@@ -164,8 +160,6 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     return LseResult(
         theta_hat=tuple(float(x) for x in best_tau),
         q_value=best_q,
-        n_restarts=len(starts),
-        converged=True,
         boundary=boundary,
         lattice_tie_count=tie_count,
     )

@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.linalg import matmul_toeplitz
+from scipy.special import betaincinv
 
 from . import config as _config
 from .bounds import BoundConstants, tail_envelope
@@ -30,9 +31,8 @@ from .noise import (
     covariance_row,
     d0_from_spectral,
     f0_sup,
-    filtered_noise_path,
+    noise_path,
     quadratic_form,
-    white_noise_path,
 )
 from .numerics import TimeGrid, integrate, trapezoid_weights
 
@@ -45,6 +45,9 @@ STREAM_BOOT = 3
 STREAM_PAIRS = 4
 STREAM_PROBES = 5
 STREAM_PATHS = 6
+
+#: fewest trials an exceedance table is estimated from
+MIN_TAIL_TRIALS = 100
 
 
 def _splitmix64(z: int) -> int:
@@ -70,14 +73,6 @@ class TrialRecord:
     boundary: bool
 
 
-def _simulate_noise_values(cfg: "_config.ExperimentConfig", grid: TimeGrid,
-                           kernel: FilterKernel | None, seed: int) -> np.ndarray:
-    if kernel is None:
-        return white_noise_path(cfg.noise.driver, grid, seed).values
-    return filtered_noise_path(cfg.noise.driver, kernel, grid, seed,
-                               prehistory=cfg.noise.prehistory).values
-
-
 def _run_chunk(cfg_json: str, start: int, stop: int) -> list[tuple]:
     """Run trials [start, stop) and return plain tuples (picklable for workers)."""
     cfg = _config.config_from_json(cfg_json)
@@ -91,9 +86,8 @@ def _run_chunk(cfg_json: str, start: int, stop: int) -> list[tuple]:
     out = []
     for i in range(start, stop):
         seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
-        eps = _simulate_noise_values(cfg, grid, kernel, seed)
-        obs = Observation(grid=grid, x_values=a_true + eps,
-                          theta_true=cfg.model.theta_true, noise_seed=seed)
+        eps = noise_path(cfg.noise.driver, grid, seed, kernel, cfg.noise.prehistory)
+        obs = Observation(grid=grid, x_values=a_true + eps)
         try:
             res = lse_fit(obs, model, opts)
             theta_hat, converged, boundary = res.theta_hat, True, res.boundary
@@ -142,8 +136,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials."""
     if not 0 <= k <= n or n < 1:
         raise ContractError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    low = float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1)) if k > 0 else 0.0
-    high = float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k)) if k < n else 1.0
+    low = float(betaincinv(k, n - k + 1, alpha / 2.0)) if k > 0 else 0.0
+    high = float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0)) if k < n else 1.0
     return low, high
 
 
@@ -191,8 +185,8 @@ def estimate_tail(records_or_devs, r_grid, consts: BoundConstants | None = None,
         devs = deviations(devs)
     devs = np.asarray(devs, dtype=float)
     n = devs.size
-    if n < 100:
-        raise ContractError(f"need at least 100 trials for tail estimation, got {n}")
+    if n < MIN_TAIL_TRIALS:
+        raise ContractError(f"need at least {MIN_TAIL_TRIALS} trials for tail estimation, got {n}")
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0:
         raise ContractError("R grid must be non-empty")
@@ -297,11 +291,7 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
     samples = np.empty(n_rep)
     for r in range(n_rep):
         rep_seed = derive_seed(seed, STREAM_MGF, r)
-        if kernel is None:
-            path = white_noise_path(driver, grid, rep_seed)
-        else:
-            path = filtered_noise_path(driver, kernel, grid, rep_seed, prehistory=prehistory)
-        samples[r] = w @ path.values
+        samples[r] = w @ noise_path(driver, grid, rep_seed, kernel, prehistory)
 
     boot_rng = np.random.default_rng(derive_seed(seed, STREAM_BOOT, 0))
     boot_idx = boot_rng.integers(0, n_rep, size=(n_boot, n_rep))
@@ -378,7 +368,8 @@ def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, n_probe: int, see
 
     Also reports the two classical integrability constants of the covariance,
     b1 = sqrt(double integral of B^2) and b2 = sup_t integral of |B(t-s)| ds,
-    both on the truncated domain [0, T]^2.
+    both on the truncated domain [0, T]^2.  B^2 and |B| are symmetric Toeplitz
+    like B, so every product runs from its first column without forming a matrix.
     """
     if n_probe < 10:
         raise ContractError(f"need at least 10 probes, got {n_probe}")
@@ -386,10 +377,8 @@ def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, n_probe: int, see
     d0 = d0_from_spectral(f0)
     cov = covariance_row(kernel, grid)
     w = trapezoid_weights(grid)
-    idx = np.abs(np.subtract.outer(np.arange(grid.n_nodes), np.arange(grid.n_nodes)))
-    B = cov[idx]
-    b1 = math.sqrt(float(grid.h ** 2 * (w @ (B * B) @ w)))
-    b2 = float((grid.h * np.abs(B) @ w).max())
+    b1 = math.sqrt(float(grid.h ** 2 * (w @ matmul_toeplitz(cov * cov, w))))
+    b2 = float((grid.h * matmul_toeplitz(np.abs(cov), w)).max())
 
     rng = np.random.default_rng(derive_seed(seed, STREAM_PROBES, 0))
     max_ratio = 0.0

@@ -67,11 +67,6 @@ class ParameterBox:
         theta = np.asarray(theta, dtype=float)
         return bool(np.all(theta >= self.lower_arr - atol) and np.all(theta <= self.upper_arr + atol))
 
-    def is_interior(self, theta, rtol: float = 1e-9) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        margin = rtol * (self.upper_arr - self.lower_arr)
-        return bool(np.all(theta > self.lower_arr + margin) and np.all(theta < self.upper_arr - margin))
-
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower_arr, self.upper_arr)
 

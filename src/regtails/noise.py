@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import matmul_toeplitz
 
 from .errors import ConfigError, ContractError
 from .numerics import TimeGrid, trapezoid_weights
@@ -66,40 +67,21 @@ def sample_driver(kind: str, count: int, seed) -> np.ndarray:
     raise ConfigError(f"unknown driver kind {kind!r}; expected one of {DRIVER_KINDS}")
 
 
-@dataclass(frozen=True)
-class Increments:
-    """Orthogonal increments dxi over steps of width h covering [-prehistory, T].
-
-    values[i] is the increment over (s_i, s_{i+1}] with s_i = -n_prehistory*h + i*h,
-    so the last n_steps entries cover (0, T] and the first n_prehistory entries
-    feed the causal filter before time zero.
-    """
-
-    grid: TimeGrid
-    n_prehistory: int
-    values: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        expected = self.n_prehistory + self.grid.n_steps
-        if self.values.shape != (expected,):
-            raise ContractError(
-                f"increment array has shape {self.values.shape}, expected ({expected},)"
-            )
-
-
-def simulate_increments(kind: str, grid: TimeGrid, prehistory: float, seed) -> Increments:
+def simulate_increments(kind: str, grid: TimeGrid, prehistory: float, seed) -> np.ndarray:
     """Simulate increments dxi_j = sqrt(h) * Z_j of an integrated white noise.
 
     ``prehistory`` extends the increment sequence to the left of t=0 so that a
-    causal filter has input on (-prehistory, 0]; it is rounded up to whole steps.
+    causal filter has input on (-prehistory, 0]; it is rounded up to n_pre whole
+    steps.  Entry i is the increment over (s_i, s_{i+1}] with s_i = -n_pre*h + i*h,
+    so the last n_steps entries cover (0, T] and the first n_pre entries feed the
+    causal filter before time zero.
     """
     if prehistory < 0:
         raise ContractError(f"prehistory must be >= 0, got {prehistory}")
     n_pre = int(np.ceil(prehistory / grid.h - 1e-12))
     n_total = n_pre + grid.n_steps
     draws = sample_driver(kind, n_total, seed) if n_total else np.empty(0)
-    values = np.sqrt(grid.h) * draws
-    return Increments(grid=grid, n_prehistory=n_pre, values=values)
+    return np.sqrt(grid.h) * draws
 
 
 @dataclass(frozen=True)
@@ -204,63 +186,48 @@ class FilterKernel:
         return float(np.trapezoid(self.psi(u) ** 2, dx=step))
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """A sampled noise realization on a grid plus the metadata that produced it."""
-
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False, compare=False)
-    driver: str
-    kernel: FilterKernel | None
-    seed: int | None
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n_nodes,):
-            raise ContractError(
-                f"noise path has {self.values.shape[0]} values for {self.grid.n_nodes} nodes"
-            )
-
-
-def apply_filter(kernel: FilterKernel, increments: Increments, grid: TimeGrid,
-                 driver: str = "gaussian", seed: int | None = None) -> NoisePath:
+def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Convolve filter taps with increments: eps(t_j) = sum_k psi(k*h) dxi(t_j - k*h).
 
-    The increment ending at time t_j - k*h is used for tap k, so the sequence
-    must extend at least taps*h before t=0.
+    ``increments`` is a :func:`simulate_increments` sequence; the entries before
+    its last n_steps are prehistory.  The increment ending at time t_j - k*h is
+    used for tap k, so the sequence must extend at least taps*h before t=0.
     """
-    if increments.grid is not grid and increments.grid != grid:
-        raise ContractError("increments were generated on a different grid")
     taps = kernel.taps(grid.h)
-    n_pre = increments.n_prehistory
+    n_pre = increments.size - grid.n_steps
     if n_pre < taps.size:
         raise ContractError(
             f"insufficient prehistory: filter needs {taps.size} steps "
             f"({taps.size * grid.h:.6g} time units), increments provide {n_pre}"
         )
-    conv = fftconvolve(increments.values, taps, mode="full")
-    values = conv[n_pre - 1: n_pre + grid.n_steps]
-    return NoisePath(grid=grid, values=values, driver=driver, kernel=kernel, seed=seed)
+    n_fft = next_fast_len(increments.size + taps.size - 1, True)
+    conv = irfft(rfft(increments, n_fft) * rfft(taps, n_fft), n_fft)
+    return conv[n_pre - 1: n_pre + grid.n_steps]
 
 
 def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid, seed,
-                        prehistory: float | None = None) -> NoisePath:
+                        prehistory: float | None = None) -> np.ndarray:
     """Generate a stationary filtered path in one call (increments + filter)."""
     if prehistory is None:
         prehistory = kernel.truncation_horizon + grid.h
-    inc = simulate_increments(kind, grid, prehistory, seed)
-    return apply_filter(kernel, inc, grid, driver=kind, seed=seed if np.isscalar(seed) else None)
+    return apply_filter(kernel, simulate_increments(kind, grid, prehistory, seed), grid)
 
 
-def white_noise_path(kind: str, grid: TimeGrid, seed) -> NoisePath:
+def white_noise_path(kind: str, grid: TimeGrid, seed) -> np.ndarray:
     """White-increment noise: node values are increment densities dxi/h.
 
     Each value is an independent draw scaled by 1/sqrt(h), so quadrature of
     delta(t)*eps(t) reproduces the stochastic integral of delta against xi.
     """
-    draws = sample_driver(kind, grid.n_nodes, seed)
-    values = draws / np.sqrt(grid.h)
-    return NoisePath(grid=grid, values=values, driver=kind, kernel=None,
-                     seed=seed if np.isscalar(seed) else None)
+    return sample_driver(kind, grid.n_nodes, seed) / np.sqrt(grid.h)
+
+
+def noise_path(driver: str, grid: TimeGrid, seed, kernel: FilterKernel | None = None,
+               prehistory: float | None = None) -> np.ndarray:
+    """Node values of one noise path: white increments without a kernel, else filtered."""
+    if kernel is None:
+        return white_noise_path(driver, grid, seed)
+    return filtered_noise_path(driver, kernel, grid, seed, prehistory=prehistory)
 
 
 # -- second-order theory of the filtered process -------------------------
@@ -420,12 +387,14 @@ def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
 
 def quadratic_form(kernel: FilterKernel, delta: np.ndarray, grid: TimeGrid,
                    cov_row: np.ndarray | None = None) -> float:
-    """Double integral of B(t-s) delta(t) delta(s) over [0,T]^2 by nested trapezoid."""
+    """Double integral of B(t-s) delta(t) delta(s) over [0,T]^2 by nested trapezoid.
+
+    The matrix B(t_i - t_j) is symmetric Toeplitz with first column ``cov_row``,
+    so its product with the weighted probe runs by FFT without forming it.
+    """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (grid.n_nodes,):
         raise ContractError("delta must be sampled on the grid nodes")
     b = covariance_row(kernel, grid) if cov_row is None else cov_row
-    idx = np.abs(np.subtract.outer(np.arange(grid.n_nodes), np.arange(grid.n_nodes)))
-    B = b[idx]
     wd = trapezoid_weights(grid) * delta
-    return float(grid.h ** 2 * (wd @ B @ wd))
+    return float(grid.h ** 2 * (wd @ matmul_toeplitz(b, wd)))

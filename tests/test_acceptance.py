@@ -84,7 +84,7 @@ def test_criterion_02_linear_oracle_equivalence():
     worst = 0.0
     n_interior = 0
     for i in range(100):
-        eps = white_noise_path("gaussian", g, derive_seed(77, STREAM_TRIALS, i)).values
+        eps = white_noise_path("gaussian", g, derive_seed(77, STREAM_TRIALS, i))
         x = lin.eval(g.nodes, np.array([2.0])) + eps
         obs = Observation(grid=g, x_values=x)
         res = lse_fit(obs, lin)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,37 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_trials", boom)
     assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("n_trials,b_cal,n_eval", [
+    (105, {"mode": "calibrate", "fraction": 0.1}, 95),
+    (99, {"mode": "fixed", "value": 1.0}, 99),
+])
+def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                n_trials, b_cal, n_eval):
+    doc = _linear_doc()
+    doc["montecarlo"]["n_trials"] = n_trials
+    doc["bounds"]["B_cal"] = b_cal
+    cfg_path = _write_config(tmp_path, doc)
+
+    def never(cfg, workers=1):
+        raise AssertionError("trials ran before the trial count was checked")
+
+    monkeypatch.setattr(cli, "run_trials", never)
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "montecarlo.n_trials" in err
+    assert f"leave {n_eval} for tail estimation" in err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_signal():
+    code = ("import sys, regtails.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_config_exits_2(tmp_path):

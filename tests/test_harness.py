@@ -19,7 +19,7 @@ from regtails.harness import (
     quadratic_form_check,
     run_trials,
 )
-from regtails.noise import FilterKernel, quadratic_form
+from regtails.noise import FilterKernel, covariance_row, quadratic_form
 from regtails.numerics import TimeGrid
 
 
@@ -259,6 +259,20 @@ def test_quadratic_form_check_exponential_kernel():
     assert rep.b2 == pytest.approx(1.0, abs=1e-3)
     assert rep.min_form >= 0.0
     assert rep.max_ratio <= rep.d0 * (1 + 1e-3)
+
+    # the matrix-free products against the dense N x N covariance matrix
+    cov = covariance_row(k, g)
+    B = cov[np.abs(np.subtract.outer(np.arange(g.n_nodes), np.arange(g.n_nodes)))]
+    w = np.ones(g.n_nodes)
+    w[[0, -1]] = 0.5
+    assert rep.b1 == pytest.approx(math.sqrt(g.h ** 2 * (w @ (B * B) @ w)), rel=1e-12)
+    assert rep.b2 == pytest.approx((g.h * np.abs(B) @ w).max(), rel=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        delta = rng.standard_normal(g.n_nodes)
+        wd = w * delta
+        dense = g.h ** 2 * (wd @ B @ wd)
+        assert quadratic_form(k, delta, g, cov_row=cov) == pytest.approx(dense, rel=1e-12)
 
 
 def test_quadratic_form_check_contract():

@@ -14,6 +14,7 @@ from regtails.noise import (
     f0_sup,
     filtered_noise_path,
     ito_nisio_path,
+    noise_path,
     sample_driver,
     simulate_increments,
     spectral_density,
@@ -68,16 +69,16 @@ def test_increment_variance_scaling():
     inc = simulate_increments("gaussian", g, prehistory=0.0, seed=5)
     # 10^5 increments via repeated segments
     vals = np.concatenate([
-        simulate_increments("gaussian", g, 0.0, 100 + i).values for i in range(100)
+        simulate_increments("gaussian", g, 0.0, 100 + i) for i in range(100)
     ])
     assert vals.size == 10 ** 5
     assert g.h * 0.98 <= vals.var() <= g.h * 1.02
-    assert inc.n_prehistory == 0
+    assert inc.shape == (g.n_steps,)
 
 
 def test_disjoint_increments_uncorrelated():
     g = TimeGrid(1.0, 2000)
-    vals = simulate_increments("uniform_sqrt3", g, 0.0, 9).values
+    vals = simulate_increments("uniform_sqrt3", g, 0.0, 9)
     a, b = vals[::2], vals[1::2]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(a.size)
@@ -86,10 +87,9 @@ def test_disjoint_increments_uncorrelated():
 def test_zero_prehistory_gives_only_main_segment():
     g = TimeGrid(1.0, 4)
     inc = simulate_increments("gaussian", g, 0.0, 0)
-    assert inc.values.shape == (4,)
+    assert inc.shape == (4,)
     inc2 = simulate_increments("gaussian", g, 0.5, 0)
-    assert inc2.n_prehistory == 2
-    assert inc2.values.shape == (6,)
+    assert inc2.shape == (6,)
 
 
 # -- kernels and filtering ------------------------------------------------------
@@ -101,10 +101,19 @@ def test_delta_like_kernel_gives_unit_white_noise():
     kernel = FilterKernel.tabulated([0.0, h], [1.0 / math.sqrt(h), 0.0])
     inc = simulate_increments("gaussian", g, prehistory=2 * h, seed=11)
     path = apply_filter(kernel, inc, g)
-    # eps(t_j) = dxi(ending at t_j) / sqrt(h)
-    expected = inc.values[inc.n_prehistory - 1: inc.n_prehistory + g.n_steps] / math.sqrt(h)
-    np.testing.assert_allclose(path.values, expected, atol=1e-12)
-    assert 0.8 <= path.values.var() <= 1.2
+    # eps(t_j) = dxi(ending at t_j) / sqrt(h), with two prehistory increments
+    expected = inc[1: 2 + g.n_steps] / math.sqrt(h)
+    np.testing.assert_allclose(path, expected, atol=1e-12)
+    assert 0.8 <= path.var() <= 1.2
+
+
+def test_apply_filter_matches_direct_convolution():
+    g = TimeGrid(3.0, 300)
+    kernel = FilterKernel.exponential(2.0)
+    inc = simulate_increments("rademacher", g, kernel.truncation_horizon + g.h, 4)
+    n_pre = inc.size - g.n_steps
+    direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
+    np.testing.assert_allclose(apply_filter(kernel, inc, g), direct, rtol=1e-12, atol=1e-12)
 
 
 def test_insufficient_prehistory_names_requirement():
@@ -119,7 +128,7 @@ def test_filtered_variance_matches_kernel_l2():
     # B(0) = integral of exp(-2u) = 1/2 for rate 1
     g = TimeGrid(800.0, 40_000)
     path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, 21)
-    assert 0.5 * 0.93 <= path.values.var() <= 0.5 * 1.07
+    assert 0.5 * 0.93 <= path.var() <= 0.5 * 1.07
 
 
 def test_filtered_lag_covariance():
@@ -127,7 +136,7 @@ def test_filtered_lag_covariance():
     g = TimeGrid(800.0, 40_000)
     path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, 22)
     lag = int(round(1.0 / g.h))
-    emp = np.mean(path.values[:-lag] * path.values[lag:])
+    emp = np.mean(path[:-lag] * path[lag:])
     assert emp == pytest.approx(math.exp(-1) / 2, abs=0.02)
 
 
@@ -136,10 +145,12 @@ def test_path_determinism():
     k = FilterKernel.exponential(1.0)
     a = filtered_noise_path("rademacher", k, g, 7)
     b = filtered_noise_path("rademacher", k, g, 7)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(noise_path("rademacher", g, 7, k), a)
     w1 = white_noise_path("gaussian", g, 8)
     w2 = white_noise_path("gaussian", g, 8)
-    np.testing.assert_array_equal(w1.values, w2.values)
+    np.testing.assert_array_equal(w1, w2)
+    np.testing.assert_array_equal(noise_path("gaussian", g, 8), w1)
 
 
 def test_ensemble_covariance_matches_theory():
@@ -157,7 +168,7 @@ def test_ensemble_covariance_matches_theory():
     batch = 1000
     for start in range(0, n_paths, batch):
         dxi = np.vstack([
-            simulate_increments("gaussian", g, n_pre * g.h, rng_master + start + i).values
+            simulate_increments("gaussian", g, n_pre * g.h, rng_master + start + i)
             for i in range(batch)
         ])
         conv = fftconvolve(dxi, taps[None, :], mode="full", axes=1)
@@ -281,7 +292,7 @@ def test_white_path_scaling():
     samples = []
     for seed in range(4000):
         path = white_noise_path("gaussian", g, seed)
-        samples.append(inner_product(delta, path.values, g))
+        samples.append(inner_product(delta, path, g))
     target = inner_product(delta, delta, g)
     var = np.var(samples)
     assert abs(var - target) <= 4 * target * math.sqrt(2.0 / len(samples))
