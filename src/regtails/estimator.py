@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DataError, DomainError, NonConvergenceError
 from .model import RegressionModel
-from .numerics import TimeGrid, trapezoid_weights
+from .numerics import TimeGrid, memo, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,21 @@ class LseResult:
     lattice_tie_count: int = 1
 
 
+def _q(r: np.ndarray, w: np.ndarray, h: float, tau) -> float:
+    """Trapezoid integral of the squared residual ``r``; the one Q expression."""
+    val = float(h * np.dot(w, r * r))
+    if not np.isfinite(val):
+        raise DataError(f"objective is non-finite at tau {tau}")
+    return val
+
+
 def objective(obs: Observation, model: RegressionModel, tau) -> float:
     """Q(tau) = integral of (X(t) - a(t, tau))^2 dt; requires tau in the box."""
     tau = np.asarray(tau, dtype=float)
     if not model.box.contains(tau):
         raise DomainError(f"tau {tau} outside the parameter box")
     r = obs.x_values - model.eval(obs.grid.nodes, tau)
-    w = trapezoid_weights(obs.grid)
-    val = float(obs.grid.h * np.dot(w, r * r))
-    if not np.isfinite(val):
-        raise DataError(f"objective is non-finite at tau {tau}")
-    return val
+    return _q(r, trapezoid_weights(obs.grid), obs.grid.h, tau)
 
 
 def _lattice_points(box, per_dim: int) -> np.ndarray:
@@ -74,10 +78,13 @@ def _lattice_points(box, per_dim: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _gauss_newton(obs, model, start, q_start, opts) -> tuple[np.ndarray, float, bool]:
-    """Projected Gauss-Newton with step halving; monotone in Q by construction."""
+def _gauss_newton(obs, model, start, r, q_start, w, eye, opts) -> tuple[np.ndarray, float, bool]:
+    """Projected Gauss-Newton with step halving; monotone in Q by construction.
+
+    ``r`` is the residual at ``start``.  Candidates come from ``box.clip``, so Q
+    needs no box check, and an accepted candidate carries its residual forward.
+    """
     grid = obs.grid
-    w = trapezoid_weights(grid)
     h = grid.h
     box = model.box
     tol = opts.local_tol_factor * box.diameter
@@ -86,12 +93,11 @@ def _gauss_newton(obs, model, start, q_start, opts) -> tuple[np.ndarray, float, 
     ridge = 0.0
     for _ in range(opts.max_iter):
         g = np.atleast_2d(model.grad(grid.nodes, tau))
-        r = obs.x_values - model.eval(grid.nodes, tau)
         gw = g * w
         gram = h * (gw @ g.T)
         rhs = h * (gw @ r)
         try:
-            step = np.linalg.solve(gram + ridge * np.eye(model.q), rhs)
+            step = np.linalg.solve(gram + ridge * eye, rhs)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-10 * (np.trace(gram) + 1.0))
             continue
@@ -101,9 +107,10 @@ def _gauss_newton(obs, model, start, q_start, opts) -> tuple[np.ndarray, float, 
         accepted = None
         for _ in range(opts.max_halvings):
             cand = box.clip(tau + alpha * step)
-            q_new = objective(obs, model, cand)
+            r_new = obs.x_values - model.eval(grid.nodes, cand)
+            q_new = _q(r_new, w, h, cand)
             if q_new < q_cur:
-                accepted = (cand, q_new)
+                accepted = (cand, q_new, r_new)
                 break
             if np.linalg.norm(cand - tau) < tol:
                 break
@@ -112,7 +119,7 @@ def _gauss_newton(obs, model, start, q_start, opts) -> tuple[np.ndarray, float, 
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
         moved = float(np.linalg.norm(accepted[0] - tau))
-        tau, q_cur = accepted
+        tau, q_cur, r = accepted
         if moved < tol:
             return tau, q_cur, True
     return tau, q_cur, False
@@ -124,13 +131,22 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     Ties on the lattice are broken by the lexicographically smallest point and
     their multiplicity is recorded.  The returned objective value never exceeds
     the best lattice value.  Raises NonConvergenceError (carrying the best
-    lattice point) if every refinement start hits the iteration cap.
+    lattice point) if every refinement start hits the iteration cap.  The model
+    values on the lattice are memoized per (model, grid), so ``model.eval`` must be pure.
     """
     opts = opts or FitOptions()
-    if opts.coarse_grid_per_dim < 3:
-        raise ContractError(f"coarse_grid_per_dim must be >= 3, got {opts.coarse_grid_per_dim}")
-    points = _lattice_points(model.box, opts.coarse_grid_per_dim)
-    values = np.array([objective(obs, model, p) for p in points])
+    for name, least in (("coarse_grid_per_dim", 3), ("n_refine_starts", 1), ("max_iter", 1),
+                        ("max_halvings", 1)):
+        if getattr(opts, name) < least:
+            raise ContractError(f"{name} must be >= {least}, got {getattr(opts, name)}")
+    grid, per_dim = obs.grid, opts.coarse_grid_per_dim
+    points = memo(("lattice", model.box, per_dim), lambda: _lattice_points(model.box, per_dim))
+    a_lattice = memo(("lattice values", model, grid, per_dim),
+                     lambda: np.array([model.eval(grid.nodes, p) for p in points], dtype=float))
+    w = trapezoid_weights(grid)
+    h = grid.h
+    residuals = [obs.x_values - a for a in a_lattice]
+    values = np.array([_q(r, w, h, p) for r, p in zip(residuals, points)])
 
     q_min = float(values.min())
     tie_mask = values <= q_min + opts.tie_tol * max(1.0, abs(q_min))
@@ -141,9 +157,11 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
 
     best_tau = points[order[0]]
     best_q = float(values[order[0]])
+    eye = np.eye(model.q)
     any_converged = False
     for idx in starts:
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx], float(values[idx]), opts)
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx], residuals[idx],
+                                       float(values[idx]), w, eye, opts)
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
             best_tau, best_q = tau, q_val

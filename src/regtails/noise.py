@@ -31,7 +31,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import matmul_toeplitz
 
 from .errors import ConfigError, ContractError
-from .numerics import TimeGrid, trapezoid_weights
+from .numerics import TimeGrid, memo, trapezoid_weights
 
 DRIVER_KINDS = ("gaussian", "rademacher", "uniform_sqrt3", "centered_exponential")
 SUB_GAUSSIAN_DRIVERS = ("gaussian", "rademacher", "uniform_sqrt3")
@@ -96,8 +96,8 @@ class FilterKernel:
     form: str
     truncation_horizon: float
     rate: float | None = None
-    times: np.ndarray | None = field(default=None, repr=False, compare=False)
-    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    times: np.ndarray | None = field(default=None, repr=False)
+    samples: np.ndarray | None = field(default=None, repr=False)
 
     _TAIL_FRACTION = 1e-8
 
@@ -133,6 +133,16 @@ class FilterKernel:
             object.__setattr__(self, "samples", v)
         else:
             raise ConfigError(f"unknown kernel form {self.form!r}")
+
+    def _key(self) -> tuple:
+        tables = (self.times, self.samples) if self.form == "tabulated" else ()
+        return (self.form, self.truncation_horizon, self.rate, *(tuple(a.tolist()) for a in tables))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, FilterKernel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- constructors ----------------------------------------------------
 
@@ -171,10 +181,13 @@ class FilterKernel:
             out = np.where(inside, np.interp(t, self.times, self.samples, left=0.0, right=0.0), 0.0)
         return out
 
+    def n_taps(self, h: float) -> int:
+        """Number of left-point filter taps k*h <= truncation_horizon."""
+        return int(np.floor(self.truncation_horizon / h + 1e-12)) + 1
+
     def taps(self, h: float) -> np.ndarray:
         """psi sampled at k*h for k*h <= truncation_horizon (left-point filter taps)."""
-        n_taps = int(np.floor(self.truncation_horizon / h + 1e-12)) + 1
-        return self.psi(np.arange(n_taps) * h)
+        return self.psi(np.arange(self.n_taps(h)) * h)
 
     def _fine_grid(self) -> tuple[np.ndarray, float]:
         step = self.truncation_horizon / _KERNEL_QUAD_INTERVALS
@@ -193,15 +206,16 @@ def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -
     its last n_steps are prehistory.  The increment ending at time t_j - k*h is
     used for tap k, so the sequence must extend at least taps*h before t=0.
     """
-    taps = kernel.taps(grid.h)
+    n_taps = kernel.n_taps(grid.h)
     n_pre = increments.size - grid.n_steps
-    if n_pre < taps.size:
+    if n_pre < n_taps:
         raise ContractError(
-            f"insufficient prehistory: filter needs {taps.size} steps "
-            f"({taps.size * grid.h:.6g} time units), increments provide {n_pre}"
+            f"insufficient prehistory: filter needs {n_taps} steps "
+            f"({n_taps * grid.h:.6g} time units), increments provide {n_pre}"
         )
-    n_fft = next_fast_len(increments.size + taps.size - 1, True)
-    conv = irfft(rfft(increments, n_fft) * rfft(taps, n_fft), n_fft)
+    n_fft = next_fast_len(increments.size + n_taps - 1, True)
+    spectrum = memo(("taps", kernel, grid.h, n_fft), lambda: rfft(kernel.taps(grid.h), n_fft))
+    conv = irfft(rfft(increments, n_fft) * spectrum, n_fft)
     return conv[n_pre - 1: n_pre + grid.n_steps]
 
 
@@ -322,9 +336,6 @@ class BasisSpec:
             raise ContractError(f"basis horizon must be positive, got {self.horizon}")
 
 
-_haar_cache: dict[tuple, np.ndarray] = {}
-
-
 def _haar_running_integrals(n_terms: int, horizon: float, times: np.ndarray) -> np.ndarray:
     """Rows k of integral_0^t phi_k(u) du for the first n_terms Haar functions.
 
@@ -353,18 +364,6 @@ def _haar_running_integrals(n_terms: int, horizon: float, times: np.ndarray) -> 
     return out
 
 
-def _haar_matrix(basis: BasisSpec, grid: TimeGrid) -> np.ndarray:
-    key = (basis.n_terms, basis.horizon, grid.T, grid.n_steps)
-    mat = _haar_cache.get(key)
-    if mat is None:
-        mat = _haar_running_integrals(basis.n_terms, basis.horizon, grid.nodes)
-        mat.setflags(write=False)
-        if len(_haar_cache) >= 16:
-            _haar_cache.clear()
-        _haar_cache[key] = mat
-    return mat
-
-
 def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid, seed) -> np.ndarray:
     """Partial sum xi(t_j) = sum_k z_k * integral_0^{t_j} phi_k, z_k i.i.d. driver draws.
 
@@ -377,7 +376,8 @@ def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid, seed) -> np.ndar
             f"grid horizon {grid.T} exceeds basis support horizon {basis.horizon}"
         )
     coeffs = sample_driver(kind, basis.n_terms, seed)
-    return coeffs @ _haar_matrix(basis, grid)
+    return coeffs @ memo(("haar", basis, grid),
+                         lambda: _haar_running_integrals(basis.n_terms, basis.horizon, grid.nodes))
 
 
 def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:

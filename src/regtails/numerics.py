@@ -2,6 +2,8 @@
 
 Every integral in the package goes through this module so that a single
 quadrature rule (composite trapezoid on a uniform grid) is used everywhere.
+It also holds ``memo``, the one bounded store for arrays that depend only on
+the grid, kernel or model, so that per-trial work does not rebuild them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,21 @@ class TimeGrid:
     @classmethod
     def with_default_step(cls, T: float, max_step: float = DEFAULT_MAX_STEP) -> "TimeGrid":
         return cls(T, default_n_steps(T, max_step))
+
+
+_memo: dict[tuple, np.ndarray] = {}
+
+
+def memo(key: tuple, build) -> np.ndarray:
+    """Data-independent array under ``key``, built read-only on a miss; 16 entries at most."""
+    value = _memo.get(key)
+    if value is None:
+        value = build()
+        value.setflags(write=False)
+        if len(_memo) >= 16:
+            _memo.clear()
+        _memo[key] = value
+    return value
 
 
 def trapezoid_weights(grid: TimeGrid) -> np.ndarray:

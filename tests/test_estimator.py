@@ -1,11 +1,16 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regtails.errors import ContractError, DomainError
+from regtails.errors import ContractError, DataError, DomainError, NonConvergenceError
 from regtails.estimator import (
     FitOptions,
+    LseResult,
     Observation,
     lse_fit,
     normalized_deviation,
@@ -16,11 +21,12 @@ from regtails.model import (
     RegressionModel,
     constant_model,
     constant_regressors,
+    cosine_regressors,
     exp_inner_model,
     linear_model,
     norming_matrix,
 )
-from regtails.noise import white_noise_path
+from regtails.noise import FilterKernel, noise_path, white_noise_path
 from regtails.numerics import TimeGrid, trapezoid_weights
 
 
@@ -141,15 +147,18 @@ def test_boundary_flagged():
     assert res.theta_hat[0] == pytest.approx(5.0, abs=1e-8)
 
 
-def test_lattice_tie_break_lexicographic():
-    # a(t, tau) = tau^2 * t gives two exact global minimizers +-1; pick the smaller
-    box = ParameterBox((-2.0,), (2.0,))
-    m = RegressionModel(
-        box=box,
+def _square_model():
+    # a(t, tau) = tau^2 * t gives two exact global minimizers +-1 for X(t) = t
+    return RegressionModel(
+        box=ParameterBox((-2.0,), (2.0,)),
         eval=lambda t, tau: tau[0] ** 2 * np.asarray(t, dtype=float),
         grad=lambda t, tau: (2 * tau[0] * np.asarray(t, dtype=float))[None, :],
         name="square",
     )
+
+
+def test_lattice_tie_break_lexicographic():
+    m = _square_model()
     g = TimeGrid(1.0, 50)
     obs = Observation(grid=g, x_values=g.nodes.copy())
     res = lse_fit(obs, m, FitOptions(coarse_grid_per_dim=9))
@@ -157,19 +166,19 @@ def test_lattice_tie_break_lexicographic():
     assert res.theta_hat[0] == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_coarse_grid_contract():
+@pytest.mark.parametrize("field, bad", [("coarse_grid_per_dim", 2), ("n_refine_starts", 0),
+                                        ("max_iter", 0), ("max_halvings", 0)])
+def test_coarse_grid_contract(field, bad):
     g = TimeGrid(1.0, 10)
     obs = Observation(grid=g, x_values=np.zeros(g.n_nodes))
-    with pytest.raises(ContractError):
-        lse_fit(obs, _lin(), FitOptions(coarse_grid_per_dim=2))
+    with pytest.raises(ContractError, match=field):
+        lse_fit(obs, _lin(), FitOptions(**{field: bad}))
 
 
 def test_observation_rejects_nonfinite():
     g = TimeGrid(1.0, 10)
     bad = np.zeros(g.n_nodes)
     bad[0] = np.inf
-    from regtails.errors import DataError
-
     with pytest.raises(DataError):
         Observation(grid=g, x_values=bad)
 
@@ -197,3 +206,168 @@ def test_noise_free_consistency_all_models():
             obs = Observation(grid=g, x_values=m.eval(g.nodes, theta))
             res = lse_fit(obs, m)
             assert abs(res.theta_hat[0] - theta[0]) <= 1e-6
+
+
+# -- the fit against a plain reference that calls objective at every step ----------
+
+
+def _reference_gauss_newton(obs, model, start, q_start, opts):
+    grid = obs.grid
+    w = trapezoid_weights(grid)
+    h = grid.h
+    box = model.box
+    tol = opts.local_tol_factor * box.diameter
+    tau = np.asarray(start, dtype=float)
+    q_cur = q_start
+    ridge = 0.0
+    for _ in range(opts.max_iter):
+        g = np.atleast_2d(model.grad(grid.nodes, tau))
+        r = obs.x_values - model.eval(grid.nodes, tau)
+        gw = g * w
+        gram = h * (gw @ g.T)
+        rhs = h * (gw @ r)
+        try:
+            step = np.linalg.solve(gram + ridge * np.eye(model.q), rhs)
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, 1e-10 * (np.trace(gram) + 1.0))
+            continue
+        if not np.all(np.isfinite(step)):
+            raise DataError(f"non-finite search direction at tau {tau}")
+        alpha = 1.0
+        accepted = None
+        for _ in range(opts.max_halvings):
+            cand = box.clip(tau + alpha * step)
+            q_new = objective(obs, model, cand)
+            if q_new < q_cur:
+                accepted = (cand, q_new)
+                break
+            if np.linalg.norm(cand - tau) < tol:
+                break
+            alpha *= 0.5
+        if accepted is None:
+            return tau, q_cur, True
+        moved = float(np.linalg.norm(accepted[0] - tau))
+        tau, q_cur = accepted
+        if moved < tol:
+            return tau, q_cur, True
+    return tau, q_cur, False
+
+
+def _reference_lse_fit(obs, model, opts=None):
+    opts = opts or FitOptions()
+    box = model.box
+    axes = [np.linspace(lo, hi, opts.coarse_grid_per_dim) for lo, hi in zip(box.lower, box.upper)]
+    points = np.array(list(itertools.product(*axes)))
+    values = np.array([objective(obs, model, p) for p in points])
+    q_min = float(values.min())
+    tie_count = int((values <= q_min + opts.tie_tol * max(1.0, abs(q_min))).sum())
+    order = sorted(range(len(points)), key=lambda i: (values[i], tuple(points[i])))
+    best_tau = points[order[0]]
+    best_q = float(values[order[0]])
+    any_converged = False
+    for idx in order[: opts.n_refine_starts]:
+        tau, q_val, ok = _reference_gauss_newton(obs, model, points[idx], float(values[idx]), opts)
+        any_converged = any_converged or ok
+        if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
+            best_tau, best_q = tau, q_val
+    if not any_converged:
+        raise NonConvergenceError("reference did not converge",
+                                  best_point=tuple(float(x) for x in best_tau), best_value=best_q)
+    lo, hi = box.lower_arr, box.upper_arr
+    margin = 1e-8 * (hi - lo)
+    boundary = bool(np.any(best_tau <= lo + margin) or np.any(best_tau >= hi - margin))
+    return LseResult(tuple(float(x) for x in best_tau), best_q, boundary, tie_count)
+
+
+def _bit_identity_cases():
+    exp_kernel = FilterKernel.exponential(4.0)
+    cos_box = ParameterBox((-0.5, -0.5), (0.5, 0.5))
+    return [
+        ("linear", _lin(), (2.0,), TimeGrid(5.0, 500), None, 1.0),
+        ("constant", constant_model(ParameterBox((-1.0,), (1.0,))), (0.3,), TimeGrid(2.0, 200), None, 0.1),
+        ("exp_const_white", exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))),
+         (0.1,), TimeGrid(2.0, 200), None, 0.05),
+        ("exp_const_filtered", exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))),
+         (0.1,), TimeGrid(2.0, 200), exp_kernel, 0.3),
+        ("exp_cos_white", exp_inner_model(cosine_regressors(2), cos_box), (0.2, -0.1),
+         TimeGrid(6.0, 300), None, 0.05),
+        ("exp_cos_filtered", exp_inner_model(cosine_regressors(2), cos_box), (0.2, -0.1),
+         TimeGrid(6.0, 300), exp_kernel, 0.3),
+    ]
+
+
+@pytest.mark.parametrize("case", _bit_identity_cases(), ids=lambda c: c[0])
+def test_fit_bit_identical_to_reference(case):
+    _, m, theta, g, kernel, scale = case
+    a_true = m.eval(g.nodes, np.asarray(theta))
+    for seed in range(6):
+        eps = noise_path("gaussian", g, seed, kernel)
+        obs = Observation(grid=g, x_values=a_true + scale * eps)
+        got, want = lse_fit(obs, m), _reference_lse_fit(obs, m)
+        assert got == want
+        assert (got.boundary, got.lattice_tie_count) == (want.boundary, want.lattice_tie_count)
+
+        capped = FitOptions(max_iter=1)
+        with pytest.raises(NonConvergenceError) as got_err:
+            lse_fit(obs, m, capped)
+        with pytest.raises(NonConvergenceError) as want_err:
+            _reference_lse_fit(obs, m, capped)
+        assert got_err.value.best_point == want_err.value.best_point
+
+
+def test_square_tie_model_bit_identical_to_reference():
+    m = _square_model()
+    g = TimeGrid(1.0, 50)
+    for shift in (0.0, 0.01, -0.2):
+        obs = Observation(grid=g, x_values=g.nodes + shift)
+        got, want = lse_fit(obs, m), _reference_lse_fit(obs, m)
+        assert got == want
+        assert got.lattice_tie_count == want.lattice_tie_count
+
+
+_BUILT_IN = {
+    "linear": (_lin(), TimeGrid(3.0, 300)),
+    "constant": (constant_model(ParameterBox((-1.0,), (1.0,))), TimeGrid(2.0, 200)),
+    "exp_inner": (exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))),
+                  TimeGrid(1.0, 500)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_BUILT_IN)), seed=st.integers(0, 2**32 - 1),
+       where=st.floats(0.05, 0.95), scale=st.floats(0.01, 1.0))
+def test_fit_beats_lattice_and_truth(name, seed, where, scale):
+    m, g = _BUILT_IN[name]
+    lo, hi = m.box.lower[0], m.box.upper[0]
+    theta = (lo + where * (hi - lo),)
+    eps = white_noise_path("gaussian", g, seed)
+    obs = Observation(grid=g, x_values=m.eval(g.nodes, np.asarray(theta)) + scale * eps)
+    res = lse_fit(obs, m)
+    q_hat = objective(obs, m, res.theta_hat)
+    lattice = np.linspace(lo, hi, FitOptions().coarse_grid_per_dim)
+    assert q_hat <= min(objective(obs, m, (p,)) for p in lattice)
+    assert q_hat <= objective(obs, m, theta)
+
+
+def test_lattice_evaluated_once_across_fits():
+    counts = {"lattice": 0, "other": 0, "grad": 0}
+    lattice = set(np.linspace(0.0, 5.0, FitOptions().coarse_grid_per_dim).tolist())
+    base = _lin()
+
+    def counted_eval(t, tau):
+        counts["lattice" if float(tau[0]) in lattice else "other"] += 1
+        return base.eval(t, tau)
+
+    def counted_grad(t, tau):
+        counts["grad"] += 1
+        return base.grad(t, tau)
+
+    m = dataclasses.replace(base, eval=counted_eval, grad=counted_grad)
+    g = TimeGrid(4.0, 400)
+    for seed in (3, 4):
+        counts["other"] = counts["grad"] = 0
+        eps = white_noise_path("gaussian", g, seed) * 0.2
+        lse_fit(Observation(grid=g, x_values=base.eval(g.nodes, np.array([2.1])) + eps), m)
+        # a linear Gauss-Newton iteration tries exactly one candidate
+        assert counts["other"] == counts["grad"] > 0
+    assert counts["lattice"] == 9

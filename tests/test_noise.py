@@ -116,6 +116,20 @@ def test_apply_filter_matches_direct_convolution():
     np.testing.assert_allclose(apply_filter(kernel, inc, g), direct, rtol=1e-12, atol=1e-12)
 
 
+def test_tabulated_kernels_differing_in_one_sample_filter_apart():
+    times = np.linspace(0.0, 0.5, 6)
+    first = FilterKernel.tabulated(times, [1.0, 0.8, 0.6, 0.4, 0.2, 0.0])
+    second = FilterKernel.tabulated(times, [1.0, 0.8, 0.6, 0.5, 0.2, 0.0])
+    assert first != second
+    assert first == FilterKernel.tabulated(times.copy(), first.samples.copy())
+    g = TimeGrid(2.0, 200)
+    inc = simulate_increments("gaussian", g, 0.5 + g.h, 8)
+    n_pre = inc.size - g.n_steps
+    for kernel in (first, second):
+        direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
+        np.testing.assert_allclose(apply_filter(kernel, inc, g), direct, rtol=1e-12, atol=1e-12)
+
+
 def test_insufficient_prehistory_names_requirement():
     g = TimeGrid(1.0, 100)
     kernel = FilterKernel.exponential(1.0)
