@@ -32,7 +32,6 @@ from .harness import (
     run_trials,
 )
 from .model import (
-    ExpModelSpec,
     ParameterBox,
     RegressionModel,
     constant_model,

@@ -53,21 +53,13 @@ def exponent_rate(q: int, c0: float, d0: float, beta: float) -> float:
 
 
 def stationary_rate(q: int, c0: float, f0: float, beta: float) -> float:
-    """Stationary form of the rate, b = c0 / (16 * pi * f0 * (1 + q)) - beta."""
+    """Stationary form of the rate, b = c0 / (16 * pi * f0 * (1 + q)) - beta.
+
+    It is :func:`exponent_rate` at d0 = 2*pi*f0, bit for bit, since
+    fl(16*pi) = 8 * fl(2*pi) exactly.
+    """
     _check_positive(f0=f0)
-    if q < 1:
-        raise ContractError(f"dimension q must be >= 1, got {q}")
-    if beta < 0:
-        raise ContractError(f"slack beta must be >= 0, got {beta}")
-    raw = c0 / (16.0 * math.pi * f0 * (1.0 + q))
-    _check_positive(c0=c0)
-    b = raw - beta
-    if b <= 0:
-        raise ContractError(
-            f"slack too large: beta={beta} wipes out the rate; "
-            f"maximal admissible beta is {raw:.6g}"
-        )
-    return b
+    return exponent_rate(q, c0, 2.0 * math.pi * f0, beta)
 
 
 def default_beta(q: int, c0: float, d0: float, fraction: float = 1e-3) -> float:
@@ -101,12 +93,6 @@ class BoundConstants:
         if self.b_cal < 0:
             raise ContractError(f"calibration prefactor must be >= 0, got {self.b_cal}")
         object.__setattr__(self, "b", exponent_rate(self.q, self.c0, self.d0, self.beta))
-
-    @classmethod
-    def from_quadratic(cls, q, c0, d0, beta=None, b_cal=1.0) -> "BoundConstants":
-        if beta is None:
-            beta = default_beta(q, c0, d0)
-        return cls(q=q, c0=c0, d0=d0, beta=beta, b_cal=b_cal)
 
     @classmethod
     def from_spectral(cls, q, c0, f0, beta=None, b_cal=1.0) -> "BoundConstants":

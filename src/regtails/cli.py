@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from .harness import (
     quadratic_form_check,
     run_trials,
 )
-from .model import estimate_equivalence_constants, exp_model_constants, ExpModelSpec
+from .model import estimate_equivalence_constants, exp_model_constants
 from .noise import (
     WHITE_NOISE_F0,
     covariance_of_filter,
@@ -196,8 +197,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         train_devs = deviations(records[:n_train])
         p_train = np.array([(train_devs >= r).mean() for r in r_grid])
         consts = consts.with_prefactor(calibrate_prefactor(p_train, r_grid, consts.b))
-    eval_records = records[n_train:]
-    tail = estimate_tail(eval_records, r_grid, consts)
+    tail = estimate_tail(deviations(records[n_train:]), r_grid)
     cmp = compare_with_envelope(tail, consts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,7 +205,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     for i, r in enumerate(tail.r_grid):
         rows.append([
             float(r), int(tail.counts[i]), tail.n_trials, float(tail.p_hat[i]),
-            float(tail.ci_low[i]), float(tail.ci_high[i]), float(tail.envelope[i]),
+            float(tail.ci_low[i]), float(tail.ci_high[i]), float(cmp.envelope[i]),
             "pass" if cmp.level_ok[i] else "fail",
         ])
     if "csv" in cfg.output.formats:
@@ -244,69 +244,50 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_files = min(n_paths, 16)
 
+    # each mode names its path function and the node pairs (a, b) whose
+    # product x[a] * x[b] estimates a covariance, with a key and theory value each
     if basis is not None:
-        # series-construction mode: emit xi paths, compare Cov(xi(s), xi(t)) to min(s, t)
+        # series-construction mode: Cov(xi(s), xi(t)) against min(s, t)
+        mode, column = "series_construction", "xi"
+        path = partial(ito_nisio_path, cfg.noise.driver, basis, grid)
         quarter = max(1, grid.n_steps // 4)
-        pair_idx = [(quarter, 2 * quarter), (quarter, grid.n_steps), (2 * quarter, grid.n_steps)]
-        prods = np.zeros((n_paths, len(pair_idx)))
-        for i in range(n_paths):
-            seed = derive_seed(master, STREAM_PATHS, i)
-            xi = ito_nisio_path(cfg.noise.driver, basis, grid, seed)
-            if i < n_files:
-                _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", "xi"],
-                            [[float(t), float(v)] for t, v in zip(grid.nodes, xi)], sep="\t")
-            prods[i] = [xi[a] * xi[b] for a, b in pair_idx]
-        entries = []
-        ok = True
-        for j, (a, b) in enumerate(pair_idx):
-            s, t = grid.nodes[a], grid.nodes[b]
-            emp = float(prods[:, j].mean())
-            se = float(prods[:, j].std(ddof=1) / np.sqrt(n_paths))
-            theory = float(min(s, t))
-            within = abs(emp - theory) <= 4.0 * se
-            ok = ok and within
-            entries.append({"s": float(s), "t": float(t), "empirical": emp,
-                            "theory": theory, "se": se, "within_4se": within})
-        _write_json(out_dir / "simulate_summary.json", cfg, {
-            "mode": "series_construction",
-            "covariance": entries, "all_within_4se": ok, "n_paths": n_paths,
-        })
-        return 0
-
-    # stationary / white mode: lag covariances of eps
-    if kernel is None:
-        char_time = grid.h
-        lag_steps = [0, 1]
+        pairs = [(quarter, 2 * quarter), (quarter, grid.n_steps), (2 * quarter, grid.n_steps)]
+        keys = [{"s": float(grid.nodes[a]), "t": float(grid.nodes[b])} for a, b in pairs]
+        theory = [float(min(grid.nodes[a], grid.nodes[b])) for a, b in pairs]
     else:
-        char_time = 1.0 / cfg.noise.kernel_rate if cfg.noise.kernel_rate else 1.0
-        max_lag = min(5.0 * char_time, grid.T)
-        n_lags = 6
-        lag_steps = sorted({int(round(k * max_lag / ((n_lags - 1) * grid.h))) for k in range(n_lags)})
-    samples = np.zeros((n_paths, len(lag_steps)))
+        # stationary / white mode: lag covariances Cov(eps(0), eps(lag))
+        mode, column = ("white" if kernel is None else "filtered"), "eps"
+        path = partial(noise_path, cfg.noise.driver, grid, kernel=kernel,
+                       prehistory=cfg.noise.prehistory)
+        if kernel is None:
+            lag_steps = [0, 1]
+            theory = [1.0 / grid.h if k == 0 else 0.0 for k in lag_steps]
+        else:
+            char_time = 1.0 / cfg.noise.kernel_rate if cfg.noise.kernel_rate else 1.0
+            max_lag = min(5.0 * char_time, grid.T)
+            n_lags = 6
+            lag_steps = sorted({int(round(k * max_lag / ((n_lags - 1) * grid.h))) for k in range(n_lags)})
+            theory = [float(covariance_of_filter(kernel, k * grid.h)) for k in lag_steps]
+        pairs = [(0, k) for k in lag_steps]
+        keys = [{"lag": float(k * grid.h)} for k in lag_steps]
+
+    prods = np.zeros((n_paths, len(pairs)))
     for i in range(n_paths):
-        seed = derive_seed(master, STREAM_PATHS, i)
-        eps = noise_path(cfg.noise.driver, grid, seed, kernel, cfg.noise.prehistory)
+        x = path(derive_seed(master, STREAM_PATHS, i))
         if i < n_files:
-            _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", "eps"],
-                        [[float(t), float(v)] for t, v in zip(grid.nodes, eps)], sep="\t")
-        samples[i] = [eps[0] * eps[k] for k in lag_steps]
+            _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", column],
+                        [[float(t), float(v)] for t, v in zip(grid.nodes, x)], sep="\t")
+        prods[i] = [x[a] * x[b] for a, b in pairs]
     entries = []
     ok = True
-    for j, k in enumerate(lag_steps):
-        lag = k * grid.h
-        if kernel is None:
-            theory = 1.0 / grid.h if k == 0 else 0.0
-        else:
-            theory = float(covariance_of_filter(kernel, lag))
-        emp = float(samples[:, j].mean())
-        se = float(samples[:, j].std(ddof=1) / np.sqrt(n_paths))
-        within = abs(emp - theory) <= 4.0 * se
+    for j, (key, th) in enumerate(zip(keys, theory)):
+        emp = float(prods[:, j].mean())
+        se = float(prods[:, j].std(ddof=1) / np.sqrt(n_paths))
+        within = abs(emp - th) <= 4.0 * se
         ok = ok and within
-        entries.append({"lag": float(lag), "empirical": emp, "theory": theory,
-                        "se": se, "within_4se": within})
+        entries.append({**key, "empirical": emp, "theory": th, "se": se, "within_4se": within})
     _write_json(out_dir / "simulate_summary.json", cfg, {
-        "mode": "white" if kernel is None else "filtered",
-        "covariance": entries, "all_within_4se": ok, "n_paths": n_paths,
+        "mode": mode, "covariance": entries, "all_within_4se": ok, "n_paths": n_paths,
     })
     return 0
 
@@ -326,8 +307,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     payload["c1_hat"] = c1_hat
 
     if model.name == "exp_inner":
-        spec = ExpModelSpec(regressors=build_regressors(cfg))
-        consts = exp_model_constants(spec, model.box, grid)
+        consts = exp_model_constants(build_regressors(cfg), model.box, grid)
         payload.update({
             "c0_theory": consts.c0_theory, "c1_theory": consts.c1_theory,
             "H": consts.H, "L": consts.L, "lambda_min": consts.lambda_min,

@@ -332,10 +332,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2)
-
-
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)

@@ -183,9 +183,9 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     )
 
 
-def normalized_deviation(result, theta_true, norming) -> float:
+def normalized_deviation(theta_hat, theta_true, norming) -> float:
     """Euclidean norm of N * (theta_hat - theta_true) for a diagonal norming N."""
-    theta_hat = np.asarray(getattr(result, "theta_hat", result), dtype=float)
+    theta_hat = np.asarray(theta_hat, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
     norming = np.asarray(norming, dtype=float)
     if theta_hat.shape != theta_true.shape or theta_hat.shape != norming.shape:

@@ -73,9 +73,8 @@ class TrialRecord:
     boundary: bool
 
 
-def _run_chunk(cfg_json: str, start: int, stop: int) -> list[tuple]:
-    """Run trials [start, stop) and return plain tuples (picklable for workers)."""
-    cfg = _config.config_from_json(cfg_json)
+def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
+    """Run trials [start, stop); the frozen config pickles, so workers take it as is."""
     grid = _config.build_grid(cfg)
     model = _config.build_model(cfg)
     kernel = _config.build_kernel(cfg)
@@ -93,8 +92,8 @@ def _run_chunk(cfg_json: str, start: int, stop: int) -> list[tuple]:
             theta_hat, converged, boundary = res.theta_hat, True, res.boundary
         except NonConvergenceError as err:
             theta_hat, converged, boundary = err.best_point, False, False
-        dev = normalized_deviation(np.asarray(theta_hat), theta_true, norming)
-        out.append((i, seed, theta_hat, dev, converged, boundary))
+        dev = normalized_deviation(theta_hat, theta_true, norming)
+        out.append(TrialRecord(i, seed, theta_hat, dev, converged, boundary))
     return out
 
 
@@ -104,19 +103,17 @@ def run_trials(cfg: "_config.ExperimentConfig", workers: int = 1) -> list[TrialR
     Raises NonConvergenceError if more than 1% of trials fail to converge.
     """
     n = cfg.montecarlo.n_trials
-    cfg_json = _config.config_to_json(cfg)
     if workers <= 1:
-        raw = _run_chunk(cfg_json, 0, n)
+        records = _run_chunk(cfg, 0, n)
     else:
         chunk = max(1, math.ceil(n / (4 * workers)))
-        spans = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        raw = []
+        starts = range(0, n, chunk)
+        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [cfg_json] * len(spans),
-                                 [s for s, _ in spans], [e for _, e in spans]):
-                raw.extend(part)
-        raw.sort(key=lambda r: r[0])
-    records = [TrialRecord(*r) for r in raw]
+            # map yields the chunks in submission order, so records stay in trial order
+            for part in pool.map(_run_chunk, [cfg] * len(starts), starts,
+                                 [min(s + chunk, n) for s in starts]):
+                records.extend(part)
     n_bad = sum(1 for r in records if not r.converged)
     if n_bad > 0.01 * n:
         raise NonConvergenceError(
@@ -151,8 +148,7 @@ class TailEstimate:
     p_hat: np.ndarray = field(repr=False)
     ci_low: np.ndarray = field(repr=False)
     ci_high: np.ndarray = field(repr=False)
-    envelope: np.ndarray | None = field(repr=False, default=None)
-    fitted_rate: float = math.nan
+    fitted_rate: float
 
 
 def fit_exceedance_rate(r_grid, counts, n_trials: int, min_count: int = 10) -> float:
@@ -173,16 +169,8 @@ def fit_exceedance_rate(r_grid, counts, n_trials: int, min_count: int = 10) -> f
     return float(np.polyfit(x, y, 1)[0])
 
 
-def estimate_tail(records_or_devs, r_grid, consts: BoundConstants | None = None,
-                  alpha: float = 0.05) -> TailEstimate:
-    """Empirical exceedance probabilities with exact binomial intervals.
-
-    The optional bound constants add the theoretical envelope (clipped to 1)
-    alongside each level.
-    """
-    devs = records_or_devs
-    if len(devs) and isinstance(devs[0], TrialRecord):
-        devs = deviations(devs)
+def estimate_tail(devs, r_grid, alpha: float = 0.05) -> TailEstimate:
+    """Empirical exceedance probabilities of the deviations with exact binomial intervals."""
     devs = np.asarray(devs, dtype=float)
     n = devs.size
     if n < MIN_TAIL_TRIALS:
@@ -198,9 +186,6 @@ def estimate_tail(records_or_devs, r_grid, consts: BoundConstants | None = None,
     counts = n - np.searchsorted(sorted_devs, r_grid, side="left")
     p_hat = counts / n
     ci = np.array([clopper_pearson(int(k), n, alpha) for k in counts])
-    envelope = None
-    if consts is not None:
-        envelope = np.array([tail_envelope(consts, float(r), clip=True) for r in r_grid])
     return TailEstimate(
         r_grid=r_grid,
         counts=counts.astype(int),
@@ -208,38 +193,34 @@ def estimate_tail(records_or_devs, r_grid, consts: BoundConstants | None = None,
         p_hat=p_hat,
         ci_low=ci[:, 0],
         ci_high=ci[:, 1],
-        envelope=envelope,
         fitted_rate=fit_exceedance_rate(r_grid, counts, n),
     )
 
 
 @dataclass(frozen=True)
 class EnvelopeComparison:
+    envelope: np.ndarray = field(repr=False)
     level_ok: np.ndarray = field(repr=False)
     rate_ok: bool
     overall_pass: bool
-    b: float
-    fitted_rate: float
 
 
 def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> EnvelopeComparison:
     """Per-level and rate verdicts for envelope domination.
 
-    A level passes when its lower confidence limit does not exceed the
-    envelope (the bound is not violated beyond binomial noise); the rate
-    verdict asks the fitted exceedance rate to be at least the guaranteed b.
+    The envelope is evaluated at each level and clipped to 1.  A level passes
+    when its lower confidence limit does not exceed the envelope (the bound is
+    not violated beyond binomial noise); the rate verdict asks the fitted
+    exceedance rate to be at least the guaranteed b.
     """
-    envelope = tail.envelope
-    if envelope is None:
-        envelope = np.array([tail_envelope(consts, float(r), clip=True) for r in tail.r_grid])
+    envelope = np.array([tail_envelope(consts, float(r), clip=True) for r in tail.r_grid])
     level_ok = tail.ci_low <= envelope + 1e-15
     rate_ok = bool(np.isfinite(tail.fitted_rate) and tail.fitted_rate >= consts.b)
     return EnvelopeComparison(
+        envelope=envelope,
         level_ok=level_ok,
         rate_ok=rate_ok,
         overall_pass=bool(level_ok.all() and rate_ok),
-        b=consts.b,
-        fitted_rate=tail.fitted_rate,
     )
 
 
@@ -259,7 +240,6 @@ class MgfReport:
     envelope: np.ndarray = field(repr=False)
     per_lambda_pass: np.ndarray = field(repr=False)
     overall_pass: bool
-    delta_norm_sq: float
     n_rep: int
 
 
@@ -269,15 +249,14 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
               n_boot: int = 400) -> MgfReport:
     """Empirical MGF of I = integral(delta * eps) against the Gaussian envelope.
 
-    ``delta`` is a weight function given as node values or a callable on times.
-    For each lambda the verdict passes when the lower bootstrap confidence
+    ``delta`` holds the node values of the weight function.  For each lambda the verdict passes when the lower bootstrap confidence
     limit of the empirical mean of exp(lambda * I) stays below
     exp(lambda^2 * d0 * ||delta||^2 / 2) * (1 + slack).  Replications with
     non-finite exponential moments fail that lambda outright.
     """
     if n_rep < 10_000:
         raise ContractError(f"need n_rep >= 10000 for stable exponential moments, got {n_rep}")
-    delta_vals = np.asarray(delta(grid.nodes) if callable(delta) else delta, dtype=float)
+    delta_vals = np.asarray(delta, dtype=float)
     norm_sq = integrate(delta_vals * delta_vals, grid)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     exponents = 0.5 * lambda_grid ** 2 * d0 * norm_sq
@@ -328,7 +307,6 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
         envelope=envelope,
         per_lambda_pass=passed,
         overall_pass=bool(passed.all()),
-        delta_norm_sq=norm_sq,
         n_rep=n_rep,
     )
 

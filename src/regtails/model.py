@@ -30,14 +30,21 @@ from .numerics import TimeGrid, integrate
 
 @dataclass(frozen=True)
 class ParameterBox:
-    """Closure of an open bounded box in R^q, given by per-coordinate bounds."""
+    """Closure of an open bounded box in R^q, given by per-coordinate bounds.
+
+    Equality and hash cover the bound tuples; the array forms are built once,
+    read-only, and left out of both.
+    """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    lower_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    upper_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 1:
             raise ContractError("box bounds must be 1-d sequences of equal length")
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
@@ -46,22 +53,15 @@ class ParameterBox:
             raise ContractError(f"box must satisfy lower < upper per coordinate, got {lo} / {hi}")
         object.__setattr__(self, "lower", tuple(float(x) for x in lo))
         object.__setattr__(self, "upper", tuple(float(x) for x in hi))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lower_arr", lo)
+        object.__setattr__(self, "upper_arr", hi)
+        object.__setattr__(self, "diameter", float(np.linalg.norm(hi - lo)))
 
     @property
     def q(self) -> int:
         return len(self.lower)
-
-    @property
-    def lower_arr(self) -> np.ndarray:
-        return np.asarray(self.lower)
-
-    @property
-    def upper_arr(self) -> np.ndarray:
-        return np.asarray(self.upper)
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper_arr - self.lower_arr))
 
     def contains(self, theta, atol: float = 1e-12) -> bool:
         theta = np.asarray(theta, dtype=float)
@@ -273,14 +273,6 @@ def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid
 
 
 @dataclass(frozen=True)
-class ExpModelSpec:
-    """Exponential-of-inner-product model data: bounded regressors y(t) in R^q."""
-
-    regressors: Callable[[np.ndarray], np.ndarray]
-    name: str = "exp_inner"
-
-
-@dataclass(frozen=True)
 class ExpModelConstants:
     """Gram matrix of the regressors with derived identifiability constants."""
 
@@ -292,15 +284,17 @@ class ExpModelConstants:
     c1_theory: float
 
 
-def exp_model_constants(spec: ExpModelSpec, box: ParameterBox, grid: TimeGrid,
-                        min_eigenvalue: float = 1e-10) -> ExpModelConstants:
+def exp_model_constants(regressors: Callable[[np.ndarray], np.ndarray], box: ParameterBox,
+                        grid: TimeGrid, min_eigenvalue: float = 1e-10) -> ExpModelConstants:
     """Compute J_T = (T^{-1} integral y_i y_j), H, L, and the (c0, c1) bracket.
+
+    ``regressors`` maps times to the bounded regressor rows y(t) in R^q.
 
     H and L are the extreme values of exp(<y, tau>) over grid times and box
     corners; the inner product is linear in tau, so corner evaluation is exact
     for each fixed t.
     """
-    y = np.atleast_2d(spec.regressors(grid.nodes))
+    y = np.atleast_2d(regressors(grid.nodes))
     q = y.shape[0]
     if q != box.q:
         raise ConfigError(f"regressors have {q} components but the box has {box.q}")

@@ -45,17 +45,11 @@ WHITE_NOISE_F0 = 1.0 / (2.0 * math.pi)
 _KERNEL_QUAD_INTERVALS = 1 << 16
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_driver(kind: str, count: int, seed) -> np.ndarray:
     """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law."""
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     if kind == "gaussian":
         return rng.standard_normal(count)
     if kind == "rademacher":
@@ -250,8 +244,9 @@ def noise_path(driver: str, grid: TimeGrid, seed, kernel: FilterKernel | None = 
 def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
     """Stationary covariance B(t) = integral of psi(t+u) psi(u) du, t >= 0.
 
-    Quadrature runs over [0, truncation_horizon]; beyond twice the horizon the
-    supports are disjoint and the result is exactly zero.
+    Quadrature runs over u in [0, truncation_horizon].  psi vanishes past the
+    horizon H, so for a lag t > H every psi(t+u) with u >= 0 is zero and B(t)
+    is exactly 0.0; only lags up to H are integrated.
     """
     scalar = np.isscalar(t)
     lags = np.atleast_1d(np.asarray(t, dtype=float))
@@ -259,9 +254,9 @@ def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
         raise ContractError("covariance lag must be >= 0 (B is even)")
     u, step = kernel._fine_grid()
     base = kernel.psi(u)
-    out = np.empty(lags.shape)
-    for i, lag in enumerate(lags):
-        out[i] = np.trapezoid(kernel.psi(lag + u) * base, dx=step)
+    out = np.zeros(lags.shape)
+    for i in np.flatnonzero(lags <= kernel.truncation_horizon):
+        out[i] = np.trapezoid(kernel.psi(lags[i] + u) * base, dx=step)
     return float(out[0]) if scalar else out
 
 

@@ -1,7 +1,10 @@
 """Uniform time grids and trapezoid quadrature.
 
-Every integral in the package goes through this module so that a single
-quadrature rule (composite trapezoid on a uniform grid) is used everywhere.
+Every integral over the time grid [0, T] goes through this module, so one
+quadrature rule (composite trapezoid on a uniform grid) covers them all.  The
+kernel integrals of :mod:`regtails.noise` (covariance, spectral density, L2
+mass) are the exception: they run ``np.trapezoid`` on the kernel's own fine
+grid over [0, truncation_horizon], which is independent of the time grid.
 It also holds ``memo``, the one bounded store for arrays that depend only on
 the grid, kernel or model, so that per-trial work does not rebuild them.
 """
@@ -48,10 +51,6 @@ class TimeGrid:
     @property
     def n_nodes(self) -> int:
         return self.n_steps + 1
-
-    @classmethod
-    def with_default_step(cls, T: float, max_step: float = DEFAULT_MAX_STEP) -> "TimeGrid":
-        return cls(T, default_n_steps(T, max_step))
 
 
 _memo: dict[tuple, np.ndarray] = {}

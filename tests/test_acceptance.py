@@ -26,7 +26,6 @@ from regtails.harness import (
     run_trials,
 )
 from regtails.model import (
-    ExpModelSpec,
     ParameterBox,
     constant_regressors,
     estimate_equivalence_constants,
@@ -111,7 +110,7 @@ def test_criterion_03_exact_tail_cross_check():
         "bounds": {"c0": 1.0},
     })
     records = run_trials(cfg)
-    tail = estimate_tail(records, np.asarray(cfg.montecarlo.r_grid))
+    tail = estimate_tail(deviations(records), np.asarray(cfg.montecarlo.r_grid))
     details = []
     ok = True
     for i, r in enumerate(tail.r_grid):
@@ -152,7 +151,7 @@ def test_criterion_04_envelope_domination(driver):
     p_train = np.array([(train_devs >= r).mean() for r in r_arr])
     consts = consts.with_prefactor(calibrate_prefactor(p_train, r_arr, consts.b))
 
-    tail = estimate_tail(records[n_train:], r_arr, consts)
+    tail = estimate_tail(deviations(records[n_train:]), r_arr)
     cmp = compare_with_envelope(tail, consts)
     dense = tail.counts >= 10
     dominated = bool(np.all(cmp.level_ok[dense]))
@@ -169,7 +168,7 @@ def test_criterion_05_example_constants():
     box = ParameterBox((-0.5,), (0.5,))
     model = exp_inner_model(constant_regressors(1), box)
     grid = TimeGrid(1.0, 100)
-    consts = exp_model_constants(ExpModelSpec(regressors=constant_regressors(1)), box, grid)
+    consts = exp_model_constants(constant_regressors(1), box, grid)
     hand_ok = (
         abs(consts.J_T[0, 0] - 1.0) <= 1e-6
         and abs(consts.H - math.exp(0.5)) <= 1e-6

@@ -67,7 +67,7 @@ def test_bound_constants_derivation():
     assert consts.b == pytest.approx(1.0 / 16.0, rel=1e-14)
     with pytest.raises(ContractError, match="inconsistent"):
         BoundConstants(q=1, c0=1.0, d0=2.0, beta=0.0, f0=1.0)
-    auto = BoundConstants.from_quadratic(q=1, c0=1.0, d0=1.0)
+    auto = BoundConstants.from_spectral(q=1, c0=1.0, f0=1.0 / (2 * math.pi))
     assert auto.beta == pytest.approx(default_beta(1, 1.0, 1.0))
     assert auto.b > 0
 

@@ -171,19 +171,22 @@ def test_compare_with_envelope_calibrated_passes():
     consts = BoundConstants(q=1, c0=1.0, d0=1.0, beta=0.0)  # b = 1/16
     p_hat = np.array([(devs >= x).mean() for x in r])
     consts = consts.with_prefactor(calibrate_prefactor(p_hat, r, consts.b))
-    tail = estimate_tail(devs, r, consts)
+    tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
     assert cmp.overall_pass
     assert cmp.rate_ok  # half-normal rate 1/2 >= 1/16
     assert np.all(cmp.level_ok)
+    # the envelope is clipped to a probability
+    assert compare_with_envelope(tail, consts.with_prefactor(3.0)).envelope[0] == 1.0
 
 
 def test_compare_with_envelope_adversarial_fails():
     devs = np.full(500, 10.0)
     r = np.array([1.0, 2.0])
     consts = BoundConstants(q=1, c0=8.0, d0=0.5, beta=0.0, b_cal=1.0)  # b = 1
-    tail = estimate_tail(devs, r, consts)
+    tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
+    assert list(cmp.envelope) == [math.exp(-1.0), math.exp(-4.0)]
     assert not cmp.level_ok.all()
     assert not cmp.overall_pass
 

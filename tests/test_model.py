@@ -5,7 +5,6 @@ import pytest
 
 from regtails.errors import ConfigError, ContractError, DegenerateModelError, DomainError
 from regtails.model import (
-    ExpModelSpec,
     ParameterBox,
     RegressionModel,
     constant_model,
@@ -40,6 +39,21 @@ def test_box_validation():
     assert box.contains((0.5, 0.0))
     assert not box.contains((2.0, 0.0))
     assert box.corners().shape == (4, 2)
+
+
+def test_box_arrays_built_once():
+    bounds = np.array([0.0, -1.0])
+    box = ParameterBox(bounds, (1.0, 1.0))
+    assert bounds.flags.writeable  # the caller's array is copied, not frozen
+    for name in ("lower_arr", "upper_arr"):
+        arr = getattr(box, name)
+        assert arr is getattr(box, name)
+        assert not arr.flags.writeable
+    np.testing.assert_array_equal(box.lower_arr, [0.0, -1.0])
+    assert box.diameter == float(np.linalg.norm(np.array([1.0, 2.0])))
+    twin = ParameterBox((0.0, -1.0), (1.0, 1.0))
+    assert twin == box and hash(twin) == hash(box)
+    assert ParameterBox((0.0, -1.0), (1.0, 2.0)) != box
 
 
 def test_gradients_match_finite_differences(exp1):
@@ -199,9 +213,8 @@ def test_equivalence_needs_enough_pairs(exp1):
 
 def test_exp_model_constants_unit_regressor():
     box = ParameterBox((-0.5,), (0.5,))
-    spec = ExpModelSpec(regressors=constant_regressors(1))
     g = TimeGrid(1.0, 100)
-    consts = exp_model_constants(spec, box, g)
+    consts = exp_model_constants(constant_regressors(1), box, g)
     assert consts.J_T[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert consts.H == pytest.approx(math.exp(0.5), abs=1e-12)
     assert consts.L == pytest.approx(math.exp(-0.5), abs=1e-12)
@@ -212,9 +225,8 @@ def test_exp_model_constants_unit_regressor():
 def test_exp_model_constants_cosine_regressors():
     # over whole periods the Gram matrix is diag(1, 1/2)
     box = ParameterBox((-0.2, -0.2), (0.2, 0.2))
-    spec = ExpModelSpec(regressors=cosine_regressors(2))
     g = TimeGrid(4 * math.pi, 1200)
-    consts = exp_model_constants(spec, box, g)
+    consts = exp_model_constants(cosine_regressors(2), box, g)
     np.testing.assert_allclose(consts.J_T, [[1.0, 0.0], [0.0, 0.5]], atol=1e-9)
     assert consts.lambda_min == pytest.approx(0.5, abs=1e-9)
 
@@ -222,9 +234,9 @@ def test_exp_model_constants_cosine_regressors():
 def test_exp_model_constants_degenerate():
     # duplicated regressor rows make the Gram matrix singular
     box = ParameterBox((-0.2, -0.2), (0.2, 0.2))
-    spec = ExpModelSpec(regressors=lambda t: np.vstack([np.ones(np.size(t))] * 2))
     with pytest.raises(DegenerateModelError):
-        exp_model_constants(spec, box, TimeGrid(1.0, 50))
+        exp_model_constants(lambda t: np.vstack([np.ones(np.size(t))] * 2), box,
+                            TimeGrid(1.0, 50))
 
 
 def test_regressor_registry_and_files(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from regtails.errors import ConfigError, ContractError
@@ -206,6 +208,24 @@ def test_covariance_closed_forms():
     assert covariance_of_filter(k, 2 * k.truncation_horizon + 1.0) == 0.0
 
 
+@pytest.mark.parametrize("kernel", [
+    FilterKernel.exponential(1.0),
+    FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2]),
+], ids=["exponential", "tabulated"])
+def test_covariance_zero_past_horizon(kernel):
+    # psi(t + u) = 0 for every u >= 0 once t > H, so B is exactly zero there
+    H = kernel.truncation_horizon
+    h = H / 1000
+    lags = np.array([H - h, H, H + h, 1.5 * H, 2 * H])
+    u, step = kernel._fine_grid()
+    direct = [np.trapezoid(kernel.psi(lag + u) * kernel.psi(u), dx=step) for lag in lags]
+    out = covariance_of_filter(kernel, lags)
+    assert list(out) == direct
+    assert [covariance_of_filter(kernel, float(lag)) for lag in lags] == direct
+    assert out[1] > 0.0
+    assert np.all(out[2:] == 0.0)
+
+
 def test_kernel_truncation_invariant():
     with pytest.raises(ContractError, match="tail"):
         FilterKernel.exponential(1.0, truncation_horizon=2.0)
@@ -226,6 +246,33 @@ def test_spectrum_even():
     rng = np.random.default_rng(3)
     for lam in rng.uniform(0.1, 20.0, 5):
         assert spectral_density(k, lam) == pytest.approx(spectral_density(k, -lam), rel=1e-9)
+
+
+@st.composite
+def _kernels(draw):
+    """Exponential kernels, or signed tabulated ones with 3-12 samples on [0, <= 5]."""
+    if draw(st.booleans()):
+        return FilterKernel.exponential(draw(st.floats(0.2, 5.0)))
+    n = draw(st.integers(3, 12))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)))
+    times = np.concatenate(([0.0], np.cumsum(gaps * min(1.0, 5.0 / gaps.sum()))))
+    sizes = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return FilterKernel.tabulated(times, sizes * signs)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(kernel=_kernels(), lams=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
+def test_f0_sup_is_supremum(kernel, lams):
+    f0 = f0_sup(kernel)
+    assert np.all(spectral_density(kernel, np.array(lams)) <= f0 * (1 + 1e-9))
+    # |Fourier transform| <= integral of |psi|, on the same fine grid
+    u, step = kernel._fine_grid()
+    l1 = np.trapezoid(np.abs(kernel.psi(u)), dx=step)
+    assert f0 <= l1 ** 2 / (2 * math.pi) * (1 + 1e-12)
+    if np.all(kernel.psi(u) >= 0):
+        # a nonnegative kernel peaks at lambda = 0, where f = (integral psi)^2 / 2pi
+        assert f0 == pytest.approx(spectral_density(kernel, 0.0), rel=1e-12, abs=0.0)
 
 
 def test_d0_from_spectral():

@@ -21,7 +21,7 @@ def test_grid_nodes_and_step():
 def test_default_step_policy():
     assert default_n_steps(1.0) == 100
     assert default_n_steps(25.0) == 2500
-    g = TimeGrid.with_default_step(3.7)
+    g = TimeGrid(3.7, default_n_steps(3.7))
     assert g.h <= 0.01 + 1e-15
 
 
