@@ -62,10 +62,10 @@ def stationary_rate(q: int, c0: float, f0: float, beta: float) -> float:
     return exponent_rate(q, c0, 2.0 * math.pi * f0, beta)
 
 
-def default_beta(q: int, c0: float, d0: float, fraction: float = 1e-3) -> float:
-    """Proportional slack: a small fraction of the rate before slack."""
+def default_beta(q: int, c0: float, d0: float) -> float:
+    """Proportional slack: a thousandth of the rate before slack."""
     _check_positive(c0=c0, d0=d0)
-    return fraction * c0 / (8.0 * d0 * (1.0 + q))
+    return 1e-3 * c0 / (8.0 * d0 * (1.0 + q))
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,9 @@ class ParameterBox:
     def q(self) -> int:
         return len(self.lower)
 
-    def contains(self, theta, atol: float = 1e-12) -> bool:
+    def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.lower_arr - atol) and np.all(theta <= self.upper_arr + atol))
+        return bool(np.all(theta >= self.lower_arr - 1e-12) and np.all(theta <= self.upper_arr + 1e-12))
 
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lower_arr, self.upper_arr)
@@ -119,8 +119,8 @@ def constant_model(box: ParameterBox) -> RegressionModel:
     )
 
 
-def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray], box: ParameterBox,
-                    name: str = "exp_inner") -> RegressionModel:
+def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
+                    box: ParameterBox) -> RegressionModel:
     """a(t, tau) = exp(<tau, y(t)>) with bounded regressors y: R+ -> R^q."""
 
     def _eval(t, tau):
@@ -131,7 +131,7 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray], box: Paramet
         y = np.atleast_2d(regressors(np.asarray(t, dtype=float)))
         return y * np.exp(np.asarray(tau) @ y)[None, :]
 
-    return RegressionModel(box=box, eval=_eval, grad=_grad, name=name)
+    return RegressionModel(box=box, eval=_eval, grad=_grad, name="exp_inner")
 
 
 def constant_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -239,7 +239,7 @@ def phi(model: RegressionModel, theta, grid: TimeGrid, norming, u, v) -> float:
 
 
 def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid, norming,
-                          n_pairs: int, seed, degenerate_tol: float = 1e-9) -> tuple[float, float]:
+                                   n_pairs: int, seed) -> tuple[float, float]:
     """Empirical two-sided quadratic-equivalence constants (c0_hat, c1_hat).
 
     Samples pairs u, v uniformly over the normed box image N * (box - theta) and
@@ -258,7 +258,7 @@ def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid
     for k in range(n_pairs):
         u, v = u_all[2 * k], u_all[2 * k + 1]
         gap = float(np.dot(u - v, u - v))
-        if gap <= degenerate_tol ** 2:
+        if gap <= 1e-18:
             continue
         ratio = phi(model, theta, grid, norming, u, v) / gap
         lo = min(lo, ratio)
@@ -285,7 +285,7 @@ class ExpModelConstants:
 
 
 def exp_model_constants(regressors: Callable[[np.ndarray], np.ndarray], box: ParameterBox,
-                        grid: TimeGrid, min_eigenvalue: float = 1e-10) -> ExpModelConstants:
+                        grid: TimeGrid) -> ExpModelConstants:
     """Compute J_T = (T^{-1} integral y_i y_j), H, L, and the (c0, c1) bracket.
 
     ``regressors`` maps times to the bounded regressor rows y(t) in R^q.
@@ -304,7 +304,7 @@ def exp_model_constants(regressors: Callable[[np.ndarray], np.ndarray], box: Par
             J[i, j] = J[j, i] = integrate(y[i] * y[j], grid) / grid.T
     eigvals = np.linalg.eigvalsh(J)
     lam_min = float(eigvals[0])
-    if lam_min <= min_eigenvalue:
+    if lam_min <= 1e-10:
         raise DegenerateModelError(
             f"regressor Gram matrix is near-singular (min eigenvalue {lam_min:.3e})"
         )

@@ -2,8 +2,8 @@
 
 Every integral over the time grid [0, T] goes through this module, so one
 quadrature rule (composite trapezoid on a uniform grid) covers them all.  The
-kernel integrals of :mod:`regtails.noise` (covariance, spectral density, L2
-mass) are the exception: they run ``np.trapezoid`` on the kernel's own fine
+kernel integrals of :mod:`regtails.noise` (covariance, spectral density) are
+the exception: they run ``np.trapezoid`` on the kernel's own fine
 grid over [0, truncation_horizon], which is independent of the time grid.
 It also holds ``memo``, the one bounded store for arrays that depend only on
 the grid, kernel or model, so that per-trial work does not rebuild them.
@@ -21,11 +21,11 @@ from .errors import ContractError
 DEFAULT_MAX_STEP = 0.01
 
 
-def default_n_steps(T: float, max_step: float = DEFAULT_MAX_STEP) -> int:
-    """Smallest step count giving a step size of at most ``max_step``."""
+def default_n_steps(T: float) -> int:
+    """Smallest step count giving a step size of at most ``DEFAULT_MAX_STEP``."""
     if T <= 0:
         raise ContractError(f"horizon must be positive, got {T}")
-    return max(1, int(np.ceil(T / max_step - 1e-12)))
+    return max(1, int(np.ceil(T / DEFAULT_MAX_STEP - 1e-12)))
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,10 @@ def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert f"leave {n_eval} for tail estimation" in err
 
 
-def test_cli_import_leaves_out_scipy_stats_and_signal():
+def test_cli_import_leaves_out_slow_scipy_modules():
     code = ("import sys, regtails.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)

@@ -249,7 +249,7 @@ def test_mgf_rep_count_contract():
 def test_quadratic_form_zero_weight():
     k = FilterKernel.exponential(1.0)
     g = TimeGrid(2.0, 40)
-    assert quadratic_form(k, np.zeros(g.n_nodes), g) == 0.0
+    assert quadratic_form(covariance_row(k, g), np.zeros(g.n_nodes), g) == 0.0
 
 
 def test_quadratic_form_check_exponential_kernel():
@@ -275,7 +275,7 @@ def test_quadratic_form_check_exponential_kernel():
         delta = rng.standard_normal(g.n_nodes)
         wd = w * delta
         dense = g.h ** 2 * (wd @ B @ wd)
-        assert quadratic_form(k, delta, g, cov_row=cov) == pytest.approx(dense, rel=1e-12)
+        assert quadratic_form(cov, delta, g) == pytest.approx(dense, rel=1e-12)
 
 
 def test_quadratic_form_check_contract():
