@@ -257,8 +257,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     else:
         # stationary / white mode: lag covariances Cov(eps(0), eps(lag))
         mode, column = ("white" if kernel is None else "filtered"), "eps"
-        path = partial(noise_path, cfg.noise.driver, grid, kernel=kernel,
-                       prehistory=cfg.noise.prehistory)
+        path = partial(noise_path, cfg.noise.driver, grid, kernel=kernel)
         if kernel is None:
             lag_steps = [0, 1]
             theory = [1.0 / grid.h if k == 0 else 0.0 for k in lag_steps]
@@ -321,7 +320,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         f0 = WHITE_NOISE_F0
         d0 = d0_from_spectral(f0)
     else:
-        qf = quadratic_form_check(kernel, grid, n_probe=50, seed=master)
+        qf = quadratic_form_check(kernel, grid, seed=master)
         f0, d0 = qf.f0, qf.d0
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
@@ -350,8 +349,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if kernel is not None:
         lam_filt = np.array([0.0, 0.3, 0.6, 0.95]) * float(np.sqrt(8.0 / (d0 * grid.T)))
         filt = mgf_check(cfg.noise.driver, flat, grid, d0, lam_filt, MGF_DEFAULT_REPS,
-                         derive_seed(master, STREAM_MGF, 2), kernel=kernel,
-                         prehistory=cfg.noise.prehistory)
+                         derive_seed(master, STREAM_MGF, 2), kernel=kernel)
         payload["mgf_filtered"] = _mgf_dict(filt)
         payload["verdicts"]["mgf_filtered"] = filt.overall_pass
 

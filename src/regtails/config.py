@@ -1,9 +1,9 @@
 """Experiment configuration: a single JSON document describing one run.
 
 The file has sections model / noise / grid / norming / montecarlo / bounds /
-output.  Everything is validated before any computation, and a parsed config
-serializes back to an identical document (round-trip stable), which is what
-makes output files reproducible provenance records.
+output.  Everything is validated before any computation, an unknown key too,
+and a parsed config serializes back to an identical document (round-trip
+stable), which is what makes output files reproducible provenance records.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class NoiseConfig:
     kernel_rate: float | None = None
     kernel_file: str | None = None
     truncation_horizon: float | None = None
-    prehistory: float | None = None
     basis_family: str | None = None
     basis_n_terms: int | None = None
     basis_horizon: float | None = None
@@ -103,9 +102,19 @@ def _fail(field: str, message: str):
 
 
 def _require(section: dict, key: str, where: str):
-    if key not in section:
+    if not isinstance(section, dict) or key not in section:
         _fail(f"{where}.{key}", "missing required key")
     return section[key]
+
+
+def _known(section, where: str, keys: tuple[str, ...]) -> dict:
+    """``section`` itself, once it is an object holding no key outside ``keys``."""
+    if not isinstance(section, dict):
+        _fail(where, "expected a JSON object")
+    for key in section:
+        if key not in keys:
+            _fail(f"{where}.{key}" if where else key, f"unknown key; expected one of {keys}")
+    return section
 
 
 def _as_float(value, field: str, positive=False) -> float:
@@ -135,10 +144,11 @@ def _as_float_tuple(value, field: str) -> tuple[float, ...]:
 
 
 def _parse_model(section: dict) -> ModelConfig:
+    _known(section, "model", ("name", "box", "theta_true", "parameters"))
     name = _require(section, "name", "model")
     if name not in MODEL_NAMES:
         _fail("model.name", f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    box = _require(section, "box", "model")
+    box = _known(_require(section, "box", "model"), "model.box", ("lower", "upper"))
     lower = _as_float_tuple(_require(box, "lower", "model.box"), "model.box.lower")
     upper = _as_float_tuple(_require(box, "upper", "model.box"), "model.box.upper")
     if len(lower) != len(upper):
@@ -150,7 +160,8 @@ def _parse_model(section: dict) -> ModelConfig:
         _fail("model.theta_true", "dimension does not match the box")
     if not all(lo < t < hi for t, lo, hi in zip(theta, lower, upper)):
         _fail("model.theta_true", "must be interior to the box")
-    params = section.get("parameters") or {}
+    params = _known(section.get("parameters") or {}, "model.parameters",
+                    ("regressors", "regressor_file"))
     regressors = params.get("regressors")
     regressor_file = params.get("regressor_file")
     if name == "exp_inner":
@@ -163,6 +174,8 @@ def _parse_model(section: dict) -> ModelConfig:
 
 
 def _parse_noise(section: dict) -> NoiseConfig:
+    if "prehistory" in _known(section, "noise", ("driver", "kernel", "basis", "prehistory")):
+        _fail("noise.prehistory", "not a setting: the filter prehistory is derived from the kernel")
     driver = _require(section, "driver", "noise")
     if driver not in DRIVER_KINDS:
         _fail("noise.driver", f"unknown driver {driver!r}; expected one of {DRIVER_KINDS}")
@@ -171,34 +184,31 @@ def _parse_noise(section: dict) -> NoiseConfig:
     if kernel is not None:
         form = _require(kernel, "form", "noise.kernel")
         if form == "exponential":
+            _known(kernel, "noise.kernel", ("form", "rate", "truncation_horizon"))
             rate = _as_float(_require(kernel, "rate", "noise.kernel"), "noise.kernel.rate", positive=True)
         elif form == "tabulated":
+            _known(kernel, "noise.kernel", ("form", "file", "truncation_horizon"))
             kfile = _require(kernel, "file", "noise.kernel")
         else:
             _fail("noise.kernel.form", f"unknown kernel form {form!r}")
-        if "truncation_horizon" in kernel and kernel["truncation_horizon"] is not None:
+        if kernel.get("truncation_horizon") is not None:
             horizon = _as_float(kernel["truncation_horizon"], "noise.kernel.truncation_horizon",
                                 positive=True)
-    prehistory = section.get("prehistory", "auto")
-    if prehistory == "auto" or prehistory is None:
-        prehistory = None
-    else:
-        prehistory = _as_float(prehistory, "noise.prehistory")
-        if prehistory < 0:
-            _fail("noise.prehistory", "must be >= 0")
     basis = section.get("basis")
     b_family = b_terms = b_horizon = None
     if basis is not None:
+        _known(basis, "noise.basis", ("family", "n_terms", "horizon"))
         b_family = _require(basis, "family", "noise.basis")
         b_terms = _as_int(_require(basis, "n_terms", "noise.basis"), "noise.basis.n_terms", minimum=1)
         b_horizon = _as_float(_require(basis, "horizon", "noise.basis"), "noise.basis.horizon",
                               positive=True)
     return NoiseConfig(driver=driver, kernel_form=form, kernel_rate=rate, kernel_file=kfile,
-                       truncation_horizon=horizon, prehistory=prehistory,
+                       truncation_horizon=horizon,
                        basis_family=b_family, basis_n_terms=b_terms, basis_horizon=b_horizon)
 
 
 def _parse_grid(section: dict) -> GridConfig:
+    _known(section, "grid", ("T", "n_steps"))
     T = _as_float(_require(section, "T", "grid"), "grid.T", positive=True)
     n_steps = section.get("n_steps")
     if n_steps is not None:
@@ -207,6 +217,7 @@ def _parse_grid(section: dict) -> GridConfig:
 
 
 def _parse_montecarlo(section: dict) -> MonteCarloConfig:
+    _known(section, "montecarlo", ("n_trials", "master_seed", "R_grid"))
     n_trials = _as_int(_require(section, "n_trials", "montecarlo"), "montecarlo.n_trials", minimum=1)
     master_seed = _as_int(_require(section, "master_seed", "montecarlo"),
                           "montecarlo.master_seed", minimum=0)
@@ -219,9 +230,10 @@ def _parse_montecarlo(section: dict) -> MonteCarloConfig:
 
 
 def _parse_bounds(section: dict) -> BoundsConfig:
+    _known(section, "bounds", ("beta", "B_cal", "c0", "equivalence_pairs", "f0"))
     beta = section.get("beta", "auto")
     beta = None if beta == "auto" else _as_float(beta, "bounds.beta", positive=True)
-    bcal = section.get("B_cal") or {}
+    bcal = _known(section.get("B_cal") or {}, "bounds.B_cal", ("mode", "value", "fraction"))
     mode = bcal.get("mode", "fixed")
     if mode not in ("fixed", "calibrate"):
         _fail("bounds.B_cal.mode", f"expected 'fixed' or 'calibrate', got {mode!r}")
@@ -241,6 +253,7 @@ def _parse_bounds(section: dict) -> BoundsConfig:
 
 
 def _parse_output(section: dict) -> OutputConfig:
+    _known(section, "output", ("directory", "formats"))
     directory = section.get("directory", "out")
     formats = tuple(section.get("formats", list(OUTPUT_FORMATS)))
     for fmt in formats:
@@ -254,6 +267,7 @@ def _parse_output(section: dict) -> OutputConfig:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _known(doc, "", ("model", "noise", "grid", "norming", "montecarlo", "bounds", "output"))
     for key in ("model", "noise", "grid", "montecarlo"):
         if key not in doc:
             _fail(key, "missing required section")
@@ -297,7 +311,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         if cfg.noise.truncation_horizon is not None:
             kernel["truncation_horizon"] = cfg.noise.truncation_horizon
         noise["kernel"] = kernel
-    noise["prehistory"] = "auto" if cfg.noise.prehistory is None else cfg.noise.prehistory
     if cfg.noise.basis_family is not None:
         noise["basis"] = {"family": cfg.noise.basis_family, "n_terms": cfg.noise.basis_n_terms,
                           "horizon": cfg.noise.basis_horizon}

@@ -38,14 +38,15 @@ class Observation:
         object.__setattr__(self, "x_values", x)
 
 
-@dataclass(frozen=True)
 class FitOptions:
-    coarse_grid_per_dim: int = 9
-    n_refine_starts: int = 3
-    local_tol_factor: float = 1e-8   # times the box diameter
-    max_iter: int = 200
-    tie_tol: float = 1e-10
-    max_halvings: int = 40
+    """The fit's one configuration, read as class attributes; nothing passes an instance."""
+
+    coarse_grid_per_dim = 9
+    n_refine_starts = 3
+    local_tol_factor = 1e-8   # times the box diameter
+    max_iter = 200
+    tie_tol = 1e-10
+    max_halvings = 40
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def _lattice_points(box, per_dim: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _gauss_newton(obs, model, start, r, q_start, w, eye, opts) -> tuple[np.ndarray, float, bool]:
+def _gauss_newton(obs, model, start, r, q_start, w, eye) -> tuple[np.ndarray, float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
     ``r`` is the residual at ``start``.  Candidates come from ``box.clip``, so Q
@@ -87,11 +88,11 @@ def _gauss_newton(obs, model, start, r, q_start, w, eye, opts) -> tuple[np.ndarr
     grid = obs.grid
     h = grid.h
     box = model.box
-    tol = opts.local_tol_factor * box.diameter
+    tol = FitOptions.local_tol_factor * box.diameter
     tau = np.asarray(start, dtype=float)
     q_cur = q_start
     ridge = 0.0
-    for _ in range(opts.max_iter):
+    for _ in range(FitOptions.max_iter):
         g = np.atleast_2d(model.grad(grid.nodes, tau))
         gw = g * w
         gram = h * (gw @ g.T)
@@ -105,7 +106,7 @@ def _gauss_newton(obs, model, start, r, q_start, w, eye, opts) -> tuple[np.ndarr
             raise DataError(f"non-finite search direction at tau {tau}")
         alpha = 1.0
         accepted = None
-        for _ in range(opts.max_halvings):
+        for _ in range(FitOptions.max_halvings):
             cand = box.clip(tau + alpha * step)
             r_new = obs.x_values - model.eval(grid.nodes, cand)
             q_new = _q(r_new, w, h, cand)
@@ -125,7 +126,7 @@ def _gauss_newton(obs, model, start, r, q_start, w, eye, opts) -> tuple[np.ndarr
     return tau, q_cur, False
 
 
-def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = None) -> LseResult:
+def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     """Global lattice scan over the box followed by local Gauss-Newton refinement.
 
     Ties on the lattice are broken by the lexicographically smallest point and
@@ -134,12 +135,7 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     lattice point) if every refinement start hits the iteration cap.  The model
     values on the lattice are memoized per (model, grid), so ``model.eval`` must be pure.
     """
-    opts = opts or FitOptions()
-    for name, least in (("coarse_grid_per_dim", 3), ("n_refine_starts", 1), ("max_iter", 1),
-                        ("max_halvings", 1)):
-        if getattr(opts, name) < least:
-            raise ContractError(f"{name} must be >= {least}, got {getattr(opts, name)}")
-    grid, per_dim = obs.grid, opts.coarse_grid_per_dim
+    grid, per_dim = obs.grid, FitOptions.coarse_grid_per_dim
     points = memo(("lattice", model.box, per_dim), lambda: _lattice_points(model.box, per_dim))
     a_lattice = memo(("lattice values", model, grid, per_dim),
                      lambda: np.array([model.eval(grid.nodes, p) for p in points], dtype=float))
@@ -149,11 +145,11 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     values = np.array([_q(r, w, h, p) for r, p in zip(residuals, points)])
 
     q_min = float(values.min())
-    tie_mask = values <= q_min + opts.tie_tol * max(1.0, abs(q_min))
+    tie_mask = values <= q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
     tie_count = int(tie_mask.sum())
 
     order = sorted(range(len(points)), key=lambda i: (values[i], tuple(points[i])))
-    starts = order[: opts.n_refine_starts]
+    starts = order[: FitOptions.n_refine_starts]
 
     best_tau = points[order[0]]
     best_q = float(values[order[0]])
@@ -161,13 +157,13 @@ def lse_fit(obs: Observation, model: RegressionModel, opts: FitOptions | None = 
     any_converged = False
     for idx in starts:
         tau, q_val, ok = _gauss_newton(obs, model, points[idx], residuals[idx],
-                                       float(values[idx]), w, eye, opts)
+                                       float(values[idx]), w, eye)
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
             best_tau, best_q = tau, q_val
     if not any_converged:
         raise NonConvergenceError(
-            f"no refinement start converged within {opts.max_iter} iterations",
+            f"no refinement start converged within {FitOptions.max_iter} iterations",
             best_point=tuple(float(x) for x in best_tau),
             best_value=best_q,
         )

@@ -11,8 +11,9 @@ causal kernel psi,
 
     eps(t) = sum_{k >= 0} psi(k*h) * dxi(t - k*h),      k*h <= truncation,
 
-the left-point discretization of the moving-average integral.  With a fixed
-seed the whole pipeline is reproducible bit for bit.
+the left-point discretization of the moving-average integral.  Its increments
+start H + h before t = 0, all that the taps reach: the prehistory is derived
+from the kernel.  With a fixed seed the pipeline is reproducible bit for bit.
 
 White-increment mode (``kernel=None``) represents the generalized derivative
 of xi: node values are increments divided by the step, so that quadrature
@@ -181,9 +182,12 @@ class FilterKernel:
         """psi sampled at k*h for k*h <= truncation_horizon (left-point filter taps)."""
         return self.psi(np.arange(self.n_taps(h)) * h)
 
-    def _fine_grid(self) -> tuple[np.ndarray, float]:
-        step = self.truncation_horizon / _KERNEL_QUAD_INTERVALS
-        return np.arange(_KERNEL_QUAD_INTERVALS + 1) * step, step
+
+def _fine_table(kernel: FilterKernel) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes u of the kernel's quadrature grid on [0, H], psi(u) (built once per kernel) and the step."""
+    step = kernel.truncation_horizon / _KERNEL_QUAD_INTERVALS
+    u = np.arange(_KERNEL_QUAD_INTERVALS + 1) * step
+    return u, memo(("fine psi", kernel), lambda: kernel.psi(u)), step
 
 
 def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -206,11 +210,9 @@ def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -
     return conv[n_pre - 1: n_pre + grid.n_steps]
 
 
-def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid, seed,
-                        prehistory: float | None = None) -> np.ndarray:
-    """Generate a stationary filtered path in one call (increments + filter)."""
-    if prehistory is None:
-        prehistory = kernel.truncation_horizon + grid.h
+def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid, seed) -> np.ndarray:
+    """Generate a stationary filtered path: increments from H + h before t = 0, then the filter."""
+    prehistory = kernel.truncation_horizon + grid.h
     return apply_filter(kernel, simulate_increments(kind, grid, prehistory, seed), grid)
 
 
@@ -223,12 +225,11 @@ def white_noise_path(kind: str, grid: TimeGrid, seed) -> np.ndarray:
     return sample_driver(kind, grid.n_nodes, seed) / np.sqrt(grid.h)
 
 
-def noise_path(driver: str, grid: TimeGrid, seed, kernel: FilterKernel | None = None,
-               prehistory: float | None = None) -> np.ndarray:
+def noise_path(driver: str, grid: TimeGrid, seed, kernel: FilterKernel | None = None) -> np.ndarray:
     """Node values of one noise path: white increments without a kernel, else filtered."""
     if kernel is None:
         return white_noise_path(driver, grid, seed)
-    return filtered_noise_path(driver, kernel, grid, seed, prehistory=prehistory)
+    return filtered_noise_path(driver, kernel, grid, seed)
 
 
 # -- second-order theory of the filtered process -------------------------
@@ -245,8 +246,7 @@ def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
     lags = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(lags < 0):
         raise ContractError("covariance lag must be >= 0 (B is even)")
-    u, step = kernel._fine_grid()
-    base = kernel.psi(u)
+    u, base, step = _fine_table(kernel)
     out = np.zeros(lags.shape)
     for i in np.flatnonzero(lags <= kernel.truncation_horizon):
         out[i] = np.trapezoid(kernel.psi(lags[i] + u) * base, dx=step)
@@ -257,8 +257,7 @@ def spectral_density(kernel: FilterKernel, lam) -> float | np.ndarray:
     """f(lambda) = |(2*pi)^{-1/2} * integral psi(t) exp(-i*lambda*t) dt|^2."""
     scalar = np.isscalar(lam)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    u, step = kernel._fine_grid()
-    psi_u = kernel.psi(u)
+    u, psi_u, step = _fine_table(kernel)
     f = np.empty(lam_arr.shape)
     block = 8  # keeps the outer-product workspace small
     for i in range(0, lam_arr.size, block):
@@ -278,8 +277,8 @@ def f0_sup(kernel: FilterKernel) -> float:
     that bracket to about 4e-9 of its width.  On a nonnegative kernel the best
     bin is lambda = 0.
     """
-    u, step = kernel._fine_grid()
-    weighted = kernel.psi(u)
+    u, psi_u, step = _fine_table(kernel)
+    weighted = psi_u.copy()  # the table is read-only
     weighted[[0, -1]] *= 0.5
     n_fft = next_fast_len(8 * u.size, True)
     k = int(np.abs(rfft(weighted, n_fft)).argmax())

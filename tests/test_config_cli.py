@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import regtails.cli as cli
+from regtails import harness
 from regtails.config import (
     config_from_dict,
     config_from_json,
     config_to_dict,
+    load_config,
 )
 from regtails.errors import ConfigError, NonConvergenceError
 
@@ -42,6 +44,26 @@ def _write_config(tmp_path, doc, name="cfg.json") -> str:
 
 # -- config parsing ---------------------------------------------------------
 
+# one misspelled key in every object the parser reads
+_MISSPELLED = [
+    (lambda d: d.update(montecarol={}), "montecarol"),
+    (lambda d: d["model"].update(theta=[2.0]), "model.theta"),
+    (lambda d: d["model"]["box"].update(uper=[5.0]), "model.box.uper"),
+    (lambda d: d["model"].update(parameters={"regresors": "constant"}), "model.parameters.regresors"),
+    (lambda d: d["noise"].update(drivr="gaussian"), "noise.drivr"),
+    (lambda d: d["noise"].update(kernel={"form": "exponential", "rate": 1.0, "rte": 2.0}),
+     "noise.kernel.rte"),
+    (lambda d: d["noise"].update(kernel={"form": "exponential", "rate": 1.0, "file": "k.txt"}),
+     "noise.kernel.file"),
+    (lambda d: d["noise"].update(basis={"family": "haar", "n_terms": 8, "horizon": 5.0, "n_term": 4}),
+     "noise.basis.n_term"),
+    (lambda d: d["grid"].update(nsteps=100), "grid.nsteps"),
+    (lambda d: d["montecarlo"].update(seed=3), "montecarlo.seed"),
+    (lambda d: d["bounds"].update(betta=0.1), "bounds.betta"),
+    (lambda d: d["bounds"]["B_cal"].update(fracton=0.2), "bounds.B_cal.fracton"),
+    (lambda d: d["output"].update(format=["csv"]), "output.format"),
+]
+
 
 def test_round_trip_identity():
     cfg = config_from_dict(_linear_doc())
@@ -61,12 +83,30 @@ def test_round_trip_identity():
     (lambda d: d["model"].update(name="spline"), "model.name"),
     (lambda d: d["output"].update(formats=["xlsx"]), "output.formats"),
     (lambda d: d["bounds"]["B_cal"].update(mode="guess"), "bounds.B_cal.mode"),
+    (lambda d: d["noise"].update(kernel=5), "noise.kernel.form"),
+    (lambda d: d.update(noise=5), "noise"),
+    (lambda d: d["bounds"].update(B_cal=[1.0]), "bounds.B_cal"),
+    *_MISSPELLED,
+    *[(lambda d, v=v: d["noise"].update(prehistory=v), "noise.prehistory")
+      for v in ("auto", 5.0, None)],
 ])
 def test_validation_names_offending_field(mutate, field):
     doc = _linear_doc()
     mutate(doc)
-    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")) as err:
         config_from_dict(doc)
+    if field == "noise.prehistory":
+        assert "derived from the kernel" in str(err.value)
+
+
+def test_shipped_configs_load_and_round_trip():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert len(paths) >= 2
+    for path in paths:
+        cfg = load_config(path)
+        doc = config_to_dict(cfg)
+        assert config_from_dict(doc) == cfg
+        assert config_to_dict(config_from_dict(doc)) == doc
 
 
 def test_norming_default_and_validation():
@@ -132,6 +172,30 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_trials", boom)
     assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("command", ["tails", "check"])
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["noise"].update(prehistory="auto"), "noise.prehistory"),
+    *_MISSPELLED,
+])
+def test_config_key_error_exits_2_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                         command, mutate, field):
+    doc = _linear_doc()
+    doc["noise"] = {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}}
+    mutate(doc)
+    cfg_path = _write_config(tmp_path, doc)
+
+    def never(*args, **kwargs):
+        raise AssertionError("computation ran before the config was validated")
+
+    for module, name in ((cli, "f0_sup"), (harness, "f0_sup"), (cli, "run_trials"),
+                         (cli, "estimate_equivalence_constants"), (cli, "noise_path")):
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_trials,b_cal,n_eval", [

@@ -21,6 +21,7 @@ from regtails.noise import (
     simulate_increments,
     spectral_density,
     white_noise_path,
+    _fine_table,
 )
 from regtails.numerics import TimeGrid, inner_product
 
@@ -217,7 +218,8 @@ def test_covariance_zero_past_horizon(kernel):
     H = kernel.truncation_horizon
     h = H / 1000
     lags = np.array([H - h, H, H + h, 1.5 * H, 2 * H])
-    u, step = kernel._fine_grid()
+    u, psi_u, step = _fine_table(kernel)
+    assert np.array_equal(psi_u, kernel.psi(u))
     direct = [np.trapezoid(kernel.psi(lag + u) * kernel.psi(u), dx=step) for lag in lags]
     out = covariance_of_filter(kernel, lags)
     assert list(out) == direct
@@ -272,10 +274,10 @@ def test_f0_sup_is_supremum(kernel, lams):
     f0 = f0_sup(kernel)
     assert np.all(spectral_density(kernel, np.array(lams)) <= f0 * (1 + 1e-9))
     # |Fourier transform| <= integral of |psi|, on the same fine grid
-    u, step = kernel._fine_grid()
-    l1 = np.trapezoid(np.abs(kernel.psi(u)), dx=step)
+    _, psi_u, step = _fine_table(kernel)
+    l1 = np.trapezoid(np.abs(psi_u), dx=step)
     assert f0 <= l1 ** 2 / (2 * math.pi) * (1 + 1e-12)
-    if np.all(kernel.psi(u) >= 0):
+    if np.all(psi_u >= 0):
         # a nonnegative kernel peaks at lambda = 0, where f = (integral psi)^2 / 2pi
         assert f0 == pytest.approx(spectral_density(kernel, 0.0), rel=1e-12, abs=0.0)
 
