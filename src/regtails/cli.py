@@ -208,30 +208,25 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             float(tail.ci_low[i]), float(tail.ci_high[i]), float(cmp.envelope[i]),
             "pass" if cmp.level_ok[i] else "fail",
         ])
-    if "csv" in cfg.output.formats:
-        _write_rows(out_dir / "tails.csv", cfg,
-                    ["R", "count", "n", "p_hat", "ci_low", "ci_high", "envelope", "verdict"],
-                    rows, sep=",")
-    if "tsv" in cfg.output.formats:
-        plot_rows = [[float(r) ** 2, float(-np.log(p))]
-                     for r, p in zip(tail.r_grid, tail.p_hat) if p > 0]
-        _write_rows(out_dir / "tails_plot.tsv", cfg, ["R_squared", "neg_log_p"],
-                    plot_rows, sep="\t")
-    if "json" in cfg.output.formats:
-        n_bad = sum(1 for r in records if not r.converged)
-        _write_json(out_dir / "tails_meta.json", cfg, {
-            "constants": _constants_dict(consts),
-            "extras": extras,
-            "fitted_rate": tail.fitted_rate,
-            "rate_ok": cmp.rate_ok,
-            "level_verdicts": [bool(v) for v in cmp.level_ok],
-            "overall_pass": cmp.overall_pass,
-            "n_trials": n,
-            "n_train": n_train,
-            "n_eval": tail.n_trials,
-            "n_nonconverged": n_bad,
-            "notes": {"consistency_envelope": CONSISTENCY_EXPONENT_NOTE},
-        })
+    _write_rows(out_dir / "tails.csv", cfg,
+                ["R", "count", "n", "p_hat", "ci_low", "ci_high", "envelope", "verdict"],
+                rows, sep=",")
+    plot_rows = [[float(r) ** 2, float(-np.log(p))]
+                 for r, p in zip(tail.r_grid, tail.p_hat) if p > 0]
+    _write_rows(out_dir / "tails_plot.tsv", cfg, ["R_squared", "neg_log_p"], plot_rows, sep="\t")
+    _write_json(out_dir / "tails_meta.json", cfg, {
+        "constants": _constants_dict(consts),
+        "extras": extras,
+        "fitted_rate": tail.fitted_rate,
+        "rate_ok": cmp.rate_ok,
+        "level_verdicts": [bool(v) for v in cmp.level_ok],
+        "overall_pass": cmp.overall_pass,
+        "n_trials": n,
+        "n_train": n_train,
+        "n_eval": tail.n_trials,
+        "n_nonconverged": sum(1 for r in records if not r.converged),
+        "notes": {"consistency_envelope": CONSISTENCY_EXPONENT_NOTE},
+    })
     return 0
 
 

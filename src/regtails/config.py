@@ -31,7 +31,6 @@ from .noise import DRIVER_KINDS, BasisSpec, FilterKernel
 from .numerics import TimeGrid, default_n_steps
 
 MODEL_NAMES = ("linear", "constant", "exp_inner")
-OUTPUT_FORMATS = ("csv", "json", "tsv")
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,6 @@ class NoiseConfig:
     kernel_form: str | None = None
     kernel_rate: float | None = None
     kernel_file: str | None = None
-    truncation_horizon: float | None = None
-    basis_family: str | None = None
     basis_n_terms: int | None = None
     basis_horizon: float | None = None
 
@@ -83,7 +80,6 @@ class BoundsConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "json", "tsv")
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,9 @@ def _known(section, where: str, keys: tuple[str, ...]) -> dict:
 
 
 def _as_float(value, field: str, positive=False) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(field, f"expected a number, got {value!r}")
+    out = float(value)
     if not np.isfinite(out):
         _fail(field, "must be finite")
     if positive and out <= 0:
@@ -134,6 +129,12 @@ def _as_int(value, field: str, minimum=None) -> int:
         _fail(field, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(field, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_str(value, field: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(field, f"expected a non-empty string, got {value!r}")
     return value
 
 
@@ -164,6 +165,9 @@ def _parse_model(section: dict) -> ModelConfig:
                     ("regressors", "regressor_file"))
     regressors = params.get("regressors")
     regressor_file = params.get("regressor_file")
+    for key, value in (("regressors", regressors), ("regressor_file", regressor_file)):
+        if value is not None:
+            _as_str(value, f"model.parameters.{key}")
     if name == "exp_inner":
         if regressors is None and regressor_file is None:
             _fail("model.parameters.regressors", "exp_inner model needs a regressor family or file")
@@ -180,31 +184,28 @@ def _parse_noise(section: dict) -> NoiseConfig:
     if driver not in DRIVER_KINDS:
         _fail("noise.driver", f"unknown driver {driver!r}; expected one of {DRIVER_KINDS}")
     kernel = section.get("kernel")
-    form = rate = kfile = horizon = None
+    form = rate = kfile = None
     if kernel is not None:
         form = _require(kernel, "form", "noise.kernel")
         if form == "exponential":
-            _known(kernel, "noise.kernel", ("form", "rate", "truncation_horizon"))
+            _known(kernel, "noise.kernel", ("form", "rate"))
             rate = _as_float(_require(kernel, "rate", "noise.kernel"), "noise.kernel.rate", positive=True)
         elif form == "tabulated":
-            _known(kernel, "noise.kernel", ("form", "file", "truncation_horizon"))
-            kfile = _require(kernel, "file", "noise.kernel")
+            _known(kernel, "noise.kernel", ("form", "file"))
+            kfile = _as_str(_require(kernel, "file", "noise.kernel"), "noise.kernel.file")
         else:
             _fail("noise.kernel.form", f"unknown kernel form {form!r}")
-        if kernel.get("truncation_horizon") is not None:
-            horizon = _as_float(kernel["truncation_horizon"], "noise.kernel.truncation_horizon",
-                                positive=True)
     basis = section.get("basis")
-    b_family = b_terms = b_horizon = None
+    b_terms = b_horizon = None
     if basis is not None:
-        _known(basis, "noise.basis", ("family", "n_terms", "horizon"))
-        b_family = _require(basis, "family", "noise.basis")
+        _known(basis, "noise.basis", ("n_terms", "horizon"))
+        if kernel is not None:
+            _fail("noise.basis", "the series construction takes no kernel; set noise.kernel to null")
         b_terms = _as_int(_require(basis, "n_terms", "noise.basis"), "noise.basis.n_terms", minimum=1)
         b_horizon = _as_float(_require(basis, "horizon", "noise.basis"), "noise.basis.horizon",
                               positive=True)
     return NoiseConfig(driver=driver, kernel_form=form, kernel_rate=rate, kernel_file=kfile,
-                       truncation_horizon=horizon,
-                       basis_family=b_family, basis_n_terms=b_terms, basis_horizon=b_horizon)
+                       basis_n_terms=b_terms, basis_horizon=b_horizon)
 
 
 def _parse_grid(section: dict) -> GridConfig:
@@ -253,15 +254,8 @@ def _parse_bounds(section: dict) -> BoundsConfig:
 
 
 def _parse_output(section: dict) -> OutputConfig:
-    _known(section, "output", ("directory", "formats"))
-    directory = section.get("directory", "out")
-    formats = tuple(section.get("formats", list(OUTPUT_FORMATS)))
-    for fmt in formats:
-        if fmt not in OUTPUT_FORMATS:
-            _fail("output.formats", f"unknown format {fmt!r}; expected subset of {OUTPUT_FORMATS}")
-    if not formats:
-        _fail("output.formats", "must request at least one format")
-    return OutputConfig(directory=directory, formats=formats)
+    _known(section, "output", ("directory",))
+    return OutputConfig(directory=_as_str(section.get("directory", "out"), "output.directory"))
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -302,18 +296,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if cfg.noise.kernel_form is None:
         noise["kernel"] = None
     elif cfg.noise.kernel_form == "exponential":
-        kernel = {"form": "exponential", "rate": cfg.noise.kernel_rate}
-        if cfg.noise.truncation_horizon is not None:
-            kernel["truncation_horizon"] = cfg.noise.truncation_horizon
-        noise["kernel"] = kernel
+        noise["kernel"] = {"form": "exponential", "rate": cfg.noise.kernel_rate}
     else:
-        kernel = {"form": "tabulated", "file": cfg.noise.kernel_file}
-        if cfg.noise.truncation_horizon is not None:
-            kernel["truncation_horizon"] = cfg.noise.truncation_horizon
-        noise["kernel"] = kernel
-    if cfg.noise.basis_family is not None:
-        noise["basis"] = {"family": cfg.noise.basis_family, "n_terms": cfg.noise.basis_n_terms,
-                          "horizon": cfg.noise.basis_horizon}
+        noise["kernel"] = {"form": "tabulated", "file": cfg.noise.kernel_file}
+    if cfg.noise.basis_n_terms is not None:
+        noise["basis"] = {"n_terms": cfg.noise.basis_n_terms, "horizon": cfg.noise.basis_horizon}
     grid: dict = {"T": cfg.grid.T}
     if cfg.grid.n_steps is not None:
         grid["n_steps"] = cfg.grid.n_steps
@@ -338,10 +325,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "equivalence_pairs": cfg.bounds.equivalence_pairs,
             "f0": "auto" if cfg.bounds.f0 is None else cfg.bounds.f0,
         },
-        "output": {
-            "directory": cfg.output.directory,
-            "formats": list(cfg.output.formats),
-        },
+        "output": {"directory": cfg.output.directory},
     }
 
 
@@ -387,20 +371,14 @@ def build_kernel(cfg: ExperimentConfig) -> FilterKernel | None:
     if cfg.noise.kernel_form is None:
         return None
     if cfg.noise.kernel_form == "exponential":
-        return FilterKernel.exponential(cfg.noise.kernel_rate,
-                                        truncation_horizon=cfg.noise.truncation_horizon)
-    kernel = FilterKernel.from_file(cfg.noise.kernel_file)
-    if cfg.noise.truncation_horizon is not None:
-        kernel = FilterKernel.tabulated(kernel.times, kernel.samples,
-                                        truncation_horizon=cfg.noise.truncation_horizon)
-    return kernel
+        return FilterKernel.exponential(cfg.noise.kernel_rate)
+    return FilterKernel.from_file(cfg.noise.kernel_file)
 
 
 def build_basis(cfg: ExperimentConfig) -> BasisSpec | None:
-    if cfg.noise.basis_family is None:
+    if cfg.noise.basis_n_terms is None:
         return None
-    return BasisSpec(family=cfg.noise.basis_family, n_terms=cfg.noise.basis_n_terms,
-                     horizon=cfg.noise.basis_horizon)
+    return BasisSpec(n_terms=cfg.noise.basis_n_terms, horizon=cfg.noise.basis_horizon)
 
 
 def build_norming(cfg: ExperimentConfig, model: RegressionModel, grid: TimeGrid) -> np.ndarray:

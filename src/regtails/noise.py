@@ -35,7 +35,6 @@ from .errors import ConfigError, ContractError
 from .numerics import TimeGrid, memo, trapezoid_weights
 
 DRIVER_KINDS = ("gaussian", "rademacher", "uniform_sqrt3", "centered_exponential")
-SUB_GAUSSIAN_DRIVERS = ("gaussian", "rademacher", "uniform_sqrt3")
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -82,32 +81,22 @@ class FilterKernel:
     """Causal square-integrable kernel psi, zero for t < 0 and beyond the horizon.
 
     ``form`` is "exponential" (psi(t) = exp(-rate*t)) or "tabulated" (linear
-    interpolation of samples).  The truncation horizon must carry all but a
-    1e-8 fraction of the L2 mass of psi.
+    interpolation of samples).  The truncation horizon H is derived, not set:
+    20/rate for the exponential kernel, which leaves an L2 tail of e^-40 of
+    the mass, and the last tabulated time for a table.
     """
 
     form: str
-    truncation_horizon: float
     rate: float | None = None
-    times: np.ndarray | None = field(default=None, repr=False)
-    samples: np.ndarray | None = field(default=None, repr=False)
-
-    _TAIL_FRACTION = 1e-8
+    times: tuple[float, ...] | None = field(default=None, repr=False)
+    samples: tuple[float, ...] | None = field(default=None, repr=False)
+    truncation_horizon: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.truncation_horizon <= 0 or not np.isfinite(self.truncation_horizon):
-            raise ContractError(f"truncation_horizon must be positive, got {self.truncation_horizon}")
         if self.form == "exponential":
             if self.rate is None or self.rate <= 0:
                 raise ContractError(f"exponential kernel needs a positive rate, got {self.rate}")
-            total = 1.0 / (2.0 * self.rate)
-            tail = math.exp(-2.0 * self.rate * self.truncation_horizon) / (2.0 * self.rate)
-            if tail > self._TAIL_FRACTION * total:
-                needed = -math.log(self._TAIL_FRACTION) / (2.0 * self.rate)
-                raise ContractError(
-                    f"truncation_horizon {self.truncation_horizon} keeps L2 tail mass "
-                    f"{tail / total:.2e} of the kernel; need at least {needed:.3g}"
-                )
+            horizon = 20.0 / self.rate
         elif self.form == "tabulated":
             t = np.asarray(self.times, dtype=float)
             v = np.asarray(self.samples, dtype=float)
@@ -117,41 +106,24 @@ class FilterKernel:
                 raise ContractError("tabulated kernel times must be strictly increasing from 0")
             if not np.all(np.isfinite(v)):
                 raise ContractError("tabulated kernel values must be finite")
-            if self.truncation_horizon < t[-1] - 1e-12:
-                raise ContractError(
-                    "truncation_horizon must cover the tabulated support "
-                    f"({self.truncation_horizon} < {t[-1]})"
-                )
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "samples", v)
+            object.__setattr__(self, "times", tuple(t.tolist()))
+            object.__setattr__(self, "samples", tuple(v.tolist()))
+            horizon = self.times[-1]
         else:
             raise ConfigError(f"unknown kernel form {self.form!r}")
-
-    def _key(self) -> tuple:
-        tables = (self.times, self.samples) if self.form == "tabulated" else ()
-        return (self.form, self.truncation_horizon, self.rate, *(tuple(a.tolist()) for a in tables))
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, FilterKernel) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        if not 0 < horizon < math.inf:
+            raise ContractError(f"kernel truncation horizon must be positive and finite, got {horizon}")
+        object.__setattr__(self, "truncation_horizon", horizon)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def exponential(cls, rate: float, truncation_horizon: float | None = None) -> "FilterKernel":
-        if truncation_horizon is None:
-            truncation_horizon = 20.0 / rate if rate > 0 else 1.0
-        return cls(form="exponential", rate=rate, truncation_horizon=truncation_horizon)
+    def exponential(cls, rate: float) -> "FilterKernel":
+        return cls(form="exponential", rate=rate)
 
     @classmethod
-    def tabulated(cls, times, samples, truncation_horizon: float | None = None) -> "FilterKernel":
-        times = np.asarray(times, dtype=float)
-        if truncation_horizon is None:
-            truncation_horizon = float(times[-1]) if times.size else 1.0
-        return cls(form="tabulated", times=times, samples=np.asarray(samples, dtype=float),
-                   truncation_horizon=truncation_horizon)
+    def tabulated(cls, times, samples) -> "FilterKernel":
+        return cls(form="tabulated", times=times, samples=samples)
 
     @classmethod
     def from_file(cls, path) -> "FilterKernel":
@@ -311,15 +283,12 @@ def d0_from_spectral(f0: float) -> float:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Orthonormal basis for the series construction (Haar on [0, horizon))."""
+    """Haar basis on [0, horizon) for the series construction, first n_terms functions."""
 
-    family: str = "haar"
-    n_terms: int = 1024
-    horizon: float = 1.0
+    n_terms: int
+    horizon: float
 
     def __post_init__(self):
-        if self.family != "haar":
-            raise ConfigError(f"unsupported basis family {self.family!r}")
         if self.n_terms < 1:
             raise ContractError(f"n_terms must be >= 1, got {self.n_terms}")
         if self.horizon <= 0:

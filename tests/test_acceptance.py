@@ -241,7 +241,7 @@ def test_criterion_08_series_construction_covariance():
     pairs = [(2, 4), (2, 6), (2, 8), (4, 6), (4, 8), (6, 8)]  # node indices, t = idx/8
 
     def covariances(n_terms):
-        basis = BasisSpec(family="haar", n_terms=n_terms, horizon=2.0)
+        basis = BasisSpec(n_terms=n_terms, horizon=2.0)
         xs = np.array([ito_nisio_path("gaussian", basis, grid, 8000 + i)
                        for i in range(n_seeds)])
         out = []

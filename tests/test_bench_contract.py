@@ -8,22 +8,37 @@ show up in the minutes-long bench/test_smoke.py.
 import dataclasses
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import regtails.cli as cli
 from regtails import harness
+from regtails.config import build_grid, build_kernel, build_model, load_config
 from regtails.estimator import FitOptions, LseResult
 from regtails.harness import MgfReport
 from regtails.model import ParameterBox, linear_model
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_run(monkeypatch):
+    """bench/run.py as a module; its dataclasses look their module up in sys.modules."""
+    spec = importlib.util.spec_from_file_location("_bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends bench/
     spec.loader.exec_module(module)
     return module
 
@@ -44,3 +59,19 @@ def test_names_the_benchmark_reads():
     model = linear_model(ParameterBox((0.0,), (1.0,)))
     swapped = dataclasses.replace(model, eval=model.eval, grad=model.grad)
     assert swapped.eval(np.array([2.0]), np.array([3.0]))[0] == 6.0
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+@pytest.mark.parametrize("name", ["exp_filtered", "linear_white"])
+def test_constants_match_the_benchmark_closed_form(monkeypatch, name, seed):
+    # the benchmark gates every run on these closed forms; a kernel horizon or
+    # quadrature change that moves f0 would otherwise show only there
+    run = _load_run(monkeypatch)
+    path = ROOT / "configs" / f"{name}.json"
+    cfg = load_config(path)
+    cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo, master_seed=seed))
+    consts, _ = cli.resolve_constants(cfg, build_model(cfg), build_grid(cfg), build_kernel(cfg))
+    expected = run.expected_constants(json.loads(path.read_text()), seed)
+    assert set(expected) == {"f0", "d0", "c0", "b"}
+    for key, want in expected.items():
+        assert abs(getattr(consts, key) - want) <= run.REL_TOL * abs(want), key

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,16 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regtails.cli as cli
 from regtails import harness
 from regtails.config import (
+    build_basis,
+    build_grid,
+    build_kernel,
+    build_model,
     config_from_dict,
     config_from_json,
     config_to_dict,
     load_config,
 )
-from regtails.errors import ConfigError, NonConvergenceError
+from regtails.errors import ConfigError, ContractError, NonConvergenceError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _linear_doc(**overrides):
@@ -55,13 +64,32 @@ _MISSPELLED = [
      "noise.kernel.rte"),
     (lambda d: d["noise"].update(kernel={"form": "exponential", "rate": 1.0, "file": "k.txt"}),
      "noise.kernel.file"),
-    (lambda d: d["noise"].update(basis={"family": "haar", "n_terms": 8, "horizon": 5.0, "n_term": 4}),
+    (lambda d: d["noise"].update(basis={"n_terms": 8, "horizon": 5.0, "n_term": 4}),
      "noise.basis.n_term"),
     (lambda d: d["grid"].update(nsteps=100), "grid.nsteps"),
     (lambda d: d["montecarlo"].update(seed=3), "montecarlo.seed"),
     (lambda d: d["bounds"].update(betta=0.1), "bounds.betta"),
     (lambda d: d["bounds"]["B_cal"].update(fracton=0.2), "bounds.B_cal.fracton"),
     (lambda d: d["output"].update(format=["csv"]), "output.format"),
+]
+
+# values of the wrong type, removed settings, and a kernel next to a basis
+_REJECTED = [
+    (lambda d: d["output"].update(directory=5), "output.directory"),
+    (lambda d: d["output"].update(directory=""), "output.directory"),
+    (lambda d: d["noise"].update(kernel={"form": "tabulated", "file": 5}), "noise.kernel.file"),
+    (lambda d: d["model"].update(parameters={"regressor_file": 7}), "model.parameters.regressor_file"),
+    (lambda d: d["model"].update(parameters={"regressors": ["constant"]}), "model.parameters.regressors"),
+    (lambda d: d["montecarlo"].update(R_grid=[True, 2]), "montecarlo.R_grid"),
+    (lambda d: d["grid"].update(T="5"), "grid.T"),
+    (lambda d: d["noise"].update(kernel={"form": "exponential", "rate": 1.0},
+                                 basis={"n_terms": 8, "horizon": 5.0}), "noise.basis"),
+    (lambda d: d["noise"].update(kernel={"form": "exponential", "rate": 1.0,
+                                         "truncation_horizon": 20.0}),
+     "noise.kernel.truncation_horizon"),
+    (lambda d: d["noise"].update(basis={"family": "haar", "n_terms": 8, "horizon": 5.0}),
+     "noise.basis.family"),
+    (lambda d: d["output"].update(formats=["csv"]), "output.formats"),
 ]
 
 
@@ -81,12 +109,12 @@ def test_round_trip_identity():
     (lambda d: d["model"]["box"].update(lower=[5.0]), "model.box"),
     (lambda d: d["noise"].update(driver="levy"), "noise.driver"),
     (lambda d: d["model"].update(name="spline"), "model.name"),
-    (lambda d: d["output"].update(formats=["xlsx"]), "output.formats"),
     (lambda d: d["bounds"]["B_cal"].update(mode="guess"), "bounds.B_cal.mode"),
     (lambda d: d["noise"].update(kernel=5), "noise.kernel.form"),
     (lambda d: d.update(noise=5), "noise"),
     (lambda d: d["bounds"].update(B_cal=[1.0]), "bounds.B_cal"),
     *_MISSPELLED,
+    *_REJECTED,
     *[(lambda d, v=v: d["noise"].update(prehistory=v), "noise.prehistory")
       for v in ("auto", 5.0, None)],
 ])
@@ -100,7 +128,7 @@ def test_validation_names_offending_field(mutate, field):
 
 
 def test_shipped_configs_load_and_round_trip():
-    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    paths = sorted(CONFIGS.glob("*.json"))
     assert len(paths) >= 2
     for path in paths:
         cfg = load_config(path)
@@ -116,6 +144,77 @@ def test_norming_default_and_validation():
     doc["norming"] = "diag"
     with pytest.raises(ConfigError, match="norming"):
         config_from_dict(doc)
+
+
+_MUTATION_DOCS = [_linear_doc(), *(json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json")))]
+_MUTATION_VALUES = (None, True, -1, 0, "x", [], {})
+
+
+def _paths(node, path=()):
+    """Every key path and list index under ``node``, the root () first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _resolves(doc, dotted: str) -> bool:
+    node = doc
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_mutation_is_valid_or_names_its_field(data):
+    original = data.draw(st.sampled_from(_MUTATION_DOCS))
+    doc = copy.deepcopy(original)
+    paths = list(_paths(doc))
+    kind = data.draw(st.sampled_from(["delete", "add", "set"]))
+    value = copy.deepcopy(data.draw(st.sampled_from(_MUTATION_VALUES)))
+    if kind == "add":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), dict)]))
+        _at(doc, path)["unknown_key"] = value
+    else:
+        candidates = [p for p in paths if p and (kind == "set" or isinstance(p[-1], str))]
+        path = data.draw(st.sampled_from(candidates))
+        parent = _at(doc, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as err:
+        # the message opens with a dotted path of the document (or of its parent
+        # object, for a missing or unknown key)
+        field = str(err).split(": ", 1)[0]
+        parent = field.rpartition(".")[0]
+        assert any(_resolves(d, field) or (parent and _resolves(d, parent))
+                   for d in (original, doc)), str(err)
+        return
+    # no setting is a boolean, so a JSON true can only be a mistyped value
+    assert not (kind == "set" and value is True), f"{path} = true was accepted"
+    again = config_from_dict(config_to_dict(cfg))
+    assert again == cfg and config_to_dict(again) == config_to_dict(cfg)
+    for build in (build_grid, build_model, build_kernel, build_basis,
+                  lambda cfg: Path(cfg.output.directory)):
+        try:
+            build(cfg)
+        except (ConfigError, ContractError, FileNotFoundError):  # the CLI's exit 2
+            pass
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -135,6 +234,23 @@ def test_tails_outputs_and_rerun_identical(tmp_path):
     assert "consistency_envelope" in meta["notes"]
     assert meta["version"]
     assert isinstance(meta["overall_pass"], bool)
+
+
+@pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])
+def test_envelope_verdict_can_fail_end_to_end(tmp_path, c0, passes):
+    # white noise gives d0 = 1 and q = 1, so b = 0.999 * c0 / 16: at c0 = 50 the
+    # envelope decays at b = 3.12, far faster than the empirical tail
+    doc = _linear_doc()
+    doc["bounds"] = {"B_cal": {"mode": "fixed", "value": 1.0}, "c0": c0}
+    cfg_path = _write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "tails_meta.json").read_text())
+    assert meta["constants"]["b"] == pytest.approx(0.999 * c0 / 16.0)
+    assert meta["overall_pass"] is passes
+    assert meta["rate_ok"] is passes
+    verdicts = [line.rsplit(",", 1)[1] for line in (out / "tails.csv").read_text().splitlines()[3:]]
+    assert ("fail" in verdicts) is not passes
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -174,10 +290,11 @@ def test_runtime_failure_exits_3(tmp_path, monkeypatch):
     assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
 
 
-@pytest.mark.parametrize("command", ["tails", "check"])
+@pytest.mark.parametrize("command", ["tails", "check", "simulate"])
 @pytest.mark.parametrize("mutate,field", [
     (lambda d: d["noise"].update(prehistory="auto"), "noise.prehistory"),
     *_MISSPELLED,
+    *_REJECTED,
 ])
 def test_config_key_error_exits_2_before_any_computation(tmp_path, monkeypatch, capsys,
                                                          command, mutate, field):
@@ -190,7 +307,8 @@ def test_config_key_error_exits_2_before_any_computation(tmp_path, monkeypatch, 
         raise AssertionError("computation ran before the config was validated")
 
     for module, name in ((cli, "f0_sup"), (harness, "f0_sup"), (cli, "run_trials"),
-                         (cli, "estimate_equivalence_constants"), (cli, "noise_path")):
+                         (cli, "estimate_equivalence_constants"), (cli, "noise_path"),
+                         (cli, "ito_nisio_path"), (cli, "covariance_of_filter")):
         monkeypatch.setattr(module, name, never)
     out = tmp_path / "x"
     assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
@@ -255,7 +373,7 @@ def test_simulate_outputs(tmp_path):
 def test_simulate_series_mode(tmp_path):
     doc = _linear_doc()
     doc["noise"] = {"driver": "gaussian", "kernel": None,
-                    "basis": {"family": "haar", "n_terms": 512, "horizon": 2.0}}
+                    "basis": {"n_terms": 512, "horizon": 2.0}}
     doc["grid"] = {"T": 1.0, "n_steps": 8}
     doc["montecarlo"]["n_trials"] = 3000
     cfg_path = _write_config(tmp_path, doc)

@@ -124,7 +124,8 @@ def test_tabulated_kernels_differing_in_one_sample_filter_apart():
     first = FilterKernel.tabulated(times, [1.0, 0.8, 0.6, 0.4, 0.2, 0.0])
     second = FilterKernel.tabulated(times, [1.0, 0.8, 0.6, 0.5, 0.2, 0.0])
     assert first != second
-    assert first == FilterKernel.tabulated(times.copy(), first.samples.copy())
+    assert first == FilterKernel.tabulated(list(times), list(first.samples))
+    assert hash(first) == hash(FilterKernel.tabulated(list(times), list(first.samples)))
     g = TimeGrid(2.0, 200)
     inc = simulate_increments("gaussian", g, 0.5 + g.h, 8)
     n_pre = inc.size - g.n_steps
@@ -229,10 +230,15 @@ def test_covariance_zero_past_horizon(kernel):
 
 
 def test_kernel_truncation_invariant():
-    with pytest.raises(ContractError, match="tail"):
-        FilterKernel.exponential(1.0, truncation_horizon=2.0)
-    k = FilterKernel.exponential(1.0)
-    assert covariance_of_filter(k, 0.0) == pytest.approx(0.5, rel=1e-6)
+    # H is derived: 20/rate leaves an L2 tail of e^-40 of the mass, and a
+    # table's last time is where its support ends
+    assert FilterKernel.exponential(2.0).truncation_horizon == 10.0
+    assert covariance_of_filter(FilterKernel.exponential(1.0), 0.0) == pytest.approx(0.5, rel=1e-6)
+    assert FilterKernel.tabulated([0.0, 0.4, 1.1], [1.0, 0.5, 0.0]).truncation_horizon == 1.1
+    with pytest.raises(TypeError):
+        FilterKernel("exponential", rate=1.0, truncation_horizon=2.0)
+    with pytest.raises(ContractError, match="horizon"):
+        FilterKernel.tabulated([0.0], [1.0])
 
 
 def test_spectral_density_closed_form():
@@ -308,7 +314,7 @@ def test_tabulated_kernel_from_file(tmp_path):
 
 
 def test_series_path_starts_at_zero():
-    basis = BasisSpec(family="haar", n_terms=64, horizon=2.0)
+    basis = BasisSpec(n_terms=64, horizon=2.0)
     g = TimeGrid(1.0, 8)
     for seed in range(5):
         xi = ito_nisio_path("gaussian", basis, g, seed)
@@ -328,7 +334,7 @@ def test_haar_basis_orthonormal():
 
 
 def test_series_variance_matches_time():
-    basis = BasisSpec(family="haar", n_terms=1024, horizon=2.0)
+    basis = BasisSpec(n_terms=1024, horizon=2.0)
     g = TimeGrid(1.0, 8)
     n_seeds = 10_000
     xs = np.array([ito_nisio_path("gaussian", basis, g, 5000 + i) for i in range(n_seeds)])
@@ -338,7 +344,7 @@ def test_series_variance_matches_time():
 
 
 def test_series_covariance_is_min():
-    basis = BasisSpec(family="haar", n_terms=256, horizon=2.0)
+    basis = BasisSpec(n_terms=256, horizon=2.0)
     g = TimeGrid(1.0, 4)
     xs = np.array([ito_nisio_path("rademacher", basis, g, 100 + i) for i in range(4000)])
     cov = np.mean(xs[:, 1] * xs[:, 4])  # s=0.25, t=1.0
@@ -347,7 +353,7 @@ def test_series_covariance_is_min():
 
 
 def test_series_horizon_guard():
-    basis = BasisSpec(family="haar", n_terms=16, horizon=0.5)
+    basis = BasisSpec(n_terms=16, horizon=0.5)
     with pytest.raises(ConfigError):
         ito_nisio_path("gaussian", basis, TimeGrid(1.0, 4), 0)
 
