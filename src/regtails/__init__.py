@@ -49,6 +49,7 @@ from .noise import (
     apply_filter,
     covariance_of_filter,
     d0_from_spectral,
+    f0_sim,
     f0_sup,
     filtered_noise_path,
     ito_nisio_path,

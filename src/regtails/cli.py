@@ -61,6 +61,7 @@ from .noise import (
     WHITE_NOISE_F0,
     covariance_of_filter,
     d0_from_spectral,
+    f0_sim,
     f0_sup,
     ito_nisio_path,
     noise_path,
@@ -122,8 +123,14 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
 
 
 def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[BoundConstants, dict]:
-    """Assemble the bound constants from config, spectrum, and pair sampling."""
+    """Assemble the bound constants from config, spectrum, and pair sampling.
+
+    With a kernel, ``extras`` also reports ``f0_sim``, the spectral supremum of
+    the simulated process on this grid (not used by any constant or verdict).
+    """
     extras: dict = {}
+    if kernel is not None:
+        extras["f0_sim"] = f0_sim(kernel, grid.h)
     if cfg.bounds.f0 is not None:
         f0 = cfg.bounds.f0
         extras["f0_source"] = "config"
@@ -321,6 +328,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         payload["b2"] = qf.b2
         payload["quadratic_form"] = {
             "max_ratio": qf.max_ratio, "min_form": qf.min_form, "n_probes": qf.n_probes,
+            "f0_sim": qf.f0_sim,
         }
         payload["verdicts"]["quadratic_form"] = qf.passed
     payload["f0"] = f0

@@ -113,6 +113,12 @@ def _known(section, where: str, keys: tuple[str, ...]) -> dict:
     return section
 
 
+def _optional(section: dict, key: str):
+    """The value at ``key``, with an absent key or null read as an empty object."""
+    value = section.get(key)
+    return {} if value is None else value
+
+
 def _as_float(value, field: str, positive=False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(field, f"expected a number, got {value!r}")
@@ -161,7 +167,7 @@ def _parse_model(section: dict) -> ModelConfig:
         _fail("model.theta_true", "dimension does not match the box")
     if not all(lo < t < hi for t, lo, hi in zip(theta, lower, upper)):
         _fail("model.theta_true", "must be interior to the box")
-    params = _known(section.get("parameters") or {}, "model.parameters",
+    params = _known(_optional(section, "parameters"), "model.parameters",
                     ("regressors", "regressor_file"))
     regressors = params.get("regressors")
     regressor_file = params.get("regressor_file")
@@ -234,7 +240,7 @@ def _parse_bounds(section: dict) -> BoundsConfig:
     _known(section, "bounds", ("beta", "B_cal", "c0", "equivalence_pairs", "f0"))
     beta = section.get("beta", "auto")
     beta = None if beta == "auto" else _as_float(beta, "bounds.beta", positive=True)
-    bcal = _known(section.get("B_cal") or {}, "bounds.B_cal", ("mode", "value", "fraction"))
+    bcal = _known(_optional(section, "B_cal"), "bounds.B_cal", ("mode", "value", "fraction"))
     mode = bcal.get("mode", "fixed")
     if mode not in ("fixed", "calibrate"):
         _fail("bounds.B_cal.mode", f"expected 'fixed' or 'calibrate', got {mode!r}")
@@ -274,8 +280,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         grid=_parse_grid(doc["grid"]),
         norming=norming,
         montecarlo=_parse_montecarlo(doc["montecarlo"]),
-        bounds=_parse_bounds(doc.get("bounds") or {}),
-        output=_parse_output(doc.get("output") or {}),
+        bounds=_parse_bounds(_optional(doc, "bounds")),
+        output=_parse_output(_optional(doc, "output")),
     )
 
 

@@ -30,9 +30,12 @@ from .noise import (
     FilterKernel,
     covariance_row,
     d0_from_spectral,
+    driver_weights,
+    f0_sim,
     f0_sup,
     noise_path,
     quadratic_form,
+    sample_driver,
 )
 from .numerics import TimeGrid, integrate, trapezoid_weights
 
@@ -246,7 +249,10 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
               n_rep: int, seed: int, kernel: FilterKernel | None = None) -> MgfReport:
     """Empirical MGF of I = integral(delta * eps) against the Gaussian envelope.
 
-    ``delta`` holds the node values of the weight function.  For each lambda the
+    ``delta`` holds the node values of the weight function.  I is linear in the
+    driver draws of a path, so each replication is one dot product u @ z with
+    the draws z that :func:`noise_path` would make from the replication's seed
+    (u from :func:`driver_weights`, built once).  For each lambda the
     verdict passes when the lower limit of a 400-resample bootstrap interval for
     the mean of exp(lambda * I) stays below exp(lambda^2 * d0 * ||delta||^2 / 2)
     times 1.05.  Replications with non-finite exponential moments fail that
@@ -264,11 +270,10 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
             f"exceeds the estimability cap {MGF_EXPONENT_CAP}"
         )
 
-    w = trapezoid_weights(grid) * grid.h * delta_vals
+    u = driver_weights(trapezoid_weights(grid) * grid.h * delta_vals, grid, kernel)
     samples = np.empty(n_rep)
     for r in range(n_rep):
-        rep_seed = derive_seed(seed, STREAM_MGF, r)
-        samples[r] = w @ noise_path(driver, grid, rep_seed, kernel)
+        samples[r] = u @ sample_driver(driver, u.size, derive_seed(seed, STREAM_MGF, r))
 
     boot_rng = np.random.default_rng(derive_seed(seed, STREAM_BOOT, 0))
     boot_idx = boot_rng.integers(0, n_rep, size=(400, n_rep), dtype=np.int32)
@@ -322,6 +327,7 @@ QF_PROBES = 50
 class QuadraticFormReport:
     d0: float
     f0: float
+    f0_sim: float
     b1: float
     b2: float
     max_ratio: float
@@ -345,7 +351,11 @@ def _piecewise_constant_probe(rng: np.random.Generator, grid: TimeGrid) -> np.nd
 def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, seed: int) -> QuadraticFormReport:
     """Verify <B delta, delta> <= d0 * ||delta||^2, d0 = 2*pi*f0, to 1e-3 relative on 50 random probes.
 
-    Also reports the two classical integrability constants of the covariance,
+    B is the covariance of the simulated nodes (:func:`covariance_row`) and f0
+    the continuous kernel's spectral supremum, so the check tests the process
+    that trials simulate against the theory's d0; ``f0_sim``, that process's
+    own spectral supremum, is reported beside f0.  Also reports the two
+    classical integrability constants of the covariance,
     b1 = sqrt(double integral of B^2) and b2 = sup_t integral of |B(t-s)| ds,
     both on the truncated domain [0, T]^2.  B^2 and |B| are symmetric Toeplitz
     like B, so every product runs from its first column without forming a matrix.
@@ -369,5 +379,6 @@ def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, seed: int) -> Qua
             max_ratio = max(max_ratio, form / norm_sq)
     bounded = max_ratio <= d0 * (1.0 + 1e-3)
     nonnegative = min_form >= -1e-10 * max(1.0, abs(min_form))
-    return QuadraticFormReport(d0=d0, f0=f0, b1=b1, b2=b2, max_ratio=max_ratio, min_form=min_form,
-                               n_probes=QF_PROBES, passed=bool(bounded and nonnegative))
+    return QuadraticFormReport(d0=d0, f0=f0, f0_sim=f0_sim(kernel, grid.h), b1=b1, b2=b2,
+                               max_ratio=max_ratio, min_form=min_form, n_probes=QF_PROBES,
+                               passed=bool(bounded and nonnegative))

@@ -1,8 +1,10 @@
-"""The names the benchmark under bench/ reads from the package.
+"""The names and verdicts the benchmark under bench/ reads from the package.
 
 bench/tracer.py wraps every (module, attr) in its HOOKS list, and bench/run.py
-and bench/probe.py read a few more names.  A rename here would otherwise only
-show up in the minutes-long bench/test_smoke.py.
+and bench/probe.py read a few more names.  bench/run.py also gates each run's
+verdicts on bench/reference.json.  A rename or a flipped verdict here would
+otherwise only show up in a benchmark run or the minutes-long
+bench/test_smoke.py.
 """
 
 import dataclasses
@@ -75,3 +77,20 @@ def test_constants_match_the_benchmark_closed_form(monkeypatch, name, seed):
     assert set(expected) == {"f0", "d0", "c0", "b"}
     for key, want in expected.items():
         assert abs(getattr(consts, key) - want) <= run.REL_TOL * abs(want), key
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_check_verdicts_match_the_benchmark_reference(monkeypatch, tmp_path, seed):
+    # the benchmark rejects a run whose verdicts differ from bench/reference.json;
+    # a change to the simulated noise that flips one would otherwise show only there
+    run = _load_run(monkeypatch)
+    workload = run.WORKLOADS["check-filtered"]
+    doc = json.loads((ROOT / workload.config).read_text())
+    doc["grid"]["n_steps"] = workload.n_steps
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    assert report["verdicts"] == reference["workloads"][workload.name][str(seed)]["verdicts"]

@@ -73,8 +73,14 @@ _MISSPELLED = [
     (lambda d: d["output"].update(format=["csv"]), "output.format"),
 ]
 
-# values of the wrong type, removed settings, and a kernel next to a basis
+# values of the wrong type (an optional object may be absent or null, nothing
+# else), removed settings, and a kernel next to a basis
 _REJECTED = [
+    (lambda d: d.update(bounds=0), "bounds"),
+    (lambda d: d.update(bounds=False), "bounds"),
+    (lambda d: d.update(output=[]), "output"),
+    (lambda d: d["model"].update(parameters=0), "model.parameters"),
+    (lambda d: d["bounds"].update(B_cal=False), "bounds.B_cal"),
     (lambda d: d["output"].update(directory=5), "output.directory"),
     (lambda d: d["output"].update(directory=""), "output.directory"),
     (lambda d: d["noise"].update(kernel={"form": "tabulated", "file": 5}), "noise.kernel.file"),
@@ -125,6 +131,19 @@ def test_validation_names_offending_field(mutate, field):
         config_from_dict(doc)
     if field == "noise.prehistory":
         assert "derived from the kernel" in str(err.value)
+
+
+@pytest.mark.parametrize("absent", [
+    lambda d, key: d.pop(key),
+    lambda d, key: d.update({key: None}),
+], ids=["missing", "null"])
+def test_absent_or_null_optional_object_reads_as_defaults(absent):
+    defaults = config_from_dict(_linear_doc(bounds={}, output={}))
+    doc = _linear_doc()
+    for key in ("bounds", "output"):
+        absent(doc, key)
+    doc["model"]["parameters"] = None
+    assert config_from_dict(doc) == defaults
 
 
 def test_shipped_configs_load_and_round_trip():

@@ -12,18 +12,22 @@ from regtails.noise import (
     FilterKernel,
     apply_filter,
     covariance_of_filter,
+    covariance_row,
     d0_from_spectral,
+    driver_weights,
+    f0_sim,
     f0_sup,
     filtered_noise_path,
     ito_nisio_path,
     noise_path,
+    quadratic_form,
     sample_driver,
     simulate_increments,
     spectral_density,
     white_noise_path,
     _fine_table,
 )
-from regtails.numerics import TimeGrid, inner_product
+from regtails.numerics import TimeGrid, inner_product, integrate, trapezoid_weights
 
 
 # -- drivers ----------------------------------------------------------------
@@ -101,7 +105,7 @@ def test_zero_prehistory_gives_only_main_segment():
 def test_delta_like_kernel_gives_unit_white_noise():
     g = TimeGrid(1.0, 100)
     h = g.h
-    kernel = FilterKernel.tabulated([0.0, h], [1.0 / math.sqrt(h), 0.0])
+    kernel = FilterKernel.tabulated([0.0, h], [1.0 / math.sqrt(h), 1.0 / math.sqrt(h)])
     inc = simulate_increments("gaussian", g, prehistory=2 * h, seed=11)
     path = apply_filter(kernel, inc, g)
     # eps(t_j) = dxi(ending at t_j) / sqrt(h), with two prehistory increments
@@ -286,6 +290,97 @@ def test_f0_sup_is_supremum(kernel, lams):
     if np.all(psi_u >= 0):
         # a nonnegative kernel peaks at lambda = 0, where f = (integral psi)^2 / 2pi
         assert f0 == pytest.approx(spectral_density(kernel, 0.0), rel=1e-12, abs=0.0)
+
+
+# -- cell-average taps and the simulated covariance ------------------------------
+
+
+@pytest.mark.parametrize("rate,h", [(1.0, 0.01), (1.0, 0.02), (2.0, 0.05), (0.5, 0.03)])
+def test_exponential_taps_are_cell_averages(rate, h):
+    kernel = FilterKernel.exponential(rate)
+    H = kernel.truncation_horizon
+    taps = kernel.taps(h)
+    assert taps.size == kernel.n_taps(h)
+    lo = np.arange(taps.size) * h
+    closed = (np.exp(-rate * lo) - np.exp(-rate * np.minimum(lo + h, H))) / (rate * h)
+    np.testing.assert_allclose(taps, closed, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel=_kernels(), h=st.floats(0.004, 0.7))
+def test_taps_sum_to_kernel_integral(kernel, h):
+    # h * sum of the taps is the integral of psi over [0, H]
+    if kernel.form == "exponential":
+        exact = -math.expm1(-kernel.rate * kernel.truncation_horizon) / kernel.rate
+    else:
+        # the integral of the linear interpolant is the trapezoid over the table
+        exact = np.trapezoid(kernel.samples, kernel.times)
+    scale = h * np.abs(kernel.taps(h)).sum()
+    assert abs(h * kernel.taps(h).sum() - exact) <= 1e-12 * scale
+
+
+def test_tabulated_taps_average_the_interpolant_per_cell():
+    kernel = FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2])
+    h = 0.3
+    taps = kernel.taps(h)
+    for k, tap in enumerate(taps):
+        cell = np.linspace(k * h, min((k + 1) * h, 2.5), 300_001)
+        assert tap == pytest.approx(np.trapezoid(kernel.psi(cell), cell) / h, abs=1e-9)
+
+
+@pytest.mark.parametrize("kernel,grid", [
+    (FilterKernel.exponential(1.0), TimeGrid(50.0, 2500)),   # taps shorter than the grid
+    (FilterKernel.exponential(0.5), TimeGrid(10.0, 500)),    # taps longer than the grid
+    (FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2]), TimeGrid(6.0, 700)),
+], ids=["exponential", "exponential-long", "tabulated"])
+def test_covariance_row_is_the_tap_autocorrelation(kernel, grid):
+    taps = kernel.taps(grid.h)
+    lags = grid.h * np.correlate(taps, taps, "full")[taps.size - 1:]
+    want = np.zeros(grid.n_nodes)
+    n = min(lags.size, grid.n_nodes)
+    want[:n] = lags[:n]
+    row = covariance_row(kernel, grid)
+    assert row.shape == (grid.n_nodes,)
+    # FFT round-off is absolute, a few ulps of B(0); the tail lags are far smaller
+    np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-14 * abs(want[0]))
+    assert np.all(row[taps.size:] == 0.0)
+
+
+@pytest.mark.parametrize("rate,h", [(1.0, 0.01), (1.0, 0.02), (2.0, 0.05)])
+def test_simulated_spectrum_matches_the_kernel(rate, h):
+    # left-point taps psi(k*h) overshoot f0 by 1-10% at these steps
+    kernel = FilterKernel.exponential(rate)
+    f0 = f0_sup(kernel)
+    assert f0 * (1 - 1e-6) <= f0_sim(kernel, h) <= f0 * (1 + 1e-9)
+    row = covariance_row(kernel, TimeGrid(40.0, int(round(40.0 / h))))
+    assert row[0] == pytest.approx(covariance_of_filter(kernel, 0.0), rel=1e-3)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(kernel=_kernels(), T=st.floats(1.0, 20.0), n_steps=st.integers(50, 800),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+def test_simulated_quadratic_form_bounded_by_d0(kernel, T, n_steps, coeffs):
+    # smooth weights: a few low cosine modes on [0, T]
+    grid = TimeGrid(T, n_steps)
+    delta = sum(c * np.cos(i * math.pi * grid.nodes / T) for i, c in enumerate(coeffs))
+    form = quadratic_form(covariance_row(kernel, grid), delta, grid)
+    d0 = d0_from_spectral(f0_sup(kernel))
+    assert 0.0 <= form <= d0 * integrate(delta * delta, grid) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("kernel", [
+    None,
+    FilterKernel.exponential(2.0),
+    FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2]),
+], ids=["white", "exponential", "tabulated"])
+def test_driver_weights_reproduce_the_path_sum(kernel):
+    grid = TimeGrid(3.0, 300)
+    w = trapezoid_weights(grid) * grid.h * np.cos(grid.nodes)
+    u = driver_weights(w, grid, kernel)
+    for seed in (1, 2, 3):
+        draws = sample_driver("rademacher", u.size, seed)
+        path_sum = w @ noise_path("rademacher", grid, seed, kernel)
+        assert u @ draws == pytest.approx(path_sum, rel=1e-12, abs=1e-12 * (np.abs(u) @ np.abs(draws)))
 
 
 def test_d0_from_spectral():
