@@ -225,6 +225,8 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         "constants": _constants_dict(consts),
         "extras": extras,
         "fitted_rate": tail.fitted_rate,
+        "b_cert": cmp.b_cert,
+        "b_cert_ratio": None if cmp.b_cert is None else cmp.b_cert / consts.b,
         "rate_ok": cmp.rate_ok,
         "level_verdicts": [bool(v) for v in cmp.level_ok],
         "overall_pass": cmp.overall_pass,

@@ -10,6 +10,8 @@ weighted noise integral I = integral of delta(t) * eps(t) dt across many
 replications and tests one-sided domination by the Gaussian envelope
 exp(lambda^2 * d0 * ||delta||^2 / 2).  Domination is checked against a lower
 bootstrap confidence limit so that sampling noise cannot produce false alarms.
+Each check draws its replications from one seeded stream, replication r being
+the r-th run of consecutive driver draws, so they too are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class EnvelopeComparison:
     level_ok: np.ndarray = field(repr=False)
     rate_ok: bool
     overall_pass: bool
+    b_cert: float | None
 
 
 def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> EnvelopeComparison:
@@ -214,15 +217,26 @@ def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> Envelop
     when its lower confidence limit does not exceed the envelope (the bound is
     not violated beyond binomial noise); the rate verdict asks the fitted
     exceedance rate to be at least the guaranteed b.
+
+    ``b_cert`` is the largest rate the lower limits certify,
+    min ln(B_cal / ci_low(R)) / R^2 over the levels with R > 0 and ci_low > 0
+    (None when there is no such level): b_cert >= b exactly when each of those
+    levels lies under the unclipped envelope B_cal * exp(-b R^2).
     """
     envelope = np.array([tail_envelope(consts, float(r), clip=True) for r in tail.r_grid])
     level_ok = tail.ci_low <= envelope + 1e-15
     rate_ok = bool(np.isfinite(tail.fitted_rate) and tail.fitted_rate >= consts.b)
+    certified = (tail.r_grid > 0) & (tail.ci_low > 0)
+    b_cert = None
+    if certified.any():
+        b_cert = float(np.min(np.log(consts.b_cal / tail.ci_low[certified])
+                              / tail.r_grid[certified] ** 2))
     return EnvelopeComparison(
         envelope=envelope,
         level_ok=level_ok,
         rate_ok=rate_ok,
         overall_pass=bool(level_ok.all() and rate_ok),
+        b_cert=b_cert,
     )
 
 
@@ -231,6 +245,10 @@ def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> Envelop
 #: cap on lambda^2 * d0 * ||delta||^2 / 2 (exponential moments beyond this are
 #: not estimable at desk scale)
 MGF_EXPONENT_CAP = 4.0
+
+#: replications drawn and summed per matrix product; the draws are one stream,
+#: so the block size bounds memory (MGF_BLOCK x driver count) and changes no draw
+MGF_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -249,14 +267,19 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
               n_rep: int, seed: int, kernel: FilterKernel | None = None) -> MgfReport:
     """Empirical MGF of I = integral(delta * eps) against the Gaussian envelope.
 
-    ``delta`` holds the node values of the weight function.  I is linear in the
-    driver draws of a path, so each replication is one dot product u @ z with
-    the draws z that :func:`noise_path` would make from the replication's seed
-    (u from :func:`driver_weights`, built once).  For each lambda the
-    verdict passes when the lower limit of a 400-resample bootstrap interval for
-    the mean of exp(lambda * I) stays below exp(lambda^2 * d0 * ||delta||^2 / 2)
-    times 1.05.  Replications with non-finite exponential moments fail that
-    lambda outright.
+    ``delta`` holds the node values of the weight function; one with no nonzero
+    value is a ContractError.  I is linear in the driver draws of a path, so a
+    replication is u @ z with u from :func:`driver_weights`, built once.  Only
+    the nonzero entries of u are kept: the draws are i.i.d., so this leaves the
+    law of I unchanged, and a spike weight draws one value per replication.  All
+    replications come from one generator seeded by (seed, STREAM_MGF, 0),
+    replication r taking the r-th run of u.size draws, and MGF_BLOCK of them
+    are summed by one matrix product.
+
+    For each lambda the verdict passes when the lower limit of a 400-resample
+    bootstrap interval for the mean of exp(lambda * I) stays below
+    exp(lambda^2 * d0 * ||delta||^2 / 2) times 1.05.  Replications with
+    non-finite exponential moments fail that lambda outright.
     """
     if n_rep < 10_000:
         raise ContractError(f"need n_rep >= 10000 for stable exponential moments, got {n_rep}")
@@ -271,9 +294,15 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
         )
 
     u = driver_weights(trapezoid_weights(grid) * grid.h * delta_vals, grid, kernel)
+    u = u[u != 0.0]
+    if u.size == 0:
+        raise ContractError("weight delta has no nonzero node value: its integral I is 0")
+    rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
     samples = np.empty(n_rep)
-    for r in range(n_rep):
-        samples[r] = u @ sample_driver(driver, u.size, derive_seed(seed, STREAM_MGF, r))
+    for start in range(0, n_rep, MGF_BLOCK):
+        rows = min(MGF_BLOCK, n_rep - start)
+        samples[start:start + rows] = (
+            sample_driver(driver, rows * u.size, rng).reshape(rows, u.size) @ u)
 
     boot_rng = np.random.default_rng(derive_seed(seed, STREAM_BOOT, 0))
     boot_idx = boot_rng.integers(0, n_rep, size=(400, n_rep), dtype=np.int32)

@@ -171,18 +171,21 @@ class FilterKernel:
 
         Exact for both forms: closed form for the exponential kernel, and for a
         table the cumulative trapezoid of its linear interpolant over the table
-        times together with the cell edges.
+        times together with the cell edges.  The array is read-only and built
+        once per (kernel, h).
         """
-        H = self.truncation_horizon
-        edges = np.minimum(np.arange(self.n_taps(h) + 1) * h, H)
-        if self.form == "exponential":
-            a = self.rate
-            return np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / (a * h)
-        knots = np.union1d(self.times, edges)
-        values = np.interp(knots, self.times, self.samples)
-        areas = 0.5 * (values[1:] + values[:-1]) * np.diff(knots)
-        running = np.concatenate(([0.0], np.cumsum(areas)))
-        return np.diff(running[np.searchsorted(knots, edges)]) / h
+        def build():
+            edges = np.minimum(np.arange(self.n_taps(h) + 1) * h, self.truncation_horizon)
+            if self.form == "exponential":
+                a = self.rate
+                return np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / (a * h)
+            knots = np.union1d(self.times, edges)
+            values = np.interp(knots, self.times, self.samples)
+            areas = 0.5 * (values[1:] + values[:-1]) * np.diff(knots)
+            running = np.concatenate(([0.0], np.cumsum(areas)))
+            return np.diff(running[np.searchsorted(knots, edges)]) / h
+
+        return memo(("cell taps", self, h), build)
 
 
 def _fine_table(kernel: FilterKernel) -> tuple[np.ndarray, np.ndarray, float]:

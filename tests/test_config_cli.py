@@ -268,8 +268,13 @@ def test_envelope_verdict_can_fail_end_to_end(tmp_path, c0, passes):
     assert meta["constants"]["b"] == pytest.approx(0.999 * c0 / 16.0)
     assert meta["overall_pass"] is passes
     assert meta["rate_ok"] is passes
-    verdicts = [line.rsplit(",", 1)[1] for line in (out / "tails.csv").read_text().splitlines()[3:]]
-    assert ("fail" in verdicts) is not passes
+    rows = [line.split(",") for line in (out / "tails.csv").read_text().splitlines()[3:]]
+    assert ("fail" in [row[-1] for row in rows]) is not passes
+    # the certified rate reaches b exactly when every level it is taken over passes
+    certified = [row[-1] == "pass" for row in rows if float(row[0]) > 0 and float(row[4]) > 0]
+    assert certified
+    assert (meta["b_cert"] >= meta["constants"]["b"]) is all(certified)
+    assert meta["b_cert_ratio"] == meta["b_cert"] / meta["constants"]["b"]
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -1,13 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
+from regtails import cli, harness
 from regtails.bounds import BoundConstants, calibrate_prefactor
 from regtails.config import config_from_dict
 from regtails.errors import ContractError
 from regtails.harness import (
+    MGF_BLOCK,
+    STREAM_MGF,
     TrialRecord,
     clopper_pearson,
     compare_with_envelope,
@@ -19,8 +23,8 @@ from regtails.harness import (
     quadratic_form_check,
     run_trials,
 )
-from regtails.noise import FilterKernel, covariance_row, quadratic_form
-from regtails.numerics import TimeGrid
+from regtails.noise import DRIVER_KINDS, FilterKernel, covariance_row, quadratic_form, sample_driver
+from regtails.numerics import TimeGrid, trapezoid_weights
 
 
 def _linear_white_config(n_trials=200, seed=101, T=5.0, n_steps=500):
@@ -189,6 +193,9 @@ def test_compare_with_envelope_adversarial_fails():
     assert list(cmp.envelope) == [math.exp(-1.0), math.exp(-4.0)]
     assert not cmp.level_ok.all()
     assert not cmp.overall_pass
+    assert cmp.b_cert < consts.b
+    # no level with R > 0 has a positive lower limit, so none certifies a rate
+    assert compare_with_envelope(estimate_tail(np.zeros(500), r), consts).b_cert is None
 
 
 # -- MGF checker ---------------------------------------------------------------
@@ -241,6 +248,74 @@ def test_mgf_rep_count_contract():
     g = TimeGrid(1.0, 10)
     with pytest.raises(ContractError):
         mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, np.array([0.1]), 100, 0)
+
+
+@pytest.mark.parametrize("kernel", [None, FilterKernel.exponential(1.0)])
+def test_mgf_zero_weight_is_a_contract_error(kernel, monkeypatch):
+    g = TimeGrid(1.0, 10)
+
+    def no_draws(*args):
+        raise AssertionError("drew driver values for a zero weight")
+
+    monkeypatch.setattr(harness, "sample_driver", no_draws)
+    with pytest.raises(ContractError, match="weight delta"):
+        mgf_check("gaussian", np.zeros(g.n_nodes), g, 1.0, np.array([0.1]), 10_000, 0,
+                  kernel=kernel)
+
+
+@pytest.mark.parametrize("driver", DRIVER_KINDS)
+def test_mgf_replications_are_rows_of_one_stream(driver):
+    # 101 nodes: an odd count per row, so a row boundary splits the 64-bit words
+    # that 32-bit draws are taken from, and 10,000 rows end in a partial block
+    g = TimeGrid(1.0, 100)
+    lam = np.array([0.5, 1.0])
+    n_rep, seed = 10_000, 21
+    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, n_rep, seed)
+    rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
+    z = sample_driver(driver, n_rep * g.n_nodes, rng).reshape(n_rep, g.n_nodes)
+    samples = z @ (trapezoid_weights(g) * np.sqrt(g.h))
+    expected = np.exp(np.outer(lam, samples)).mean(axis=1)
+    np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)
+
+
+def test_mgf_spike_draws_only_its_support():
+    lam = np.array([0.5, 1.5, 2.0])
+    reports = []
+    for g in (TimeGrid(1.0, 100), TimeGrid(2.0, 200)):
+        spike = np.zeros(g.n_nodes)
+        spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)  # node 50, then node 100
+        reports.append(mgf_check("rademacher", spike, g, 1.0, lam, 10_000, 4))
+    short, long = reports
+    for name in ("lambda_grid", "empirical_mean", "band_low", "band_high", "envelope",
+                 "per_lambda_pass"):
+        assert np.array_equal(getattr(short, name), getattr(long, name)), name
+    assert (short.overall_pass, short.n_rep) == (long.overall_pass, long.n_rep)
+
+
+def test_check_draws_mgf_replications_in_blocks(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_driver(*args)
+
+    monkeypatch.setattr(harness, "sample_driver", counting)
+    doc = {
+        "model": {"name": "linear", "box": {"lower": [0.0], "upper": [5.0]},
+                  "theta_true": [2.0]},
+        "noise": {"driver": "gaussian", "kernel": {"form": "exponential", "rate": 1.0}},
+        "grid": {"T": 1.0, "n_steps": 100},
+        "norming": "d_T",
+        "montecarlo": {"n_trials": 200, "master_seed": 3, "R_grid": [0.0, 1.0]},
+        "bounds": {"equivalence_pairs": 300},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert {"mgf_raw", "mgf_raw_margin", "mgf_filtered"} <= report.keys()
+    assert 0 < len(calls) <= 3 * math.ceil(cli.MGF_DEFAULT_REPS / MGF_BLOCK)
 
 
 # -- quadratic form ---------------------------------------------------------------

@@ -304,6 +304,9 @@ def test_exponential_taps_are_cell_averages(rate, h):
     lo = np.arange(taps.size) * h
     closed = (np.exp(-rate * lo) - np.exp(-rate * np.minimum(lo + h, H))) / (rate * h)
     np.testing.assert_allclose(taps, closed, rtol=1e-12, atol=0.0)
+    # one read-only table per (kernel, h), shared by every equal kernel
+    assert FilterKernel.exponential(rate).taps(h) is taps
+    assert not taps.flags.writeable
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
