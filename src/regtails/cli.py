@@ -234,6 +234,8 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         "n_train": n_train,
         "n_eval": tail.n_trials,
         "n_nonconverged": sum(1 for r in records if not r.converged),
+        "nonconverged": [[r.trial_index, r.trial_seed] for r in records if not r.converged],
+        "boundary_frac": sum(1 for r in records if r.boundary) / n,
         "notes": {"consistency_envelope": CONSISTENCY_EXPONENT_NOTE},
     })
     return 0

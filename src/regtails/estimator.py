@@ -79,11 +79,26 @@ def _lattice_points(box, per_dim: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _gauss_newton(obs, model, start, r, q_start, w, eye) -> tuple[np.ndarray, float, bool]:
+def _solve(gram, ridge, rhs, eye) -> np.ndarray:
+    """``np.linalg.solve(gram + ridge * eye, rhs)``; one parameter is one division.
+
+    LAPACK's 1 x 1 solve is that division bit for bit, and it calls an exactly
+    zero pivot singular, so this raises the same ``LinAlgError`` there.
+    """
+    if rhs.shape == (1,):
+        pivot = gram[0, 0] + ridge
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rhs / pivot
+    return np.linalg.solve(gram + ridge * eye, rhs)
+
+
+def _gauss_newton(obs, model, start, r, g, q_start, w, eye) -> tuple[np.ndarray, float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
-    ``r`` is the residual at ``start``.  Candidates come from ``box.clip``, so Q
-    needs no box check, and an accepted candidate carries its residual forward.
+    ``r`` and ``g`` are the residual and model gradient at ``start``.  Candidates
+    come from ``box.clip``, so Q needs no box check, and an accepted candidate
+    carries its residual forward; its gradient is taken right after its ``eval``.
     """
     grid = obs.grid
     h = grid.h
@@ -93,12 +108,13 @@ def _gauss_newton(obs, model, start, r, q_start, w, eye) -> tuple[np.ndarray, fl
     q_cur = q_start
     ridge = 0.0
     for _ in range(FitOptions.max_iter):
-        g = np.atleast_2d(model.grad(grid.nodes, tau))
+        if g is None:
+            g = np.atleast_2d(model.grad(grid.nodes, tau))
         gw = g * w
         gram = h * (gw @ g.T)
         rhs = h * (gw @ r)
         try:
-            step = np.linalg.solve(gram + ridge * eye, rhs)
+            step = _solve(gram, ridge, rhs, eye)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-10 * (np.trace(gram) + 1.0))
             continue
@@ -121,6 +137,7 @@ def _gauss_newton(obs, model, start, r, q_start, w, eye) -> tuple[np.ndarray, fl
             return tau, q_cur, True
         moved = float(np.linalg.norm(accepted[0] - tau))
         tau, q_cur, r = accepted
+        g = None
         if moved < tol:
             return tau, q_cur, True
     return tau, q_cur, False
@@ -133,12 +150,16 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     their multiplicity is recorded.  The returned objective value never exceeds
     the best lattice value.  Raises NonConvergenceError (carrying the best
     lattice point) if every refinement start hits the iteration cap.  The model
-    values on the lattice are memoized per (model, grid), so ``model.eval`` must be pure.
+    values and gradients on the lattice are memoized per (model, grid), so
+    ``model.eval`` and ``model.grad`` must be pure.
     """
     grid, per_dim = obs.grid, FitOptions.coarse_grid_per_dim
     points = memo(("lattice", model.box, per_dim), lambda: _lattice_points(model.box, per_dim))
     a_lattice = memo(("lattice values", model, grid, per_dim),
                      lambda: np.array([model.eval(grid.nodes, p) for p in points], dtype=float))
+    g_lattice = memo(("lattice gradients", model, grid, per_dim),
+                     lambda: np.array([np.atleast_2d(model.grad(grid.nodes, p)) for p in points],
+                                      dtype=float))
     w = trapezoid_weights(grid)
     h = grid.h
     residuals = [obs.x_values - a for a in a_lattice]
@@ -156,7 +177,7 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     eye = np.eye(model.q)
     any_converged = False
     for idx in starts:
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx], residuals[idx],
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx], residuals[idx], g_lattice[idx],
                                        float(values[idx]), w, eye)
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):

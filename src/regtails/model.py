@@ -80,7 +80,11 @@ class ParameterBox:
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """Response surface with gradient: eval(t, tau) -> values, grad(t, tau) -> (q, len(t))."""
+    """Response surface with gradient: eval(t, tau) -> values, grad(t, tau) -> (q, len(t)).
+
+    ``eval`` and ``grad`` must be pure functions of ``(t, tau)``: ``lse_fit``
+    memoizes both at the lattice points per model and grid.
+    """
 
     box: ParameterBox
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -121,15 +125,42 @@ def constant_model(box: ParameterBox) -> RegressionModel:
 
 def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
                     box: ParameterBox) -> RegressionModel:
-    """a(t, tau) = exp(<tau, y(t)>) with bounded regressors y: R+ -> R^q."""
+    """a(t, tau) = exp(<tau, y(t)>) with bounded regressors y: R+ -> R^q.
+
+    The rows y(t) of a read-only node array (a grid's ``nodes``) are built once
+    and reused while calls pass that same array; a writable ``t`` is rebuilt on
+    every call.  On those nodes ``grad`` reuses the value of the last ``eval``
+    when ``tau`` is bit-equal, as after each accepted Gauss-Newton step, so the
+    gradient y * a costs no second ``exp``.
+    """
+    nodes = rows = tau_key = value = None
+
+    def _rows(t):
+        nonlocal nodes, rows, tau_key, value
+        if t is nodes:
+            return rows, True
+        y = np.atleast_2d(regressors(np.asarray(t, dtype=float)))
+        if isinstance(t, np.ndarray) and not t.flags.writeable:
+            # holding the array keeps its id from being reused while it is cached
+            nodes, rows, tau_key, value = t, y, None, None
+            return y, True
+        return y, False
 
     def _eval(t, tau):
-        y = np.atleast_2d(regressors(np.asarray(t, dtype=float)))
-        return np.exp(np.asarray(tau) @ y)
+        nonlocal tau_key, value
+        y, cached = _rows(t)
+        tau = np.asarray(tau, dtype=float)
+        a = np.exp(tau @ y)
+        if cached:
+            tau_key, value = (tau.shape, tau.tobytes()), a.copy()
+        return a
 
     def _grad(t, tau):
-        y = np.atleast_2d(regressors(np.asarray(t, dtype=float)))
-        return y * np.exp(np.asarray(tau) @ y)[None, :]
+        y, cached = _rows(t)
+        tau = np.asarray(tau, dtype=float)
+        if cached and tau_key == (tau.shape, tau.tobytes()):
+            return y * value[None, :]
+        return y * np.exp(tau @ y)[None, :]
 
     return RegressionModel(box=box, eval=_eval, grad=_grad, name="exp_inner")
 

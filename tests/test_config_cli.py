@@ -24,6 +24,8 @@ from regtails.config import (
     load_config,
 )
 from regtails.errors import ConfigError, ContractError, NonConvergenceError
+from regtails.estimator import lse_fit
+from regtails.harness import STREAM_TRIALS, derive_seed, run_trials
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -253,6 +255,42 @@ def test_tails_outputs_and_rerun_identical(tmp_path):
     assert "consistency_envelope" in meta["notes"]
     assert meta["version"]
     assert isinstance(meta["overall_pass"], bool)
+
+
+def test_tails_meta_run_diagnostics_identical_across_workers(tmp_path):
+    # theta_true sits next to the box edge, so some fits land on it
+    doc = _linear_doc()
+    doc["model"]["theta_true"] = [4.99]
+    cfg_path = _write_config(tmp_path, doc)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(out1), "--workers", "1"]) == 0
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(out2), "--workers", "2"]) == 0
+    assert (out1 / "tails_meta.json").read_bytes() == (out2 / "tails_meta.json").read_bytes()
+    meta = json.loads((out1 / "tails_meta.json").read_text())
+    records = run_trials(load_config(cfg_path))
+    assert meta["boundary_frac"] == sum(r.boundary for r in records) / len(records)
+    assert 0.0 < meta["boundary_frac"] < 1.0
+    assert meta["nonconverged"] == []
+
+
+def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
+    # one worker fits the trials in order, so the k-th fit is trial k - 1
+    cfg_path = _write_config(tmp_path, _linear_doc())
+    calls = []
+
+    def fit(obs, model):
+        calls.append(None)
+        if len(calls) in (4, 200):
+            raise NonConvergenceError("capped", best_point=(2.0,), best_value=0.0)
+        return lse_fit(obs, model)
+
+    monkeypatch.setattr(harness, "lse_fit", fit)
+    out = tmp_path / "o"
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "tails_meta.json").read_text())
+    seed = load_config(cfg_path).montecarlo.master_seed
+    assert meta["nonconverged"] == [[i, derive_seed(seed, STREAM_TRIALS, i)] for i in (3, 199)]
+    assert meta["n_nonconverged"] == 2
 
 
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])

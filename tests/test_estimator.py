@@ -272,15 +272,42 @@ def _reference_lse_fit(obs, model, opts=SimpleNamespace(**_FIT_DEFAULTS)):
     return LseResult(tuple(float(x) for x in best_tau), best_q, boundary, tie_count)
 
 
+def _flat_model():
+    # a(t, tau) does not depend on tau: every Gram matrix is exactly singular, so
+    # the fit must take the ridge path, also where it solves by division
+    return RegressionModel(
+        box=ParameterBox((-1.0,), (1.0,)),
+        eval=lambda t, tau: np.sin(np.asarray(t, dtype=float)),
+        grad=lambda t, tau: np.zeros((1, np.size(t))),
+        name="flat",
+    )
+
+
+def _wrapped(m):
+    """``m`` with its callables swapped for call-through wrappers, as bench/tracer.py does."""
+    return dataclasses.replace(m, eval=lambda t, tau: m.eval(t, tau),
+                               grad=lambda t, tau: m.grad(t, tau))
+
+
+def _uncached(m):
+    """``m`` called on a writable copy of the nodes, which no model cache holds."""
+    return dataclasses.replace(m, eval=lambda t, tau: m.eval(np.array(t), tau),
+                               grad=lambda t, tau: m.grad(np.array(t), tau))
+
+
 def _bit_identity_cases():
     exp_kernel = FilterKernel.exponential(4.0)
     cos_box = ParameterBox((-0.5, -0.5), (0.5, 0.5))
     return [
         ("linear", _lin(), (2.0,), TimeGrid(5.0, 500), None, 1.0),
         ("constant", constant_model(ParameterBox((-1.0,), (1.0,))), (0.3,), TimeGrid(2.0, 200), None, 0.1),
+        ("flat", _flat_model(), (0.0,), TimeGrid(2.0, 200), None, 0.1),
         ("exp_const_white", exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))),
          (0.1,), TimeGrid(2.0, 200), None, 0.05),
         ("exp_const_filtered", exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))),
+         (0.1,), TimeGrid(2.0, 200), exp_kernel, 0.3),
+        ("exp_const_filtered_wrapped",
+         _wrapped(exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,)))),
          (0.1,), TimeGrid(2.0, 200), exp_kernel, 0.3),
         ("exp_cos_white", exp_inner_model(cosine_regressors(2), cos_box), (0.2, -0.1),
          TimeGrid(6.0, 300), None, 0.05),
@@ -292,11 +319,13 @@ def _bit_identity_cases():
 @pytest.mark.parametrize("case", _bit_identity_cases(), ids=lambda c: c[0])
 def test_fit_bit_identical_to_reference(case, monkeypatch):
     _, m, theta, g, kernel, scale = case
+    # the reference sees the uncached formulas, so a stale model cache cannot hide
+    ref = _uncached(m)
     a_true = m.eval(g.nodes, np.asarray(theta))
     for seed in range(6):
         eps = noise_path("gaussian", g, seed, kernel)
         obs = Observation(grid=g, x_values=a_true + scale * eps)
-        got, want = lse_fit(obs, m), _reference_lse_fit(obs, m)
+        got, want = lse_fit(obs, m), _reference_lse_fit(obs, ref)
         assert got == want
         assert (got.boundary, got.lattice_tie_count) == (want.boundary, want.lattice_tie_count)
 
@@ -305,7 +334,7 @@ def test_fit_bit_identical_to_reference(case, monkeypatch):
             with pytest.raises(NonConvergenceError) as got_err:
                 lse_fit(obs, m)
         with pytest.raises(NonConvergenceError) as want_err:
-            _reference_lse_fit(obs, m, SimpleNamespace(**{**_FIT_DEFAULTS, "max_iter": 1}))
+            _reference_lse_fit(obs, ref, SimpleNamespace(**{**_FIT_DEFAULTS, "max_iter": 1}))
         assert got_err.value.best_point == want_err.value.best_point
 
 
@@ -344,27 +373,38 @@ def test_fit_beats_lattice_and_truth(name, seed, where, scale):
 
 
 def test_lattice_evaluated_once_across_fits():
-    counts = {"lattice": 0, "other": 0, "grad": 0}
     lattice = set(np.linspace(0.0, 5.0, FitOptions.coarse_grid_per_dim).tolist())
     base = _lin()
+    calls = []
 
     def counted_eval(t, tau):
-        counts["lattice" if float(tau[0]) in lattice else "other"] += 1
+        calls.append(("eval", float(tau[0])))
         return base.eval(t, tau)
 
     def counted_grad(t, tau):
-        counts["grad"] += 1
+        calls.append(("grad", float(tau[0])))
         return base.grad(t, tau)
 
     m = dataclasses.replace(base, eval=counted_eval, grad=counted_grad)
     g = TimeGrid(4.0, 400)
+    at_lattice = []
     for seed in (3, 4):
-        counts["other"] = counts["grad"] = 0
+        calls.clear()
         eps = white_noise_path("gaussian", g, seed) * 0.2
-        lse_fit(Observation(grid=g, x_values=base.eval(g.nodes, np.array([2.1])) + eps), m)
-        # a linear Gauss-Newton iteration tries exactly one candidate
-        assert counts["other"] == counts["grad"] > 0
-    assert counts["lattice"] == 9
+        obs = Observation(grid=g, x_values=base.eval(g.nodes, np.array([2.1])) + eps)
+        lse_fit(obs, m)
+        at_lattice += [call for call in calls if call[1] in lattice]
+        lattice_q = min(objective(obs, base, (p,)) for p in lattice)
+        refine = [call for call in calls if call[1] not in lattice]
+        grads = [k for k, call in enumerate(calls) if call[0] == "grad" and call[1] not in lattice]
+        assert grads and len(refine) > len(grads)
+        for k in grads:
+            # the gradient comes right after the eval of the candidate it was taken
+            # at, and that candidate was accepted: it beats every lattice point
+            assert calls[k - 1] == ("eval", calls[k][1])
+            assert objective(obs, base, (calls[k][1],)) < lattice_q
+    # values and gradients on the lattice are built once, by the first fit
+    assert sorted(at_lattice) == sorted([("eval", p) for p in lattice] + [("grad", p) for p in lattice])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

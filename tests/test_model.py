@@ -83,6 +83,33 @@ def test_gradients_match_finite_differences(exp1):
         assert worst < 1e-5, m.name
 
 
+def test_exp_inner_caches_never_go_stale():
+    # eval and grad interleaved over a read-only grid (whose rows and last value
+    # the model keeps) and a writable array that changes between calls; even a
+    # returned value changed in place must not leak into a later gradient
+    y_of = cosine_regressors(2)
+    m = exp_inner_model(y_of, ParameterBox((-1.0, -1.0), (1.0, 1.0)))
+    fixed = TimeGrid(3.0, 40).nodes
+    loose = np.linspace(0.0, 2.0, 41)
+    taus = [np.array([0.3, -0.2]), np.array([-0.7, 0.5]), np.array([0.3, -0.2]), np.array([0.0, 0.9])]
+    rng = np.random.default_rng(8)
+    kinds = set()
+    for _ in range(300):
+        t = (fixed, loose)[rng.integers(2)]
+        tau = taus[rng.integers(len(taus))].copy()
+        kind = ("eval", "grad")[rng.integers(2)]
+        got = getattr(m, kind)(t, tau)
+        y = np.atleast_2d(y_of(np.array(t)))
+        want = np.exp(tau @ y) if kind == "eval" else y * np.exp(tau @ y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        kinds.add((kind, t is fixed))
+        if kind == "eval" and rng.random() < 0.3:
+            got *= 2.0
+        if rng.random() < 0.5:
+            loose += rng.uniform(-0.1, 0.1, size=loose.size)
+    assert len(kinds) == 4
+
+
 def test_norming_matrix_values(exp1):
     lin = linear_model(ParameterBox((0.0,), (5.0,)))
     d = norming_matrix(lin, (1.0,), TimeGrid(3.0, 600))
