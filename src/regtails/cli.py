@@ -88,14 +88,13 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no infinity or nan: a non-finite value is written as its repr string
+        return float(obj) if np.isfinite(obj) else repr(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
     return obj
 
 
@@ -366,15 +365,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def _mgf_dict(report) -> dict:
-    return {
-        "lambda_grid": report.lambda_grid,
-        "empirical_mean": report.empirical_mean,
-        "band_low": report.band_low,
-        "band_high": report.band_high,
-        "envelope": report.envelope,
-        "per_lambda_pass": [bool(v) for v in report.per_lambda_pass],
-        "overall_pass": report.overall_pass,
-    }
+    return {k: v for k, v in dataclasses.asdict(report).items() if k != "n_rep"}
 
 
 _COMMANDS = {
@@ -397,6 +388,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override montecarlo.master_seed")
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(

@@ -332,6 +332,58 @@ def test_invalid_config_exits_2(tmp_path):
     assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys, workers):
+    cfg_path = _write_config(tmp_path, _linear_doc())
+
+    def never(cfg, workers=1):
+        raise AssertionError("trials ran with an invalid worker count")
+
+    monkeypatch.setattr(cli, "run_trials", never)
+    out = tmp_path / "x"
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_trials_starts_at_most_cpu_count_processes(monkeypatch):
+    # a stand-in pool records max_workers and maps in this process: no process starts
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = config_from_dict(_linear_doc(montecarlo={"n_trials": 40, "master_seed": 11,
+                                                   "R_grid": [0.0, 1.0]}))
+    serial = run_trials(cfg, workers=1)
+    assert run_trials(cfg, workers=1000) == serial
+    assert run_trials(cfg, workers=2) == serial
+    assert seen == [3, 2]
+
+
+def test_jsonify_writes_non_finite_floats_as_strings():
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    values = [np.float64("inf"), np.float64("-inf"), np.float64("nan"), np.float32("inf"),
+              math.inf, math.nan, np.array([1.5, np.inf])]
+    text = json.dumps(cli._jsonify({"values": values}))
+    assert json.loads(text, parse_constant=reject)["values"] == [
+        "inf", "-inf", "nan", "inf", "inf", "nan", [1.5, "inf"]]
+
+
 def test_oversized_beta_exits_2_with_max_admissible(tmp_path, capsys):
     doc = _linear_doc()
     doc["bounds"] = {"beta": 10.0, "c0": 1.0}
@@ -474,8 +526,26 @@ def test_check_negative_control_fails_but_exits_0(tmp_path):
     cfg_path = _write_config(tmp_path, doc)
     out = tmp_path / "neg"
     assert cli.main(["check", "--config", cfg_path, "--out", str(out)]) == 0
-    report = json.loads((out / "check_report.json").read_text())
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    report = json.loads((out / "check_report.json").read_text(), parse_constant=reject)
     assert report["verdicts"]["mgf_raw"] is False
+    # the exact MGF of the centered exponential is infinite from lambda * u = 1 on
+    assert report["mgf_raw_margin"]["exact_mean"][-1] == "inf"
+
+
+@pytest.mark.parametrize("n_steps", [1, 4])
+def test_check_runs_on_grids_with_few_steps(tmp_path, n_steps):
+    doc = _linear_doc()
+    doc["noise"] = {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}}
+    doc["grid"] = {"T": 1.0, "n_steps": n_steps}
+    cfg_path = _write_config(tmp_path, doc)
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", cfg_path, "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["quadratic_form"]["n_probes"] == 50
 
 
 def test_constants_subcommand(tmp_path, capsys):

@@ -23,7 +23,15 @@ from regtails.harness import (
     quadratic_form_check,
     run_trials,
 )
-from regtails.noise import DRIVER_KINDS, FilterKernel, covariance_row, quadratic_form, sample_driver
+from regtails.noise import (
+    DRIVER_KINDS,
+    FilterKernel,
+    covariance_row,
+    driver_log_mgf,
+    f0_sup,
+    quadratic_form,
+    sample_driver,
+)
 from regtails.numerics import TimeGrid, trapezoid_weights
 
 
@@ -209,15 +217,31 @@ def test_mgf_at_zero_is_exactly_one():
 
 
 def test_mgf_gaussian_white_matches_exact_mgf():
-    # I ~ N(0, ~T) so E exp(lam I) ~ exp(lam^2 T / 2)
+    # I ~ N(0, h * sum w^2) with trapezoid weights w, so E exp(lam I) = exp(lam^2 (T - h/2) / 2)
     g = TimeGrid(1.0, 100)
     lam = np.array([0.5, 1.0, 1.5])
     rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 10_000, 6)
-    exact = np.exp(0.5 * lam ** 2 * 1.0)
+    np.testing.assert_allclose(rep.exact_mean, np.exp(0.5 * lam ** 2 * (1.0 - g.h / 2)),
+                               rtol=1e-12)
+    np.testing.assert_allclose(rep.envelope, np.exp(0.5 * lam ** 2 * 1.0), rtol=1e-12)
     assert rep.overall_pass
-    for j in range(lam.size):
-        assert rep.band_low[j] <= exact[j] * 1.02
-        assert rep.band_high[j] >= exact[j] * 0.9
+
+
+@pytest.mark.parametrize("driver", DRIVER_KINDS)
+def test_mgf_sampler_estimates_the_exact_mgf(driver):
+    # ties sample_driver to its law: the replication mean of exp(lam I) lies
+    # within 4 standard errors of the exact MGF, the standard error itself
+    # exact from the MGF at 2 lam (finite here for every driver: 2 lam u = 0.2)
+    g = TimeGrid(1.0, 100)
+    lam = np.array([0.5, 1.0])
+    n_rep = 10_000
+    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, n_rep, 31)
+    u = trapezoid_weights(g) * math.sqrt(g.h)
+    for j, x in enumerate(lam):
+        exact = math.exp(driver_log_mgf(driver, x * u).sum())
+        assert rep.exact_mean[j] == pytest.approx(exact, rel=1e-12)
+        se = math.sqrt((math.exp(driver_log_mgf(driver, 2 * x * u).sum()) - exact ** 2) / n_rep)
+        assert abs(rep.empirical_mean[j] - exact) <= 4 * se, (driver, x)
 
 
 def test_mgf_random_weights_pass_for_gaussian():
@@ -238,10 +262,33 @@ def test_mgf_negative_control_fails_on_margin():
     assert not rep.per_lambda_pass[-1]
 
 
-def test_mgf_lambda_cap_enforced():
+@pytest.mark.parametrize("kernel", [None, FilterKernel.exponential(1.0)])
+def test_mgf_negative_control_fails_on_flat_weight(kernel):
+    # check's flat weight and lambda grid on the check-filtered grid (T = 50,
+    # N = 2501): the exact log-MGF of the centered exponential exceeds the
+    # envelope's 3.61 at the top lambda, raw and through the filter
+    g = TimeGrid(50.0, 2500)
+    d0 = 1.0 if kernel is None else 2 * math.pi * f0_sup(kernel)
+    lam = np.array([0.0, 0.3, 0.6, 0.95]) * math.sqrt(8.0 / (d0 * g.T))
+    rep = mgf_check("centered_exponential", np.ones(g.n_nodes), g, d0, lam, 10_000, 13,
+                    kernel=kernel)
+    assert math.log(rep.envelope[-1]) == pytest.approx(3.61, rel=1e-12)
+    assert math.log(rep.exact_mean[-1]) == pytest.approx(3.744 if kernel is None else 3.668,
+                                                         abs=5e-4)
+    assert rep.per_lambda_pass[0] and not rep.per_lambda_pass[-1]
+    assert not rep.overall_pass
+
+
+def test_mgf_verdict_stays_exact_past_float_range():
+    # no cap on lambda: at exponent 3200 both exponentials overflow to inf, and
+    # the verdict, taken on the logarithms, still passes with no warning
     g = TimeGrid(4.0, 100)
-    with pytest.raises(ContractError, match="cap"):
-        mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, np.array([3.0]), 10_000, 0)
+    lam = np.array([3.0, 40.0])
+    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 10_000, 0)
+    assert rep.overall_pass
+    assert rep.envelope[0] == pytest.approx(math.exp(18.0), rel=1e-12)
+    assert rep.envelope[1] == math.inf and rep.exact_mean[1] == math.inf
+    assert np.all(np.isfinite(rep.empirical_mean))
 
 
 def test_mgf_rep_count_contract():
@@ -286,8 +333,7 @@ def test_mgf_spike_draws_only_its_support():
         spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)  # node 50, then node 100
         reports.append(mgf_check("rademacher", spike, g, 1.0, lam, 10_000, 4))
     short, long = reports
-    for name in ("lambda_grid", "empirical_mean", "band_low", "band_high", "envelope",
-                 "per_lambda_pass"):
+    for name in ("lambda_grid", "empirical_mean", "exact_mean", "envelope", "per_lambda_pass"):
         assert np.array_equal(getattr(short, name), getattr(long, name)), name
     assert (short.overall_pass, short.n_rep) == (long.overall_pass, long.n_rep)
 

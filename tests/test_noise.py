@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from regtails.noise import (
     apply_filter,
     covariance_of_filter,
     covariance_row,
+    DRIVER_KINDS,
     d0_from_spectral,
+    driver_log_mgf,
     driver_weights,
     f0_sim,
     f0_sup,
@@ -60,6 +63,45 @@ def test_centered_exponential_moments():
 def test_unknown_driver_rejected():
     with pytest.raises(ConfigError):
         sample_driver("cauchy", 10, 0)
+
+
+_DIRECT_LOG_MGF = {
+    "gaussian": lambda x: x * x / 2,
+    "rademacher": lambda x: np.log(np.cosh(x)),
+    "uniform_sqrt3": lambda x: np.log(np.sinh(math.sqrt(3) * x) / (math.sqrt(3) * x)),
+    "centered_exponential": lambda x: -x - np.log(1 - x),
+}
+
+
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_driver_log_mgf_matches_direct_formula(kind):
+    x = np.concatenate([np.linspace(-3.0, -0.1, 60), np.linspace(0.1, 0.9, 60)])
+    np.testing.assert_allclose(driver_log_mgf(kind, x), _DIRECT_LOG_MGF[kind](x),
+                               rtol=1e-12, atol=0.0)
+    assert driver_log_mgf(kind, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_driver_log_mgf_is_stable_at_tiny_and_large_arguments(kind):
+    x = np.array([-1e3, -1e-12, 1e-12, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = driver_log_mgf(kind, x)
+    # every law has unit variance, so log M(x) = x^2 / 2 + O(x^3) at tiny |x|
+    np.testing.assert_allclose(got[1:3], 5e-25, rtol=1e-9)
+    finite = x if kind != "centered_exponential" else x[:3]
+    assert np.all(np.isfinite(driver_log_mgf(kind, finite)))
+    assert np.all(got[[0, -1]] > 0)
+
+
+def test_centered_exponential_log_mgf_is_infinite_from_one():
+    assert np.all(driver_log_mgf("centered_exponential", np.array([1.0, 1.5, 1e3])) == math.inf)
+    assert np.isfinite(driver_log_mgf("centered_exponential", np.nextafter(1.0, 0.0)))
+
+
+def test_unknown_driver_log_mgf_rejected():
+    with pytest.raises(ConfigError):
+        driver_log_mgf("cauchy", np.ones(3))
 
 
 def test_driver_determinism():
