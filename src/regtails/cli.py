@@ -33,6 +33,7 @@ from .bounds import (
 )
 from .config import (
     ExperimentConfig,
+    as_seed,
     build_basis,
     build_grid,
     build_kernel,
@@ -325,14 +326,11 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         f0 = WHITE_NOISE_F0
         d0 = d0_from_spectral(f0)
     else:
-        qf = quadratic_form_check(kernel, grid, seed=master)
+        qf = quadratic_form_check(kernel, grid)
         f0, d0 = qf.f0, qf.d0
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
-        payload["quadratic_form"] = {
-            "max_ratio": qf.max_ratio, "min_form": qf.min_form, "n_probes": qf.n_probes,
-            "f0_sim": qf.f0_sim,
-        }
+        payload["quadratic_form"] = {"f0_sim": qf.f0_sim}
         payload["verdicts"]["quadratic_form"] = qf.passed
     payload["f0"] = f0
     payload["d0"] = d0
@@ -393,7 +391,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(
-                cfg, montecarlo=dataclasses.replace(cfg.montecarlo, master_seed=args.seed))
+                cfg, montecarlo=dataclasses.replace(cfg.montecarlo,
+                                                    master_seed=as_seed(args.seed, "--seed")))
         out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
         return _COMMANDS[args.command](cfg, out_dir, args.workers)
     except (ConfigError, ContractError) as err:

@@ -138,6 +138,14 @@ def _as_int(value, field: str, minimum=None) -> int:
     return value
 
 
+def as_seed(value, field: str) -> int:
+    """A master seed, 0 <= seed < 2^64: derive_seed reads seeds modulo 2^64."""
+    seed = _as_int(value, field, minimum=0)
+    if seed >= 1 << 64:
+        _fail(field, f"must be below 2^64, got {seed}")
+    return seed
+
+
 def _as_str(value, field: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(field, f"expected a non-empty string, got {value!r}")
@@ -226,8 +234,8 @@ def _parse_grid(section: dict) -> GridConfig:
 def _parse_montecarlo(section: dict) -> MonteCarloConfig:
     _known(section, "montecarlo", ("n_trials", "master_seed", "R_grid"))
     n_trials = _as_int(_require(section, "n_trials", "montecarlo"), "montecarlo.n_trials", minimum=1)
-    master_seed = _as_int(_require(section, "master_seed", "montecarlo"),
-                          "montecarlo.master_seed", minimum=0)
+    master_seed = as_seed(_require(section, "master_seed", "montecarlo"),
+                          "montecarlo.master_seed")
     r_grid = _as_float_tuple(_require(section, "R_grid", "montecarlo"), "montecarlo.R_grid")
     if any(r < 0 for r in r_grid):
         _fail("montecarlo.R_grid", "levels must be >= 0")
@@ -244,9 +252,7 @@ def _parse_bounds(section: dict) -> BoundsConfig:
     mode = bcal.get("mode", "fixed")
     if mode not in ("fixed", "calibrate"):
         _fail("bounds.B_cal.mode", f"expected 'fixed' or 'calibrate', got {mode!r}")
-    value = _as_float(bcal.get("value", 1.0), "bounds.B_cal.value")
-    if value < 0:
-        _fail("bounds.B_cal.value", "must be >= 0")
+    value = _as_float(bcal.get("value", 1.0), "bounds.B_cal.value", positive=True)
     fraction = _as_float(bcal.get("fraction", 0.1), "bounds.B_cal.fraction")
     if not 0.0 < fraction < 1.0:
         _fail("bounds.B_cal.fraction", f"must lie in (0, 1), got {fraction}")

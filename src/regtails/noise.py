@@ -327,36 +327,46 @@ def spectral_density(kernel: FilterKernel, lam) -> float | np.ndarray:
     return float(f[0]) if scalar else f
 
 
-def f0_sup(kernel: FilterKernel) -> float:
-    """Supremum of the spectral density over frequency.
+def _sup_by_scan(samples: np.ndarray, step: float, density) -> float:
+    """Supremum over lambda of ``density``, the power spectrum of ``samples`` spaced ``step`` apart.
 
-    One rFFT of the trapezoid-weighted fine-grid kernel, zero-padded 8x, gives
-    |transform| at lambda_k = 2*pi*k / (n_fft * step) for every frequency the
-    fine grid resolves, 8 bins per 2*pi/H.  Golden section then refines f on
-    the two bins around the best one; 40 steps, one new f value each, shrink
-    that bracket to about 4e-9 of its width.  On a nonnegative kernel the best
-    bin is lambda = 0.
+    One rFFT of the samples, zero-padded 8x, gives |transform| at
+    lambda_k = 2*pi*k / (n_fft * step) for every frequency the spacing
+    resolves, 8 bins per 2*pi over the samples' span.  Golden section then
+    refines ``density`` on the two bins around the best one; 40 steps, one new
+    value each, shrink that bracket to about 4e-9 of its width.  The result is
+    the larger of the density at the best bin and at the bracket's midpoint.
     """
-    u, psi_u, step = _fine_table(kernel)
-    weighted = psi_u.copy()  # the table is read-only
-    weighted[[0, -1]] *= 0.5
-    n_fft = next_fast_len(8 * u.size, True)
-    k = int(np.abs(rfft(weighted, n_fft)).argmax())
+    n_fft = next_fast_len(8 * samples.size, True)
+    k = int(np.abs(rfft(samples, n_fft)).argmax())
     bin_width = 2.0 * math.pi / (n_fft * step)
     lo, hi = max(k - 1, 0) * bin_width, (k + 1) * bin_width
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f_left, f_right = spectral_density(kernel, np.array([left, right]))
+    f_left, f_right = density(np.array([left, right]))
     for _ in range(40):
         if f_left >= f_right:
             hi, right, f_right = right, left, f_left
             left = hi - shrink * (hi - lo)
-            f_left = spectral_density(kernel, left)
+            f_left = density(left)
         else:
             lo, left, f_left = left, right, f_right
             right = lo + shrink * (hi - lo)
-            f_right = spectral_density(kernel, right)
-    return float(spectral_density(kernel, np.array([k * bin_width, 0.5 * (lo + hi)])).max())
+            f_right = density(right)
+    return float(density(np.array([k * bin_width, 0.5 * (lo + hi)])).max())
+
+
+def f0_sup(kernel: FilterKernel) -> float:
+    """Supremum of the spectral density over frequency.
+
+    The scan (:func:`_sup_by_scan`) runs on the trapezoid-weighted kernel on
+    its fine grid and refines with :func:`spectral_density`.  On a
+    nonnegative kernel the best bin is lambda = 0.
+    """
+    u, psi_u, step = _fine_table(kernel)
+    weighted = psi_u.copy()  # the table is read-only
+    weighted[[0, -1]] *= 0.5
+    return _sup_by_scan(weighted, step, lambda lam: spectral_density(kernel, lam))
 
 
 def d0_from_spectral(f0: float) -> float:
@@ -445,10 +455,20 @@ def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
 
 
 def f0_sim(kernel: FilterKernel, h: float) -> float:
-    """Spectral supremum of the simulated process, h^2 * max |rfft(taps)|^2 / 2*pi, zero-padded 8x."""
+    """Spectral supremum of the simulated process, sup over lambda of its taps' power.
+
+    The power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi.  The scan
+    (:func:`_sup_by_scan`) runs on the taps and refines that power, so this is
+    a supremum, not a bin maximum.
+    """
     taps = kernel.taps(h)
-    peak = np.abs(rfft(taps, next_fast_len(8 * taps.size, True))).max()
-    return float(h * h * peak * peak / (2.0 * math.pi))
+    k = np.arange(taps.size)
+
+    def power(lam):
+        transform = np.exp(-1j * h * np.multiply.outer(lam, k)) @ taps
+        return h * h * np.abs(transform) ** 2 / (2.0 * math.pi)
+
+    return _sup_by_scan(taps, h, power)
 
 
 def quadratic_form(cov_row: np.ndarray, delta: np.ndarray, grid: TimeGrid) -> float:

@@ -201,9 +201,9 @@ def test_criterion_06_spectral_covariance_closed_forms():
         for name, (got, want) in checks.items():
             rel = abs(got - want) / abs(want)
             ok = ok and rel <= 1e-5
-        qf = quadratic_form_check(k, TimeGrid(30.0, 600), seed=606)
+        qf = quadratic_form_check(k, TimeGrid(30.0, 600))
         ok = ok and qf.passed
-        details.append(f"a={a}: closed forms ok, qf max_ratio/d0={qf.max_ratio / qf.d0:.3f}")
+        details.append(f"a={a}: closed forms ok, qf f0_sim/f0={qf.f0_sim / qf.f0:.9f}")
     elapsed = time.perf_counter() - t0
     _report(6, ok, elapsed, 60.0, "; ".join(details))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtails.config import build_grid, build_kernel, config_from_dict
 from regtails.errors import ContractError, DataError, DomainError, NonConvergenceError
 from regtails.estimator import (
     FitOptions,
@@ -17,6 +18,7 @@ from regtails.estimator import (
     normalized_deviation,
     objective,
 )
+from regtails.harness import run_trials
 from regtails.model import (
     ParameterBox,
     RegressionModel,
@@ -407,20 +409,65 @@ def test_lattice_evaluated_once_across_fits():
     assert sorted(at_lattice) == sorted([("eval", p) for p in lattice] + [("grad", p) for p in lattice])
 
 
+def _exp_const_lse(x, grid, lower, upper) -> float:
+    """Closed-form LSE of a(t, theta) = e^theta over [lower, upper].
+
+    Q(theta) = h [sum w X^2 - 2 e^theta sum w X + e^(2 theta) sum w] is a quadratic
+    in e^theta, so theta_hat = log(sum w X / sum w) clipped to the box, or the
+    lower bound when sum w X <= 0 and Q increases throughout.
+    """
+    w = trapezoid_weights(grid)
+    wx = w @ x
+    return lower if wx <= 0 else float(np.clip(math.log(wx / w.sum()), lower, upper))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["constant", "linear"]), lower=st.floats(-5.0, 5.0),
+@given(name=st.sampled_from(["constant", "linear", "exp_const"]), lower=st.floats(-5.0, 5.0),
        width=st.floats(0.1, 10.0), where=st.floats(-0.5, 1.5), T=st.floats(0.5, 10.0),
        n_steps=st.integers(10, 500), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 3.0))
 def test_fit_equals_clipped_normal_equation(name, lower, width, where, T, n_steps, seed, scale):
     # a(t, theta) = theta * y(t) with y = 1 or t: Q is a quadratic in theta, so the
     # LSE over the box is the trapezoid normal-equation solution clipped to the box;
-    # a truth outside the box (where < 0 or > 1) exercises the clipped cases
+    # exp_const, a = e^theta, is that quadratic in e^theta (:func:`_exp_const_lse`).
+    # A truth outside the box (where < 0 or > 1) exercises the clipped cases
     box = ParameterBox((lower,), (lower + width,))
-    m = constant_model(box) if name == "constant" else linear_model(box)
     g = TimeGrid(T, n_steps)
+    truth = lower + where * width
+    noise = scale * white_noise_path("gaussian", g, seed)
+    if name == "exp_const":
+        obs = Observation(grid=g, x_values=math.exp(truth) + noise)
+        m = exp_inner_model(constant_regressors(1), box)
+        res = lse_fit(obs, m)
+        oracle = _exp_const_lse(obs.x_values, g, lower, lower + width)
+        # Gauss-Newton stops on a step of 1e-8 of the box diameter, or on one that
+        # the rounding of Q (a few ulps) hides: Q'' = 2 T e^(2 theta) at the minimum
+        curvature = 2 * T * math.exp(2 * oracle)
+        floor = math.sqrt(16 * 2**-52 * objective(obs, m, (oracle,)) / curvature)
+        assert abs(res.theta_hat[0] - oracle) <= 5e-8 * width + floor
+        return
+    m = constant_model(box) if name == "constant" else linear_model(box)
     y = np.ones(g.n_nodes) if name == "constant" else g.nodes
-    x = (lower + where * width) * y + scale * white_noise_path("gaussian", g, seed)
+    x = truth * y + noise
     res = lse_fit(Observation(grid=g, x_values=x), m)
     wy = trapezoid_weights(g) * y
     oracle = float(np.clip((wy @ x) / (wy @ y), lower, lower + width))
     assert abs(res.theta_hat[0] - oracle) <= 1e-9 * width
+
+
+def test_exp_filtered_trials_equal_the_closed_form():
+    # every record of an exp_filtered-shaped run (constant regressor, filtered
+    # Rademacher noise, T = 50, N = 5001) against the closed form on its own path
+    cfg = config_from_dict({
+        "model": {"name": "exp_inner", "parameters": {"regressors": "constant"},
+                  "box": {"lower": [-0.5], "upper": [0.5]}, "theta_true": [0.0]},
+        "noise": {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}},
+        "grid": {"T": 50.0, "n_steps": 5000},
+        "norming": "s_T",
+        "montecarlo": {"n_trials": 400, "master_seed": 271828, "R_grid": [0.0, 1.0]},
+    })
+    grid, kernel = build_grid(cfg), build_kernel(cfg)
+    records = run_trials(cfg)
+    assert len(records) == 400 and all(r.converged for r in records)
+    for r in records:
+        x = 1.0 + noise_path("rademacher", grid, r.trial_seed, kernel)  # e^0 + noise
+        assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -0.5, 0.5)) <= 5e-8  # box width 1

@@ -28,11 +28,13 @@ from regtails.noise import (
     FilterKernel,
     covariance_row,
     driver_log_mgf,
+    driver_weights,
+    f0_sim,
     f0_sup,
     quadratic_form,
     sample_driver,
 )
-from regtails.numerics import TimeGrid, trapezoid_weights
+from regtails.numerics import TimeGrid, integrate, trapezoid_weights
 
 
 def _linear_white_config(n_trials=200, seed=101, T=5.0, n_steps=500):
@@ -202,6 +204,9 @@ def test_compare_with_envelope_adversarial_fails():
     assert not cmp.level_ok.all()
     assert not cmp.overall_pass
     assert cmp.b_cert < consts.b
+    # a calibrated prefactor of 0 (no training trial reached a level) certifies
+    # no rate, and says so without a log(0) warning
+    assert compare_with_envelope(tail, consts.with_prefactor(0.0)).b_cert == -math.inf
     # no level with R > 0 has a positive lower limit, so none certifies a rate
     assert compare_with_envelope(estimate_tail(np.zeros(500), r), consts).b_cert is None
 
@@ -277,6 +282,30 @@ def test_mgf_negative_control_fails_on_flat_weight(kernel):
                                                          abs=5e-4)
     assert rep.per_lambda_pass[0] and not rep.per_lambda_pass[-1]
     assert not rep.overall_pass
+
+
+@pytest.mark.parametrize("driver", DRIVER_KINDS)
+def test_drivers_are_strictly_sub_gaussian_on_check_weights(driver):
+    # the paper's strict sub-Gaussianity, log E exp(lambda I) <= lambda^2 Var(I) / 2
+    # with Var(I) = ||u||^2 for I = u @ z, on check's flat, spike and filtered
+    # weights (check-filtered grid) and lambda * max|u| = +-1e-3 .. +-30; the
+    # centered exponential, check's negative control, breaks it
+    g = TimeGrid(50.0, 2500)
+    spike = np.zeros(g.n_nodes)
+    spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)
+    worst = 0.0
+    for delta, kernel in ((np.ones(g.n_nodes), None), (spike, None),
+                          (np.ones(g.n_nodes), FilterKernel.exponential(1.0))):
+        u = driver_weights(trapezoid_weights(g) * g.h * delta, g, kernel)
+        u = u[u != 0.0]
+        for x in np.geomspace(1e-3, 30.0, 25):
+            for lam in (x / np.abs(u).max(), -x / np.abs(u).max()):
+                ratio = driver_log_mgf(driver, lam * u).sum() / (0.5 * lam ** 2 * (u @ u))
+                worst = max(worst, ratio)
+    if driver == "centered_exponential":
+        assert worst == math.inf
+    else:
+        assert worst <= 1.0 + 1e-12
 
 
 def test_mgf_verdict_stays_exact_past_float_range():
@@ -376,13 +405,14 @@ def test_quadratic_form_zero_weight():
 def test_quadratic_form_check_exponential_kernel():
     k = FilterKernel.exponential(1.0)
     g = TimeGrid(30.0, 600)
-    rep = quadratic_form_check(k, g, seed=13)
+    rep = quadratic_form_check(k, g)
     assert rep.passed
     assert rep.d0 == pytest.approx(1.0, rel=1e-5)
     # sup_t integral of |B(t-s)| ds over a long window approaches integral of B = 1
     assert rep.b2 == pytest.approx(1.0, abs=1e-3)
-    assert rep.min_form >= 0.0
-    assert rep.max_ratio <= rep.d0 * (1 + 1e-3)
+    # the verdict is the simulated spectrum's supremum against the kernel's
+    assert rep.f0_sim == f0_sim(k, g.h)
+    assert rep.f0_sim <= rep.f0 * (1 + 1e-3)
 
     # the matrix-free products against the dense N x N covariance matrix
     cov = covariance_row(k, g)
@@ -397,3 +427,19 @@ def test_quadratic_form_check_exponential_kernel():
         wd = w * delta
         dense = g.h ** 2 * (wd @ B @ wd)
         assert quadratic_form(cov, delta, g) == pytest.approx(dense, rel=1e-12)
+
+
+def test_quadratic_form_check_fails_where_the_simulated_spectrum_overshoots():
+    # a signed table whose taps at h = 0.3 peak 5% above the kernel's f0: no
+    # smooth weight sees it, a cosine at the taps' peak frequency does
+    k = FilterKernel.tabulated([0.0, 0.228, 1.023, 1.339], [-1.935, -1.097, 1.187, -1.597])
+    g = TimeGrid(30.0, 100)
+    rep = quadratic_form_check(k, g)
+    assert not rep.passed
+    assert rep.f0_sim / rep.f0 == pytest.approx(1.050, abs=1e-3)
+    taps = k.taps(g.h)
+    lam = np.linspace(0.0, math.pi / g.h, 20_001)
+    power = np.abs(np.exp(-1j * g.h * np.outer(lam, np.arange(taps.size))) @ taps) ** 2
+    delta = np.cos(lam[power.argmax()] * g.nodes)
+    form = quadratic_form(covariance_row(k, g), delta, g)
+    assert form >= 1.03 * rep.d0 * integrate(delta * delta, g)

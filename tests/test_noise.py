@@ -316,15 +316,21 @@ def _kernels(draw):
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
-@given(kernel=_kernels(), lams=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
+@given(kernel=_kernels(), lams=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+       h=st.floats(0.005, 0.5))
 # a signed kernel whose highest lobe, near lambda = 5.3, is narrow enough to fall
-# between the points of a coarse log-spaced frequency scan
+# between the points of a coarse log-spaced frequency scan, and between the
+# 8x-padded rFFT bins of its taps at h = 0.01
 @example(kernel=FilterKernel.tabulated([0.0, 0.297, 0.647, 1.540, 2.065, 3.027, 3.209, 4.003, 4.502],
                                        [1.000, -1.774, -0.348, -1.077, 0.574, -0.751, 1.653, -0.857, 1.590]),
-         lams=[5.3])
-def test_f0_sup_is_supremum(kernel, lams):
+         lams=[5.3], h=0.01)
+def test_f0_sup_is_supremum(kernel, lams, h):
     f0 = f0_sup(kernel)
     assert np.all(spectral_density(kernel, np.array(lams)) <= f0 * (1 + 1e-9))
+    # the simulated process's supremum bounds its taps' power at every frequency
+    taps = kernel.taps(h)
+    transform = np.exp(-1j * h * np.outer(lams, np.arange(taps.size))) @ taps
+    assert np.all(h * h * np.abs(transform) ** 2 / (2 * math.pi) <= f0_sim(kernel, h) * (1 + 1e-9))
     # |Fourier transform| <= integral of |psi|, on the same fine grid
     _, psi_u, step = _fine_table(kernel)
     l1 = np.trapezoid(np.abs(psi_u), dx=step)
@@ -410,7 +416,10 @@ def test_simulated_quadratic_form_bounded_by_d0(kernel, T, n_steps, coeffs):
     delta = sum(c * np.cos(i * math.pi * grid.nodes / T) for i, c in enumerate(coeffs))
     form = quadratic_form(covariance_row(kernel, grid), delta, grid)
     d0 = d0_from_spectral(f0_sup(kernel))
-    assert 0.0 <= form <= d0 * integrate(delta * delta, grid) * (1 + 1e-9)
+    norm_sq = integrate(delta * delta, grid)
+    assert 0.0 <= form <= d0 * norm_sq * (1 + 1e-9)
+    # the bound quadratic_form_check's verdict rests on, for every weight
+    assert form <= 2 * math.pi * f0_sim(kernel, grid.h) * norm_sq * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("kernel", [
