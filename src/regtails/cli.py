@@ -236,6 +236,8 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         "n_nonconverged": sum(1 for r in records if not r.converged),
         "nonconverged": [[r.trial_index, r.trial_seed] for r in records if not r.converged],
         "boundary_frac": sum(1 for r in records if r.boundary) / n,
+        "multi_basin_frac": sum(1 for r in records if r.n_starts > 1) / n,
+        "tie_frac": sum(1 for r in records if r.lattice_tie_count > 1) / n,
         "notes": {"consistency_envelope": CONSISTENCY_EXPONENT_NOTE},
     })
     return 0

@@ -6,6 +6,14 @@ box picks starting points, and projected Gauss-Newton steps with backtracking
 refine them.  The lattice stage is what makes the procedure match the
 definition of the estimator (a global minimizer over the closure), not just a
 local stationary point.
+
+A lattice point starts a refinement only if no axis neighbour strictly
+undercuts it, the rule of multi-level single linkage (Rinnooy Kan & Timmer,
+"Stochastic global optimization methods, Part II: Multi level methods",
+Math. Programming 39, 1987): one start per basin the lattice resolves.  So a
+unimodal lattice is refined once, and on a plateau, where every point counts,
+several starts remain.  A basin with no lattice point of its own is found only
+if some Gauss-Newton step happens to land in it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class FitOptions:
     """The fit's one configuration, read as class attributes; nothing passes an instance."""
 
     coarse_grid_per_dim = 9
-    n_refine_starts = 3
+    n_refine_starts = 3       # at most; only lattice local minima start (see lse_fit)
     local_tol_factor = 1e-8   # times the box diameter
     max_iter = 200
     tie_tol = 1e-10
@@ -55,6 +63,7 @@ class LseResult:
     q_value: float
     boundary: bool
     lattice_tie_count: int = 1
+    n_starts: int = 1
 
 
 def _q(r: np.ndarray, w: np.ndarray, h: float, tau) -> float:
@@ -77,6 +86,21 @@ def objective(obs: Observation, model: RegressionModel, tau) -> float:
 def _lattice_points(box, per_dim: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, per_dim) for lo, hi in zip(box.lower, box.upper)]
     return np.array(list(itertools.product(*axes)))
+
+
+def _basin_starts(values: np.ndarray, per_dim: int, q: int) -> np.ndarray:
+    """Mask of the lattice points that no axis neighbour strictly undercuts.
+
+    ``values`` is in ``itertools.product`` order, the last axis varying fastest,
+    which is the C order of a ``(per_dim,) * q`` array.
+    """
+    v = values.reshape((per_dim,) * q)
+    keep = np.ones(v.shape, dtype=bool)
+    for axis in range(q):
+        a, k = np.moveaxis(v, axis, 0), np.moveaxis(keep, axis, 0)  # views
+        k[:-1] &= a[1:] >= a[:-1]
+        k[1:] &= a[:-1] >= a[1:]
+    return keep.ravel()
 
 
 def _solve(gram, ridge, rhs, eye) -> np.ndarray:
@@ -146,9 +170,14 @@ def _gauss_newton(obs, model, start, r, g, q_start, w, eye) -> tuple[np.ndarray,
 def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     """Global lattice scan over the box followed by local Gauss-Newton refinement.
 
-    Ties on the lattice are broken by the lexicographically smallest point and
-    their multiplicity is recorded.  The returned objective value never exceeds
-    the best lattice value.  Raises NonConvergenceError (carrying the best
+    Refinement starts from at most ``FitOptions.n_refine_starts`` lattice local
+    minima (points no axis neighbour strictly undercuts), taken in the order of
+    (value, point); their number is ``n_starts``.  The lowest lattice point is
+    always one, so a unimodal lattice is refined once, and every point of a
+    plateau counts.  A basin with no lattice point of its own is found only when
+    a Gauss-Newton step happens to jump into it.  Ties on the lattice are broken
+    by the lexicographically smallest point and their multiplicity is recorded.
+    The returned objective value never exceeds the best lattice value.  Raises NonConvergenceError (carrying the best
     lattice point) if every refinement start hits the iteration cap.  The model
     values and gradients on the lattice are memoized per (model, grid), so
     ``model.eval`` and ``model.grad`` must be pure.
@@ -170,7 +199,8 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     tie_count = int(tie_mask.sum())
 
     order = sorted(range(len(points)), key=lambda i: (values[i], tuple(points[i])))
-    starts = order[: FitOptions.n_refine_starts]
+    is_start = _basin_starts(values, per_dim, model.q)
+    starts = [i for i in order if is_start[i]][: FitOptions.n_refine_starts]
 
     best_tau = points[order[0]]
     best_q = float(values[order[0]])
@@ -197,6 +227,7 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
         q_value=best_q,
         boundary=boundary,
         lattice_tie_count=tie_count,
+        n_starts=len(starts),
     )
 
 

@@ -77,6 +77,8 @@ class TrialRecord:
     deviation: float
     converged: bool
     boundary: bool
+    n_starts: int            # refinement starts; 0 when the fit did not converge
+    lattice_tie_count: int   # points tied at the lattice minimum; 0 likewise
 
 
 def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
@@ -95,10 +97,12 @@ def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[T
         try:
             res = lse_fit(obs, model)
             theta_hat, converged, boundary = res.theta_hat, True, res.boundary
+            n_starts, ties = res.n_starts, res.lattice_tie_count
         except NonConvergenceError as err:
             theta_hat, converged, boundary = err.best_point, False, False
+            n_starts = ties = 0
         dev = normalized_deviation(theta_hat, theta_true, norming)
-        out.append(TrialRecord(i, seed, theta_hat, dev, converged, boundary))
+        out.append(TrialRecord(i, seed, theta_hat, dev, converged, boundary, n_starts, ties))
     return out
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -273,6 +274,9 @@ def test_tails_meta_run_diagnostics_identical_across_workers(tmp_path):
     assert meta["boundary_frac"] == sum(r.boundary for r in records) / len(records)
     assert 0.0 < meta["boundary_frac"] < 1.0
     assert meta["nonconverged"] == []
+    # Q is a quadratic in theta: every lattice has one basin and no tie
+    assert {(r.n_starts, r.lattice_tie_count) for r in records} == {(1, 1)}
+    assert meta["multi_basin_frac"] == 0.0 and meta["tie_frac"] == 0.0
 
 
 def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
@@ -284,7 +288,12 @@ def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
         calls.append(None)
         if len(calls) in (4, 200):
             raise NonConvergenceError("capped", best_point=(2.0,), best_value=0.0)
-        return lse_fit(obs, model)
+        res = lse_fit(obs, model)
+        if len(calls) in (10, 11, 12):
+            return dataclasses.replace(res, n_starts=2)
+        if len(calls) == 20:
+            return dataclasses.replace(res, lattice_tie_count=3)
+        return res
 
     monkeypatch.setattr(harness, "lse_fit", fit)
     out = tmp_path / "o"
@@ -293,6 +302,11 @@ def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
     seed = load_config(cfg_path).montecarlo.master_seed
     assert meta["nonconverged"] == [[i, derive_seed(seed, STREAM_TRIALS, i)] for i in (3, 199)]
     assert meta["n_nonconverged"] == 2
+    assert meta["multi_basin_frac"] == 3 / 300 and meta["tie_frac"] == 1 / 300
+    # a fit that raised reports no starts and no ties
+    calls.clear()
+    records = run_trials(load_config(cfg_path))
+    assert [(r.n_starts, r.lattice_tie_count) for r in records if not r.converged] == [(0, 0)] * 2
 
 
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtails import numerics
 from regtails.config import build_grid, build_kernel, config_from_dict
 from regtails.errors import ContractError, DataError, DomainError, NonConvergenceError
 from regtails.estimator import (
     FitOptions,
     LseResult,
     Observation,
+    _basin_starts,
     lse_fit,
     normalized_deviation,
     objective,
@@ -249,6 +251,23 @@ def _reference_gauss_newton(obs, model, start, q_start, opts):
 _FIT_DEFAULTS = {k: v for k, v in vars(FitOptions).items() if not k.startswith("_")}
 
 
+def _reference_local_minima(values, per_dim, q) -> list[bool]:
+    """Brute force: a lattice point counts unless an axis neighbour is strictly lower."""
+    index = list(itertools.product(range(per_dim), repeat=q))  # the lattice's own order
+    flat = {k: i for i, k in enumerate(index)}
+    out = []
+    for i, k in enumerate(index):
+        undercut = False
+        for axis in range(q):
+            for d in (-1, 1):
+                n = list(k)
+                n[axis] += d
+                if 0 <= n[axis] < per_dim and values[flat[tuple(n)]] < values[i]:
+                    undercut = True
+        out.append(not undercut)
+    return out
+
+
 def _reference_lse_fit(obs, model, opts=SimpleNamespace(**_FIT_DEFAULTS)):
     box = model.box
     axes = [np.linspace(lo, hi, opts.coarse_grid_per_dim) for lo, hi in zip(box.lower, box.upper)]
@@ -257,10 +276,12 @@ def _reference_lse_fit(obs, model, opts=SimpleNamespace(**_FIT_DEFAULTS)):
     q_min = float(values.min())
     tie_count = int((values <= q_min + opts.tie_tol * max(1.0, abs(q_min))).sum())
     order = sorted(range(len(points)), key=lambda i: (values[i], tuple(points[i])))
+    minima = _reference_local_minima(values, opts.coarse_grid_per_dim, model.q)
+    starts = [i for i in order if minima[i]][: opts.n_refine_starts]
     best_tau = points[order[0]]
     best_q = float(values[order[0]])
     any_converged = False
-    for idx in order[: opts.n_refine_starts]:
+    for idx in starts:
         tau, q_val, ok = _reference_gauss_newton(obs, model, points[idx], float(values[idx]), opts)
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
@@ -271,7 +292,7 @@ def _reference_lse_fit(obs, model, opts=SimpleNamespace(**_FIT_DEFAULTS)):
     lo, hi = box.lower_arr, box.upper_arr
     margin = 1e-8 * (hi - lo)
     boundary = bool(np.any(best_tau <= lo + margin) or np.any(best_tau >= hi - margin))
-    return LseResult(tuple(float(x) for x in best_tau), best_q, boundary, tie_count)
+    return LseResult(tuple(float(x) for x in best_tau), best_q, boundary, tie_count, len(starts))
 
 
 def _flat_model():
@@ -329,7 +350,8 @@ def test_fit_bit_identical_to_reference(case, monkeypatch):
         obs = Observation(grid=g, x_values=a_true + scale * eps)
         got, want = lse_fit(obs, m), _reference_lse_fit(obs, ref)
         assert got == want
-        assert (got.boundary, got.lattice_tie_count) == (want.boundary, want.lattice_tie_count)
+        assert (got.boundary, got.lattice_tie_count, got.n_starts) == (
+            want.boundary, want.lattice_tie_count, want.n_starts)
 
         with monkeypatch.context() as patch:
             patch.setattr(FitOptions, "max_iter", 1)
@@ -372,9 +394,65 @@ def test_fit_beats_lattice_and_truth(name, seed, where, scale):
     lattice = np.linspace(lo, hi, FitOptions.coarse_grid_per_dim)
     assert q_hat <= min(objective(obs, m, (p,)) for p in lattice)
     assert q_hat <= objective(obs, m, theta)
+    # Q is a quadratic in theta (linear, constant) or in e^theta (exp_inner with a
+    # constant regressor): its lattice has one basin, so the fit refines once
+    assert res.n_starts == 1
 
 
-def test_lattice_evaluated_once_across_fits():
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_basin_starts_match_brute_force(q):
+    rng = np.random.default_rng(q)
+    for _ in range(200):
+        per_dim = int(rng.integers(1, 6))
+        # few distinct levels, so ties between neighbours are common
+        values = rng.integers(0, 4, per_dim ** q).astype(float)
+        got = _basin_starts(values, per_dim, q)
+        assert got.tolist() == _reference_local_minima(values, per_dim, q)
+    plateau = np.full(4 ** q, 0.25)
+    assert _basin_starts(plateau, 4, q).all()
+
+
+def _two_basin_model():
+    """a(t, tau) = f(tau), X = 0: Q = f^2 on [0, 8] with two basins.
+
+    f = -P(tau) tanh((tau - 7.3) / 0.3) with P = 0.3 + 1 - exp(-(tau - 3)^2 / 2):
+    a steep basin at 3 where |f| stays >= 0.3, and a zero of f at 7.3.  On the
+    lattice 0, 1, ..., 8 the three lowest points are 3, 4 and 2, all in the first
+    basin; 7 ranks fourth.
+    """
+    def f_and_df(tau):
+        x = float(tau[0])
+        bump = math.exp(-0.5 * (x - 3.0) ** 2)
+        p, dp = 1.3 - bump, (x - 3.0) * bump
+        th = math.tanh((x - 7.3) / 0.3)
+        return -p * th, -dp * th - p * (1.0 - th * th) / 0.3
+
+    return RegressionModel(
+        box=ParameterBox((0.0,), (8.0,)),
+        eval=lambda t, tau: np.full(np.size(t), f_and_df(tau)[0]),
+        grad=lambda t, tau: np.full((1, np.size(t)), f_and_df(tau)[1]),
+        name="two_basin",
+    )
+
+
+def test_second_basin_below_the_third_lowest_lattice_point_is_refined():
+    m = _two_basin_model()
+    g = TimeGrid(1.0, 10)
+    obs = Observation(grid=g, x_values=np.zeros(g.n_nodes))
+    lattice = np.linspace(0.0, 8.0, FitOptions.coarse_grid_per_dim)
+    ranked = sorted(lattice, key=lambda p: objective(obs, m, (p,)))
+    assert sorted(ranked[:3]) == [2.0, 3.0, 4.0] and ranked[3] == 7.0
+    # the three lowest lattice points all descend to the local minimum at 3,
+    # Q = 0.09; the lattice local minimum at 7 leads to the zero at 7.3
+    res = lse_fit(obs, m)
+    assert res.n_starts == 2
+    assert res.theta_hat[0] == pytest.approx(7.3, abs=1e-6)
+    assert res.q_value <= 1e-12
+
+
+def test_lattice_evaluated_once_across_fits(monkeypatch):
+    # an empty store, so no earlier test's entries can fill it and clear it mid-test
+    monkeypatch.setattr(numerics, "_memo", {})
     lattice = set(np.linspace(0.0, 5.0, FitOptions.coarse_grid_per_dim).tolist())
     base = _lin()
     calls = []

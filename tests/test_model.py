@@ -56,6 +56,20 @@ def test_box_arrays_built_once():
     assert ParameterBox((0.0, -1.0), (1.0, 2.0)) != box
 
 
+def test_box_clip_signed_zero_takes_the_bound():
+    # clip passes array bounds, and with array bounds a signed-zero tie takes the
+    # bound's sign, at either bound; only the all-scalar call keeps the value's
+    for box, value, sign in [
+        (ParameterBox((0.0,), (1.0,)), -0.0, False),
+        (ParameterBox((-0.0,), (1.0,)), 0.0, True),
+        (ParameterBox((-1.0,), (0.0,)), -0.0, False),
+        (ParameterBox((-1.0,), (-0.0,)), 0.0, True),
+    ]:
+        got = box.clip(np.array([value]))
+        assert got[0] == 0.0 and bool(np.signbit(got[0])) is sign
+    assert np.signbit(np.clip(-0.0, 0.0, 1.0))
+
+
 def test_gradients_match_finite_differences(exp1):
     box2 = ParameterBox((-0.5, -0.3), (0.5, 0.3))
     models = [
