@@ -395,6 +395,9 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(
                 cfg, montecarlo=dataclasses.replace(cfg.montecarlo,
                                                     master_seed=as_seed(args.seed, "--seed")))
+        if cfg.noise.basis_n_terms is not None and args.command != "simulate":
+            raise ConfigError(
+                f"noise.basis: only `simulate` reads it; remove it to run {args.command}")
         out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
         return _COMMANDS[args.command](cfg, out_dir, args.workers)
     except (ConfigError, ContractError) as err:

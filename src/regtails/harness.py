@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 from scipy.special import betaincinv
 
 from . import config as _config
@@ -41,6 +40,7 @@ from .noise import (
     noise_path,
     quadratic_form,
     sample_driver,
+    toeplitz_product,
 )
 from .numerics import TimeGrid, integrate, trapezoid_weights
 
@@ -346,13 +346,13 @@ def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid) -> QuadraticFormR
     Also reports the two classical integrability constants of the covariance,
     b1 = sqrt(double integral of B^2) and b2 = sup_t integral of |B(t-s)| ds,
     both on the truncated domain [0, T]^2.  B^2 and |B| are symmetric Toeplitz
-    like B, so every product runs from its first column without forming a matrix.
+    like B, so each product is one :func:`toeplitz_product` of its first row.
     """
     f0 = f0_sup(kernel)
     d0 = d0_from_spectral(f0)
     sim = f0_sim(kernel, grid.h)
     cov = covariance_row(kernel, grid)
     b1 = math.sqrt(quadratic_form(cov * cov, np.ones(grid.n_nodes), grid))
-    b2 = float((grid.h * matmul_toeplitz(np.abs(cov), trapezoid_weights(grid))).max())
+    b2 = float((grid.h * toeplitz_product(np.abs(cov), trapezoid_weights(grid))).max())
     return QuadraticFormReport(d0=d0, f0=f0, f0_sim=sim, b1=b1, b2=b2,
                                passed=sim <= f0 * (1.0 + 1e-3))

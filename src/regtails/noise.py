@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import matmul_toeplitz
 
 from .errors import ConfigError, ContractError
 from .numerics import TimeGrid, memo, trapezoid_weights
@@ -313,29 +312,32 @@ def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def _power(samples: np.ndarray, step: float, lam) -> np.ndarray:
+    """step^2 |sum_k samples_k e^{-i k lambda step}|^2 / 2*pi, elementwise in lambda."""
+    transform = np.exp(-1j * step * np.multiply.outer(lam, np.arange(samples.size))) @ samples
+    return step * step * np.abs(transform) ** 2 / (2.0 * math.pi)
+
+
+def _weighted_table(kernel: FilterKernel) -> tuple[np.ndarray, float]:
+    """psi on the kernel's fine grid, halved at both ends (built once per kernel), and the step."""
+    _, psi_u, step = _fine_table(kernel)
+    return memo(("weighted", kernel), lambda: np.r_[psi_u[0] / 2, psi_u[1:-1], psi_u[-1] / 2]), step
+
+
 def spectral_density(kernel: FilterKernel, lam) -> float | np.ndarray:
-    """f(lambda) = |(2*pi)^{-1/2} * integral psi(t) exp(-i*lambda*t) dt|^2."""
-    scalar = np.isscalar(lam)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    u, psi_u, step = _fine_table(kernel)
-    f = np.empty(lam_arr.shape)
-    block = 8  # keeps the outer-product workspace small
-    for i in range(0, lam_arr.size, block):
-        phase = np.exp(-1j * np.outer(lam_arr[i:i + block], u))
-        transform = np.trapezoid(phase * psi_u, dx=step, axis=1) / math.sqrt(2.0 * math.pi)
-        f[i:i + block] = np.abs(transform) ** 2
-    return float(f[0]) if scalar else f
+    """f(lambda) = |(2*pi)^{-1/2} * integral psi(t) exp(-i*lambda*t) dt|^2, by fine trapezoid."""
+    return _power(*_weighted_table(kernel), lam)
 
 
-def _sup_by_scan(samples: np.ndarray, step: float, density) -> float:
-    """Supremum over lambda of ``density``, the power spectrum of ``samples`` spaced ``step`` apart.
+def _sup_by_scan(samples: np.ndarray, step: float) -> float:
+    """Supremum over lambda of :func:`_power`, the power of ``samples`` spaced ``step`` apart.
 
     One rFFT of the samples, zero-padded 8x, gives |transform| at
     lambda_k = 2*pi*k / (n_fft * step) for every frequency the spacing
     resolves, 8 bins per 2*pi over the samples' span.  Golden section then
-    refines ``density`` on the two bins around the best one; 40 steps, one new
+    refines the power on the two bins around the best one; 40 steps, one new
     value each, shrink that bracket to about 4e-9 of its width.  The result is
-    the larger of the density at the best bin and at the bracket's midpoint.
+    the larger of the power at the best bin and at the bracket's midpoint.
     """
     n_fft = next_fast_len(8 * samples.size, True)
     k = int(np.abs(rfft(samples, n_fft)).argmax())
@@ -343,30 +345,26 @@ def _sup_by_scan(samples: np.ndarray, step: float, density) -> float:
     lo, hi = max(k - 1, 0) * bin_width, (k + 1) * bin_width
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f_left, f_right = density(np.array([left, right]))
+    f_left, f_right = _power(samples, step, np.array([left, right]))
     for _ in range(40):
         if f_left >= f_right:
             hi, right, f_right = right, left, f_left
             left = hi - shrink * (hi - lo)
-            f_left = density(left)
+            f_left = _power(samples, step, left)
         else:
             lo, left, f_left = left, right, f_right
             right = lo + shrink * (hi - lo)
-            f_right = density(right)
-    return float(density(np.array([k * bin_width, 0.5 * (lo + hi)])).max())
+            f_right = _power(samples, step, right)
+    return float(_power(samples, step, np.array([k * bin_width, 0.5 * (lo + hi)])).max())
 
 
 def f0_sup(kernel: FilterKernel) -> float:
     """Supremum of the spectral density over frequency.
 
-    The scan (:func:`_sup_by_scan`) runs on the trapezoid-weighted kernel on
-    its fine grid and refines with :func:`spectral_density`.  On a
-    nonnegative kernel the best bin is lambda = 0.
+    :func:`_sup_by_scan` of the trapezoid-weighted fine table, whose power is
+    :func:`spectral_density`.  On a nonnegative kernel the best bin is lambda = 0.
     """
-    u, psi_u, step = _fine_table(kernel)
-    weighted = psi_u.copy()  # the table is read-only
-    weighted[[0, -1]] *= 0.5
-    return _sup_by_scan(weighted, step, lambda lam: spectral_density(kernel, lam))
+    return _sup_by_scan(*_weighted_table(kernel))
 
 
 def d0_from_spectral(f0: float) -> float:
@@ -455,31 +453,32 @@ def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
 
 
 def f0_sim(kernel: FilterKernel, h: float) -> float:
-    """Spectral supremum of the simulated process, sup over lambda of its taps' power.
+    """Spectral supremum of the simulated process: :func:`_sup_by_scan` of the taps.
 
-    The power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi.  The scan
-    (:func:`_sup_by_scan`) runs on the taps and refines that power, so this is
-    a supremum, not a bin maximum.
+    Their power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi (:func:`_power`).
     """
-    taps = kernel.taps(h)
-    k = np.arange(taps.size)
+    return _sup_by_scan(kernel.taps(h), h)
 
-    def power(lam):
-        transform = np.exp(-1j * h * np.multiply.outer(lam, k)) @ taps
-        return h * h * np.abs(transform) ** 2 / (2.0 * math.pi)
 
-    return _sup_by_scan(taps, h, power)
+def toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first row ``row`` times ``x``, without forming the matrix.
+
+    One rFFT convolution in the circulant embedding of size 2n - 1 that
+    SciPy's FFT Toeplitz product uses, so the bits are the same.
+    """
+    p = 2 * row.size - 1
+    return irfft(rfft(np.concatenate((row, row[-1:0:-1]))) * rfft(x, p), p)[:row.size]
 
 
 def quadratic_form(cov_row: np.ndarray, delta: np.ndarray, grid: TimeGrid) -> float:
     """Double integral of B(t-s) delta(t) delta(s) over [0,T]^2 by nested trapezoid.
 
     ``cov_row`` is B at the grid lags (:func:`covariance_row`).  The matrix
-    B(t_i - t_j) is symmetric Toeplitz with that first column, so its product
-    with the weighted probe runs by FFT without forming it.
+    B(t_i - t_j) is symmetric Toeplitz with that first row, so its product
+    with the weighted probe is :func:`toeplitz_product`, without forming it.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (grid.n_nodes,):
         raise ContractError("delta must be sampled on the grid nodes")
     wd = trapezoid_weights(grid) * delta
-    return float(grid.h ** 2 * (wd @ matmul_toeplitz(cov_row, wd)))
+    return float(grid.h ** 2 * (wd @ toeplitz_product(cov_row, wd)))

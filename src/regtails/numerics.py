@@ -2,11 +2,13 @@
 
 Every integral over the time grid [0, T] goes through this module, so one
 quadrature rule (composite trapezoid on a uniform grid) covers them all.  The
-kernel integrals of :mod:`regtails.noise` (covariance, spectral density) are
-the exception: they run ``np.trapezoid`` on the kernel's own fine
-grid over [0, truncation_horizon], which is independent of the time grid.
+kernel integrals of :mod:`regtails.noise` are the exception: they use the
+kernel's own fine grid over [0, truncation_horizon], which is independent of
+the time grid; the covariance runs ``np.trapezoid`` on it, and the spectral
+density is a dot product with the trapezoid-weighted table.
 It also holds ``memo``, the one bounded store for arrays that depend only on
-the grid, kernel or model, so that per-trial work does not rebuild them.
+the grid, kernel or model, so that per-trial work does not rebuild them; it
+keeps the 16 entries used last.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ _memo: dict[tuple, np.ndarray] = {}
 
 
 def memo(key: tuple, build) -> np.ndarray:
-    """Data-independent array under ``key``, built read-only on a miss; 16 entries at most."""
-    value = _memo.get(key)
+    """Data-independent array under ``key``, built read-only on a miss; keeps the 16 used last."""
+    value = _memo.pop(key, None)  # re-inserted below: dict order is least recently used first
     if value is None:
         value = build()
         value.setflags(write=False)
         if len(_memo) >= 16:
-            _memo.clear()
-        _memo[key] = value
+            del _memo[next(iter(_memo))]
+    _memo[key] = value
     return value
 
 

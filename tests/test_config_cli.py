@@ -466,6 +466,28 @@ def test_config_key_error_exits_2_before_any_computation(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tails", "check", "constants"])
+def test_basis_outside_simulate_exits_2_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                               command):
+    # the series construction feeds only `simulate`; elsewhere the runs would use
+    # white increments while every output names the Haar series
+    doc = _linear_doc()
+    doc["noise"]["basis"] = {"n_terms": 64, "horizon": 25.0}
+    cfg_path = _write_config(tmp_path, doc)
+
+    def never(*args, **kwargs):
+        raise AssertionError("computation ran before the basis was rejected")
+
+    for name in ("run_trials", "resolve_constants", "estimate_equivalence_constants",
+                 "mgf_check", "quadratic_form_check", "build_model"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "noise.basis:" in err and "only `simulate` reads it" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_trials,b_cal,n_eval", [
     (105, {"mode": "calibrate", "fraction": 0.1}, 95),
     (99, {"mode": "fixed", "value": 1.0}, 99),
@@ -489,7 +511,7 @@ def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
 
 def test_cli_import_leaves_out_slow_scipy_modules():
     code = ("import sys, regtails.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') "
+            "print([m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize', 'scipy.linalg') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtails.errors import ContractError
-from regtails.numerics import TimeGrid, default_n_steps, inner_product, integrate
+from regtails import numerics
+from regtails.numerics import TimeGrid, default_n_steps, inner_product, integrate, memo
 
 
 def test_grid_nodes_and_step():
@@ -100,3 +101,22 @@ def test_refinement_second_order():
         errors.append(abs(integrate(np.exp(g.nodes), g) - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(numerics, "_memo", {})
+    builds = []
+
+    def build(i):
+        builds.append(i)
+        return np.full(1, float(i))
+
+    for i in range(16):
+        memo(("key", i), lambda i=i: build(i))
+    kept = memo(("key", 0), lambda: build(0))  # a hit: key 0 is now the most recent
+    memo(("key", 16), lambda: build(16))  # the store is full: key 1, read longest ago, leaves
+    assert memo(("key", 0), lambda: build(0)) is kept
+    assert builds == list(range(17))
+    memo(("key", 1), lambda: build(1))
+    assert builds[-1] == 1
+    assert not kept.flags.writeable
