@@ -19,6 +19,7 @@ if some Gauss-Newton step happens to land in it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +98,10 @@ def _basin_starts(values: np.ndarray, per_dim: int, q: int) -> np.ndarray:
     v = values.reshape((per_dim,) * q)
     keep = np.ones(v.shape, dtype=bool)
     for axis in range(q):
-        a, k = np.moveaxis(v, axis, 0), np.moveaxis(keep, axis, 0)  # views
-        k[:-1] &= a[1:] >= a[:-1]
-        k[1:] &= a[:-1] >= a[1:]
+        head = (slice(None),) * axis + (slice(None, -1),)  # all but the last along ``axis``
+        tail = (slice(None),) * axis + (slice(1, None),)   # all but the first
+        keep[head] &= v[tail] >= v[head]
+        keep[tail] &= v[head] >= v[tail]
     return keep.ravel()
 
 
@@ -153,13 +155,15 @@ def _gauss_newton(obs, model, start, r, g, q_start, w, eye) -> tuple[np.ndarray,
             if q_new < q_cur:
                 accepted = (cand, q_new, r_new)
                 break
-            if np.linalg.norm(cand - tau) < tol:
+            d = cand - tau
+            if math.sqrt(d @ d) < tol:
                 break
             alpha *= 0.5
         if accepted is None:
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
-        moved = float(np.linalg.norm(accepted[0] - tau))
+        d = accepted[0] - tau
+        moved = math.sqrt(d @ d)
         tau, q_cur, r = accepted
         g = None
         if moved < tol:
@@ -191,14 +195,18 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
                                       dtype=float))
     w = trapezoid_weights(grid)
     h = grid.h
-    residuals = [obs.x_values - a for a in a_lattice]
-    values = np.array([_q(r, w, h, p) for r, p in zip(residuals, points)])
+    residuals = obs.x_values - a_lattice
+    # one stacked (1, N) @ (N, 1) product per point: the same dot product as _q's
+    values = h * np.matmul((residuals * residuals)[:, None, :], w[:, None])[:, 0, 0]
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise DataError(f"objective is non-finite at tau {points[bad]}")
 
     q_min = float(values.min())
     tie_mask = values <= q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
     tie_count = int(tie_mask.sum())
 
-    order = sorted(range(len(points)), key=lambda i: (values[i], tuple(points[i])))
+    order = np.lexsort(np.vstack((points.T[::-1], values)))  # by value, then point
     is_start = _basin_starts(values, per_dim, model.q)
     starts = [i for i in order if is_start[i]][: FitOptions.n_refine_starts]
 

@@ -30,11 +30,12 @@ form constant is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import ConfigError, ContractError
 from .numerics import TimeGrid, memo, trapezoid_weights
@@ -48,6 +49,20 @@ WHITE_NOISE_F0 = 1.0 / (2.0 * math.pi)
 
 # resolution of the internal quadrature used for kernel integrals
 _KERNEL_QUAD_INTERVALS = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)  # apply_filter asks once per trial for the same length
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: the real FFT lengths pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:        # the least 2^a * p35 >= n, p35 = 3^b * 5^c
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def sample_driver(kind: str, count: int, seed) -> np.ndarray:
@@ -245,7 +260,7 @@ def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -
             f"insufficient prehistory: filter needs {n_taps} steps "
             f"({n_taps * grid.h:.6g} time units), increments provide {n_pre}"
         )
-    n_fft = next_fast_len(increments.size + n_taps - 1, True)
+    n_fft = next_fast_len(increments.size + n_taps - 1)
     spectrum = memo(("taps", kernel, grid.h, n_fft), lambda: rfft(kernel.taps(grid.h), n_fft))
     conv = irfft(rfft(increments, n_fft) * spectrum, n_fft)
     return conv[n_pre - 1: n_pre + grid.n_steps]
@@ -286,7 +301,7 @@ def driver_weights(w: np.ndarray, grid: TimeGrid, kernel: FilterKernel | None = 
         return w / np.sqrt(grid.h)
     taps = kernel.taps(grid.h)
     size = _prehistory_steps(_filter_prehistory(kernel, grid.h), grid.h) + grid.n_steps
-    n_fft = next_fast_len(max(size, taps.size + w.size - 1), True)
+    n_fft = next_fast_len(max(size, taps.size + w.size - 1))
     full = irfft(rfft(taps, n_fft) * rfft(w[::-1], n_fft), n_fft)
     return np.sqrt(grid.h) * full[size - 1::-1]
 
@@ -339,7 +354,7 @@ def _sup_by_scan(samples: np.ndarray, step: float) -> float:
     value each, shrink that bracket to about 4e-9 of its width.  The result is
     the larger of the power at the best bin and at the bracket's midpoint.
     """
-    n_fft = next_fast_len(8 * samples.size, True)
+    n_fft = next_fast_len(8 * samples.size)
     k = int(np.abs(rfft(samples, n_fft)).argmax())
     bin_width = 2.0 * math.pi / (n_fft * step)
     lo, hi = max(k - 1, 0) * bin_width, (k + 1) * bin_width
@@ -444,7 +459,7 @@ def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
     The continuous kernel's B(t) is :func:`covariance_of_filter`.
     """
     taps = kernel.taps(grid.h)
-    n_fft = next_fast_len(2 * taps.size, True)
+    n_fft = next_fast_len(2 * taps.size)
     spectrum = rfft(taps, n_fft)
     lags = irfft(spectrum.real ** 2 + spectrum.imag ** 2, n_fft)[:min(taps.size, grid.n_nodes)]
     row = np.zeros(grid.n_nodes)
@@ -463,8 +478,7 @@ def f0_sim(kernel: FilterKernel, h: float) -> float:
 def toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Symmetric Toeplitz matrix with first row ``row`` times ``x``, without forming the matrix.
 
-    One rFFT convolution in the circulant embedding of size 2n - 1 that
-    SciPy's FFT Toeplitz product uses, so the bits are the same.
+    One rFFT convolution in the circulant embedding of size 2n - 1.
     """
     p = 2 * row.size - 1
     return irfft(rfft(np.concatenate((row, row[-1:0:-1]))) * rfft(x, p), p)[:row.size]

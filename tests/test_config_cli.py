@@ -399,7 +399,7 @@ def test_run_trials_starts_at_most_cpu_count_processes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = config_from_dict(_linear_doc(montecarlo={"n_trials": 40, "master_seed": 11,
                                                    "R_grid": [0.0, 1.0]}))
@@ -509,15 +509,31 @@ def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert f"leave {n_eval} for tail estimation" in err
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    code = ("import sys, regtails.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize', 'scipy.linalg') "
-            "if m in sys.modules])")
+def _loaded_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and return the scipy and process-pool modules it loaded."""
+    code += ("\nimport json; print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'"
+             " or m.startswith('scipy.') or m == 'concurrent.futures.process')))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    assert _loaded_after("import sys, regtails.cli") == []
+
+
+def test_cli_subcommands_run_without_scipy(tmp_path):
+    doc = _linear_doc()
+    doc["noise"] = {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}}
+    doc["grid"] = {"T": 1.0, "n_steps": 100}
+    doc["montecarlo"]["n_trials"] = 120
+    cfg_path, out = _write_config(tmp_path, doc), str(tmp_path / "out")
+    code = ("import sys, regtails.cli as cli\n"
+            "for cmd in ('constants', 'simulate', 'tails', 'check'):\n"
+            f"    assert cli.main([cmd, '--config', {cfg_path!r}, '--out', {out!r}]) == 0, cmd")
+    assert _loaded_after(code) == []
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -170,6 +170,15 @@ def test_lattice_tie_break_lexicographic():
     assert res.theta_hat[0] == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_lattice_names_the_first_point_with_a_non_finite_objective():
+    g = TimeGrid(1.0, 20)
+    m = RegressionModel(box=ParameterBox((-2.0,), (2.0,)),
+                        eval=lambda t, tau: t * (math.nan if tau[0] >= 0.5 else tau[0]),
+                        grad=lambda t, tau: np.asarray(t, dtype=float)[None, :], name="gap")
+    with pytest.raises(DataError, match=r"objective is non-finite at tau \[0\.5\]"):
+        lse_fit(Observation(grid=g, x_values=g.nodes.copy()), m)
+
+
 def test_observation_rejects_nonfinite():
     g = TimeGrid(1.0, 10)
     bad = np.zeros(g.n_nodes)

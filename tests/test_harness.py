@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
 from regtails import cli, harness
@@ -115,6 +116,21 @@ def test_clopper_pearson_full_count():
     low, high = clopper_pearson(100, 100)
     assert high == 1.0
     assert low == pytest.approx(0.025 ** (1.0 / 100.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 33, 100, 900, 1000, 3159, 4500, 5000, 9490,
+                               10_000, 100_000, 1_000_000])
+def test_clopper_pearson_matches_beta_quantiles(n):
+    rng = np.random.default_rng(n)
+    ks = sorted({0, 1, 2, 3, n - 1, n, *rng.integers(0, n + 1, 30).tolist()} & set(range(n + 1)))
+    rel = 1e-13 if n <= 10_000 else 1e-10
+    limits = np.array([clopper_pearson(k, n) for k in ks])
+    reference = np.array([
+        [betaincinv(k, n - k + 1, 0.025) if k > 0 else 0.0,
+         betaincinv(k + 1, n - k, 0.975) if k < n else 1.0] for k in ks])
+    np.testing.assert_allclose(limits, reference, rtol=rel, atol=0)
+    assert np.all(np.diff(limits, axis=0) > 0)  # both limits increase with k
+    assert np.all((limits[:, 0] <= np.array(ks) / n) & (np.array(ks) / n <= limits[:, 1]))
 
 
 def test_clopper_pearson_coverage():

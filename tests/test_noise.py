@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.signal import fftconvolve
 
+from regtails import noise, numerics
 from regtails.errors import ConfigError, ContractError
 from regtails.noise import (
     BasisSpec,
@@ -23,6 +25,7 @@ from regtails.noise import (
     f0_sup,
     filtered_noise_path,
     ito_nisio_path,
+    next_fast_len,
     noise_path,
     quadratic_form,
     sample_driver,
@@ -437,6 +440,37 @@ def test_toeplitz_product_matches_scipy_bit_for_bit(n):
     assert np.array_equal(product, matmul_toeplitz(row, x))
     if n <= 17:
         np.testing.assert_allclose(product, toeplitz(row) @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_next_fast_len_matches_scipy():
+    assert [next_fast_len(n) for n in range(1, 70_001)] == [
+        scipy.fft.next_fast_len(n, real=True) for n in range(1, 70_001)]
+
+
+@pytest.mark.parametrize("kernel,grid", [
+    (FilterKernel.exponential(1.0), TimeGrid(50.0, 5000)),   # exp_filtered
+    (FilterKernel.exponential(1.0), TimeGrid(50.0, 2500)),   # its half grid
+    (FilterKernel.exponential(2.0), TimeGrid(3.0, 301)),
+    (FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2]), TimeGrid(7.0, 1016)),
+    (FilterKernel.exponential(3.0), TimeGrid(1.0, 7)),
+], ids=["exp_filtered", "half_grid", "odd", "tabulated", "tiny"])
+def test_numpy_fft_matches_scipy_fft_bit_for_bit(kernel, grid, monkeypatch):
+    rng = np.random.default_rng(grid.n_steps)
+    increments = simulate_increments("gaussian", grid, kernel.truncation_horizon + grid.h, 5)
+    w, x = rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_nodes)
+
+    def outputs():
+        monkeypatch.setattr(numerics, "_memo", {})  # no spectrum carries over between the runs
+        row = covariance_row(kernel, grid)
+        return [apply_filter(kernel, increments, grid), driver_weights(w, grid, kernel), row,
+                toeplitz_product(row, x)]
+
+    ours = outputs()
+    monkeypatch.setattr(noise, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(noise, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(noise, "next_fast_len", lambda n: scipy.fft.next_fast_len(n, real=True))
+    for mine, reference in zip(ours, outputs(), strict=True):
+        assert np.array_equal(mine, reference)
 
 
 @pytest.mark.parametrize("kernel", [
