@@ -244,10 +244,14 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+    n_paths = cfg.montecarlo.n_trials
+    if n_paths < 2:
+        raise ConfigError(
+            f"montecarlo.n_trials: simulate needs at least 2 paths for a standard error, "
+            f"got {n_paths}")
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
     basis = build_basis(cfg)
-    n_paths = cfg.montecarlo.n_trials
     master = cfg.montecarlo.master_seed
     out_dir.mkdir(parents=True, exist_ok=True)
     n_files = min(n_paths, 16)
@@ -400,10 +404,7 @@ def main(argv=None) -> int:
                 f"noise.basis: only `simulate` reads it; remove it to run {args.command}")
         out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
         return _COMMANDS[args.command](cfg, out_dir, args.workers)
-    except (ConfigError, ContractError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ConfigError, ContractError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -150,11 +150,6 @@ _STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
 #: standard normal 0.975 quantile, the 95% band's half-width in standard deviations
 _Z975 = 1.959963984540054
 
-#: largest k whose lower binomial tail is summed term by term (see _binomial_tail); past it
-#: the continued fraction takes fewer steps, and its rounding moves a limit by under 1e-14
-#: up to n = 10^4 (4e-13 at n = 10^6)
-_MAX_SUM_TERMS = 64
-
 
 def _stirlerr(n: int) -> float:
     """ln n! - ln(sqrt(2 pi n) (n/e)^n): the table, then the Stirling series."""
@@ -190,54 +185,29 @@ def _binomial_pmf(k: int, n: int, x: float) -> float:
     return math.exp(log_ratio) * math.sqrt(n / (2.0 * math.pi * k * (n - k)))
 
 
-def _beta_fraction(a: int, b: int, x: float) -> float:
-    """Continued fraction of I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * fraction.
-
-    Modified Lentz evaluation (Numerical Recipes, 3rd ed., section 6.4); it
-    converges fast for x < (a + 1)/(a + b + 2).
-    """
-    tiny = 1e-300
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    c, d = 1.0, 1.0 / (d if abs(d) > tiny else tiny)
-    fraction, m = d, 1
-    while True:
-        for numerator in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                          -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + numerator * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + numerator / c
-            c = c if abs(c) > tiny else tiny
-            fraction *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            return fraction
-        m += 1
-
-
 def _binomial_tail(k: int, n: int, x: float) -> tuple[float, float]:
     """P(Bin(n, x) >= k) = I_x(k, n - k + 1) for 1 <= k <= n and 0 < x < 1, and its x-derivative.
 
-    The derivative is n pmf(k - 1; n - 1, x) = k pmf(k; n, x) / x.  Below
-    x = (k + 1)/(n + 3) the tail is (1 - x) pmf(k) times the continued
-    fraction; above it, one minus the lower tail P(Bin(n, x) <= k - 1).  That
-    lower tail's fraction runs in 1 - x and amplifies its rounding by up to
-    1/x, so for k up to ``_MAX_SUM_TERMS`` the lower tail is the sum
-    pmf(k - 1) + ... + pmf(0) instead, each term the one above times the pmf ratio.
+    The derivative is n pmf(k - 1; n - 1, x) = k pmf(k; n, x) / x.  One route:
+    the side of k away from the mode is summed from ``_binomial_pmf``, each
+    term the one before times the pmf ratio, until a term no longer changes
+    the sum; those terms only shrink, so nothing cancels.  For k > x (n + 1)
+    that side is the tail pmf(k) + ... + pmf(n); otherwise it is the lower
+    tail pmf(k - 1) + ... + pmf(0), and the tail is one minus it.
     """
     if k == n:
         return x ** n, n * x ** (n - 1)
     pmf = _binomial_pmf(k, n, x)
     slope = k * pmf / x
-    if x * (n + 3) < k + 1:
-        return (1.0 - x) * pmf * _beta_fraction(k, n - k + 1, x), slope
     y = 1.0 - x
-    if k <= _MAX_SUM_TERMS:
-        term, lower = pmf, 0.0
-        for j in range(k, 0, -1):
-            term *= j * y / ((n - j + 1) * x)
-            lower += term
-    else:
-        lower = y * pmf * k / (n - k + 1) * _beta_fraction(n - k + 1, k, y)
-    return 1.0 - lower, slope
+    upper = k > x * (n + 1)
+    term, total = pmf, (pmf if upper else 0.0)
+    for j in (range(k, n) if upper else range(k, 0, -1)):
+        term *= (n - j) * x / ((j + 1) * y) if upper else j * y / ((n - j + 1) * x)
+        if total + term == total:
+            break
+        total += term
+    return (total if upper else 1.0 - total), slope
 
 
 def _binomial_tail_root(k: int, n: int, level: float) -> float:
@@ -274,7 +244,8 @@ def clopper_pearson(k: int, n: int) -> tuple[float, float]:
 
     The limits are Beta quantiles (Clopper & Pearson, Biometrika 26, 1934):
     the lower solves P(Bin(n, x) >= k) = 0.025, 0 for k = 0, and the upper
-    solves P(Bin(n, x) >= k + 1) = 0.975, 1 for k = n.
+    solves P(Bin(n, x) >= k + 1) = 0.975, 1 for k = n.  Each is a root of
+    ``_binomial_tail``, the binomial sum of the smaller side of k.
     """
     if not 0 <= k <= n or n < 1:
         raise ContractError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")

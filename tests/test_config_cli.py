@@ -509,6 +509,28 @@ def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert f"leave {n_eval} for tail estimation" in err
 
 
+def test_simulate_with_one_path_exits_2_before_any_path(tmp_path, monkeypatch, capsys):
+    doc = _linear_doc()
+    doc["grid"] = {"T": 1.0, "n_steps": 100}
+    doc["montecarlo"]["n_trials"] = 1
+    out = tmp_path / "one"
+
+    def never(*args, **kwargs):
+        raise AssertionError("a path was drawn before the path count was checked")
+
+    monkeypatch.setattr(cli, "noise_path", never)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "montecarlo.n_trials" in capsys.readouterr().err
+    assert not (out / "simulate_summary.json").exists()
+
+    monkeypatch.undo()
+    doc["montecarlo"]["n_trials"] = 2
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["n_paths"] == 2
+    assert all(math.isfinite(entry["se"]) for entry in summary["covariance"])
+
+
 def _loaded_after(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter and return the scipy and process-pool modules it loaded."""
     code += ("\nimport json; print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'"

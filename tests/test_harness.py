@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -131,6 +132,39 @@ def test_clopper_pearson_matches_beta_quantiles(n):
     np.testing.assert_allclose(limits, reference, rtol=rel, atol=0)
     assert np.all(np.diff(limits, axis=0) > 0)  # both limits increase with k
     assert np.all((limits[:, 0] <= np.array(ks) / n) & (np.array(ks) / n <= limits[:, 1]))
+
+
+def _exact_binomial_tail(k, n, x):
+    """P(Bin(n, x) >= k) and k P(Bin(n, x) = k) / x at the float x, summed in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p = decimal.Decimal(x)
+        q = 1 - p
+        terms = [q ** n]
+        for j in range(n):
+            terms.append(terms[-1] * (n - j) * p / ((j + 1) * q))
+        return float(sum(terms[k:])), float(k * terms[k] / p)
+
+
+@pytest.mark.parametrize("n", [2, 5, 33, 100, 900, 4500])
+def test_binomial_tail_matches_an_exact_sum(n):
+    rng = np.random.default_rng(n)
+    ks = sorted({1, 2, 63, 64, 65, 66, n // 2, n - 1, n} & set(range(1, n + 1)))
+    checked = 0
+    for k in ks:
+        # where the summed side switches, on both sides of (k + 1)/(n + 3),
+        # where a beta continued fraction in x would hand over, and at random points
+        xs = [k / (n + 1), (k + 1) / (n + 3) * (1 - 1e-9), (k + 1) / (n + 3) * (1 + 1e-9),
+              *rng.uniform(0.0, 1.0, 3).tolist()]
+        for x in xs:
+            tail, slope = harness._binomial_tail(k, n, x)
+            exact_tail, exact_slope = _exact_binomial_tail(k, n, x)
+            if exact_tail > 1e-300:
+                assert tail == pytest.approx(exact_tail, rel=1e-12, abs=0), (k, x)
+                checked += 1
+            if exact_slope > 1e-300:
+                assert slope == pytest.approx(exact_slope, rel=1e-12, abs=0), (k, x)
+    assert checked >= 2 * len(ks)
 
 
 def test_clopper_pearson_coverage():
