@@ -131,7 +131,7 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     extras: dict = {}
     if kernel is not None:
         extras["f0_sim"] = f0_sim(kernel, grid.h)
-    if cfg.bounds.f0 is not None:
+    if cfg.bounds.f0 != "auto":
         f0 = cfg.bounds.f0
         extras["f0_source"] = "config"
     elif kernel is None:
@@ -140,7 +140,7 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     else:
         f0 = f0_sup(kernel)
         extras["f0_source"] = "kernel_spectrum"
-    if cfg.bounds.c0 is not None:
+    if cfg.bounds.c0 != "estimate":
         c0 = cfg.bounds.c0
         extras["c0_source"] = "config"
     else:
@@ -154,7 +154,8 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
         extras["c0_hat"] = c0_hat
         extras["c1_hat"] = c1_hat
     consts = BoundConstants.from_spectral(
-        q=model.q, c0=c0, f0=f0, beta=cfg.bounds.beta, b_cal=cfg.bounds.b_cal_value,
+        q=model.q, c0=c0, f0=f0, beta=None if cfg.bounds.beta == "auto" else cfg.bounds.beta,
+        b_cal=cfg.bounds.B_cal.value,
     )
     return consts, extras
 
@@ -186,8 +187,8 @@ def _constants_dict(consts: BoundConstants) -> dict:
 def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     n = cfg.montecarlo.n_trials
     n_train = 0
-    if cfg.bounds.b_cal_mode == "calibrate":
-        n_train = max(1, round(cfg.bounds.calibration_fraction * n))
+    if cfg.bounds.B_cal.mode == "calibrate":
+        n_train = max(1, round(cfg.bounds.B_cal.fraction * n))
     if n - n_train < MIN_TAIL_TRIALS:
         raise ConfigError(
             f"montecarlo.n_trials: {n} trials leave {n - n_train} for tail estimation "
@@ -199,7 +200,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     consts, extras = resolve_constants(cfg, model, grid, kernel)
 
     records = run_trials(cfg, workers=workers)
-    r_grid = np.asarray(cfg.montecarlo.r_grid)
+    r_grid = np.asarray(cfg.montecarlo.R_grid)
     if n_train:
         train_devs = deviations(records[:n_train])
         p_train = np.array([(train_devs >= r).mean() for r in r_grid])
@@ -274,7 +275,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             lag_steps = [0, 1]
             theory = [1.0 / grid.h if k == 0 else 0.0 for k in lag_steps]
         else:
-            char_time = 1.0 / cfg.noise.kernel_rate if cfg.noise.kernel_rate else 1.0
+            char_time = 1.0 / kernel.rate if kernel.rate else 1.0
             max_lag = min(5.0 * char_time, grid.T)
             n_lags = 6
             lag_steps = sorted({int(round(k * max_lag / ((n_lags - 1) * grid.h))) for k in range(n_lags)})
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(
                 cfg, montecarlo=dataclasses.replace(cfg.montecarlo,
                                                     master_seed=as_seed(args.seed, "--seed")))
-        if cfg.noise.basis_n_terms is not None and args.command != "simulate":
+        if cfg.noise.basis is not None and args.command != "simulate":
             raise ConfigError(
                 f"noise.basis: only `simulate` reads it; remove it to run {args.command}")
         out_dir = Path(args.out) if args.out else Path(cfg.output.directory)

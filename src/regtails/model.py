@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateModelError, DomainError
-from .numerics import TimeGrid, integrate
+from .numerics import TimeGrid, integrate, load_table
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def cosine_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def tabulated_regressors(path) -> Callable[[np.ndarray], np.ndarray]:
     """Columns after the first of a text file are regressor components of t."""
-    data = np.atleast_2d(np.loadtxt(path, dtype=float))
+    data = load_table(path, "regressor file")
     if data.shape[1] < 2:
         raise ConfigError(f"regressor file {path} needs a time column plus at least one value column")
     t_tab = data[:, 0]

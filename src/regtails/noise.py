@@ -38,7 +38,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ConfigError, ContractError
-from .numerics import TimeGrid, memo, trapezoid_weights
+from .numerics import TimeGrid, load_table, memo, trapezoid_weights
 
 DRIVER_KINDS = ("gaussian", "rademacher", "uniform_sqrt3", "centered_exponential")
 
@@ -195,8 +195,7 @@ class FilterKernel:
     @classmethod
     def from_file(cls, path) -> "FilterKernel":
         """Load a tabulated kernel from a two-column text file (time, value)."""
-        data = np.loadtxt(path, dtype=float)
-        data = np.atleast_2d(data)
+        data = load_table(path, "kernel file")
         if data.shape[1] != 2:
             raise ConfigError(f"kernel file {path} must have exactly two columns")
         return cls.tabulated(data[:, 0], data[:, 1])

@@ -8,7 +8,8 @@ the time grid; the covariance runs ``np.trapezoid`` on it, and the spectral
 density is a dot product with the trapezoid-weighted table.
 It also holds ``memo``, the one bounded store for arrays that depend only on
 the grid, kernel or model, so that per-trial work does not rebuild them; it
-keeps the 16 entries used last.
+keeps the 16 entries used last; and ``load_table``, the reader of the text
+tables a config names (kernel and regressor files).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 
 #: default ceiling on the grid step when the caller does not fix n_steps
 DEFAULT_MAX_STEP = 0.01
@@ -100,3 +101,12 @@ def inner_product(f, g, grid: TimeGrid) -> float:
     f = _check_values(f, grid)
     g = _check_values(g, grid)
     return integrate(f * g, grid)
+
+
+def load_table(path, what: str) -> np.ndarray:
+    """A text table as a 2-d array, also of one row or one column; a config error names
+    an unreadable or non-numeric file as ``what`` (say, "kernel file")."""
+    try:
+        return np.loadtxt(path, dtype=float, ndmin=2)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{what} {path}: {err}") from None

@@ -110,7 +110,7 @@ def test_criterion_03_exact_tail_cross_check():
         "bounds": {"c0": 1.0},
     })
     records = run_trials(cfg)
-    tail = estimate_tail(deviations(records), np.asarray(cfg.montecarlo.r_grid))
+    tail = estimate_tail(deviations(records), np.asarray(cfg.montecarlo.R_grid))
     details = []
     ok = True
     for i, r in enumerate(tail.r_grid):

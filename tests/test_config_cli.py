@@ -101,6 +101,14 @@ _REJECTED = [
     (lambda d: d["output"].update(formats=["csv"]), "output.formats"),
     (lambda d: d["bounds"]["B_cal"].update(mode="fixed", value=0.0), "bounds.B_cal.value"),
     (lambda d: d["montecarlo"].update(master_seed=2**64), "montecarlo.master_seed"),
+    *[(lambda d, v=v: d["noise"].update(kernel={"form": v, "rate": 1.0}), "noise.kernel.form")
+      for v in ({}, [], 5, None)],
+    (lambda d: d["model"].update(parameters={"regressors": "constant"}), "model.parameters"),
+    (lambda d: d["model"].update(name="exp_inner", parameters={"regressors": "constant",
+                                                                 "regressor_file": "y.txt"}),
+     "model.parameters"),
+    (lambda d: d["noise"].update(kernel=None, basis={"n_terms": 8, "horizon": 4.0}),
+     "noise.basis.horizon"),
 ]
 
 
@@ -159,6 +167,53 @@ def test_shipped_configs_load_and_round_trip():
         doc = config_to_dict(cfg)
         assert config_from_dict(doc) == cfg
         assert config_to_dict(config_from_dict(doc)) == doc
+
+
+def test_empty_model_parameters_read_as_absent():
+    cfgs = []
+    for params in (None, {}):
+        doc = _linear_doc()
+        doc["model"]["parameters"] = params
+        cfgs.append(config_from_dict(doc))
+    assert cfgs[0] == cfgs[1] == config_from_dict(_linear_doc())
+    assert "parameters" not in config_to_dict(cfgs[1])["model"]
+
+
+# the canonical documents of the shipped configs: the provenance every output embeds
+_SHIPPED_CANONICAL = {
+    "exp_filtered.json": {
+        "model": {"name": "exp_inner", "box": {"lower": [-0.5], "upper": [0.5]},
+                  "theta_true": [0.0], "parameters": {"regressors": "constant"}},
+        "noise": {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}},
+        "grid": {"T": 50.0, "n_steps": 5000},
+        "norming": "s_T",
+        "montecarlo": {"n_trials": 5000, "master_seed": 271828,
+                       "R_grid": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5,
+                                  2.75, 3.0]},
+        "bounds": {"beta": "auto", "B_cal": {"mode": "calibrate", "value": 1.0, "fraction": 0.1},
+                   "c0": "estimate", "equivalence_pairs": 2000, "f0": "auto"},
+        "output": {"directory": "out_exp_filtered"},
+    },
+    "linear_white.json": {
+        "model": {"name": "linear", "box": {"lower": [0.0], "upper": [5.0]}, "theta_true": [2.0]},
+        "noise": {"driver": "gaussian", "kernel": None},
+        "grid": {"T": 25.0, "n_steps": 2500},
+        "norming": "d_T",
+        "montecarlo": {"n_trials": 5000, "master_seed": 31415,
+                       "R_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
+        "bounds": {"beta": "auto", "B_cal": {"mode": "calibrate", "value": 1.0, "fraction": 0.1},
+                   "c0": 1.0, "equivalence_pairs": 2000, "f0": "auto"},
+        "output": {"directory": "out_linear_white"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_CANONICAL))
+def test_shipped_configs_canonical_document(name):
+    doc = config_to_dict(load_config(CONFIGS / name))
+    assert doc == _SHIPPED_CANONICAL[name]
+    # types too: JSON lists and floats, as the outputs write them
+    assert json.dumps(doc, sort_keys=True) == json.dumps(_SHIPPED_CANONICAL[name], sort_keys=True)
 
 
 def test_norming_default_and_validation():
@@ -655,3 +710,39 @@ def test_constants_subcommand(tmp_path, capsys):
     assert payload["constants"]["d0"] == pytest.approx(1.0, rel=1e-12)
     assert payload["constants"]["b"] == pytest.approx(1.0 / 16.0, rel=2e-3)
     assert payload["extras"]["f0_source"] == "white_noise"
+
+
+def _exp_inner_doc(parameters, kernel=None):
+    doc = _linear_doc()
+    doc["model"] = {"name": "exp_inner", "parameters": parameters,
+                    "box": {"lower": [-0.5], "upper": [0.5]}, "theta_true": [0.0]}
+    doc["noise"]["kernel"] = kernel
+    doc["grid"] = {"T": 1.0, "n_steps": 100}
+    doc["bounds"] = {"equivalence_pairs": 300}
+    return doc
+
+
+def test_constants_reads_a_regressor_file(tmp_path, capsys):
+    # a file of ones interpolates to exactly the constant family
+    table = tmp_path / "ones.txt"
+    table.write_text("0 1\n0.5 1\n2 1\n")
+    payloads = []
+    for parameters in ({"regressors": "constant"}, {"regressor_file": str(table)}):
+        cfg_path = _write_config(tmp_path, _exp_inner_doc(parameters))
+        assert cli.main(["constants", "--config", cfg_path]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0] == payloads[1]
+    assert payloads[1]["extras"]["c0_source"] == "pair_sampling"
+
+
+@pytest.mark.parametrize("text", ["0\n1\n", "0 1\n1 x\n"], ids=["one_column", "malformed"])
+@pytest.mark.parametrize("what", ["kernel", "regressor"])
+def test_bad_table_file_exits_2_naming_it(tmp_path, capsys, what, text):
+    table = tmp_path / "table.txt"
+    table.write_text(text)
+    if what == "kernel":
+        doc = _exp_inner_doc({"regressors": "constant"}, {"form": "tabulated", "file": str(table)})
+    else:
+        doc = _exp_inner_doc({"regressor_file": str(table)})
+    assert cli.main(["constants", "--config", _write_config(tmp_path, doc)]) == 2
+    assert f"{what} file {table}" in capsys.readouterr().err

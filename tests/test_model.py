@@ -290,3 +290,19 @@ def test_regressor_registry_and_files(tmp_path):
     np.savetxt(path, np.column_stack([t, np.sin(t)]))
     y_tab = tabulated_regressors(path)
     np.testing.assert_allclose(y_tab(t[:5])[0], np.sin(t[:5]), atol=1e-12)
+
+
+def test_tabulated_regressors_interpolate_and_reject_bad_tables(tmp_path):
+    path = tmp_path / "reg.txt"
+    path.write_text("0 1 0\n1 3 -2\n3 4 2\n")
+    y = tabulated_regressors(path)
+    np.testing.assert_array_equal(y(np.array([0.0, 0.5, 2.0, 3.0])),
+                                  [[1.0, 2.0, 3.5, 4.0], [0.0, -1.0, 0.0, 2.0]])
+    # a one-column file is three times and no regressor, not one time and two regressors
+    for text, message in (("0\n1\n2\n", "a time column plus"),
+                          ("0 1\n2 1\n2 3\n", "strictly increasing"),
+                          ("0 1\n1 x\n", "could not convert")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as err:
+            tabulated_regressors(path)
+        assert f"regressor file {path}" in str(err.value)

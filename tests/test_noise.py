@@ -570,3 +570,15 @@ def test_white_path_scaling():
     target = inner_product(delta, delta, g)
     var = np.var(samples)
     assert abs(var - target) <= 4 * target * math.sqrt(2.0 / len(samples))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0\n1\n", "exactly two columns"),       # two rows of one column, not one row of two
+    ("0 1\n1 x\n", "could not convert"),
+])
+def test_kernel_file_with_bad_table_is_a_config_error(tmp_path, text, message):
+    path = tmp_path / "kernel.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as err:
+        FilterKernel.from_file(path)
+    assert f"kernel file {path}" in str(err.value)
