@@ -48,7 +48,6 @@ from .noise import (
     FilterKernel,
     apply_filter,
     covariance_of_filter,
-    d0_from_spectral,
     f0_sim,
     f0_sup,
     filtered_noise_path,

@@ -61,7 +61,6 @@ from .model import estimate_equivalence_constants, exp_model_constants
 from .noise import (
     WHITE_NOISE_F0,
     covariance_of_filter,
-    d0_from_spectral,
     f0_sim,
     f0_sup,
     ito_nisio_path,
@@ -122,11 +121,19 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
 # -- constants resolution -----------------------------------------------------
 
 
+def _sample_pairs(cfg: ExperimentConfig, model, grid) -> tuple[float, float]:
+    """c0_hat and c1_hat from the config's random parameter pairs, seeded by its master seed."""
+    return estimate_equivalence_constants(
+        model, cfg.model.theta_true, grid, build_norming(cfg, model, grid),
+        cfg.bounds.equivalence_pairs, derive_seed(cfg.montecarlo.master_seed, STREAM_PAIRS, 0))
+
+
 def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[BoundConstants, dict]:
     """Assemble the bound constants from config, spectrum, and pair sampling.
 
-    With a kernel, ``extras`` also reports ``f0_sim``, the spectral supremum of
-    the simulated process on this grid (not used by any constant or verdict).
+    The one place that decides f0, d0 and c0 for ``constants``, ``tails`` and
+    ``check``.  With a kernel, ``extras`` also reports ``f0_sim``, the spectral
+    supremum of the simulated process on this grid (not used by any constant).
     """
     extras: dict = {}
     if kernel is not None:
@@ -144,15 +151,9 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
         c0 = cfg.bounds.c0
         extras["c0_source"] = "config"
     else:
-        norming = build_norming(cfg, model, grid)
-        c0_hat, c1_hat = estimate_equivalence_constants(
-            model, cfg.model.theta_true, grid, norming,
-            cfg.bounds.equivalence_pairs, derive_seed(cfg.montecarlo.master_seed, STREAM_PAIRS, 0),
-        )
+        c0_hat, c1_hat = _sample_pairs(cfg, model, grid)
         c0 = c0_hat
-        extras["c0_source"] = "pair_sampling"
-        extras["c0_hat"] = c0_hat
-        extras["c1_hat"] = c1_hat
+        extras.update(c0_source="pair_sampling", c0_hat=c0_hat, c1_hat=c1_hat)
     consts = BoundConstants.from_spectral(
         q=model.q, c0=c0, f0=f0, beta=None if cfg.bounds.beta == "auto" else cfg.bounds.beta,
         b_cal=cfg.bounds.B_cal.value,
@@ -309,38 +310,32 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
     master = cfg.montecarlo.master_seed
-    norming = build_norming(cfg, model, grid)
-    payload: dict = {"verdicts": {}}
-
-    c0_hat, c1_hat = estimate_equivalence_constants(
-        model, cfg.model.theta_true, grid, norming, cfg.bounds.equivalence_pairs,
-        derive_seed(master, STREAM_PAIRS, 0))
-    payload["c0_hat"] = c0_hat
-    payload["c1_hat"] = c1_hat
+    # the run's own f0 and d0 are the ones under test; pairs are sampled once per process
+    consts, extras = resolve_constants(cfg, model, grid, kernel)
+    if "c0_hat" in extras:
+        c0_hat, c1_hat = extras["c0_hat"], extras["c1_hat"]
+    else:
+        c0_hat, c1_hat = _sample_pairs(cfg, model, grid)
+    payload: dict = {"verdicts": {}, "c0_hat": c0_hat, "c1_hat": c1_hat,
+                     "f0": consts.f0, "d0": consts.d0}
 
     if model.name == "exp_inner":
-        consts = exp_model_constants(build_regressors(cfg), model.box, grid)
+        theory = exp_model_constants(build_regressors(cfg), model.box, grid)
         payload.update({
-            "c0_theory": consts.c0_theory, "c1_theory": consts.c1_theory,
-            "H": consts.H, "L": consts.L, "lambda_min": consts.lambda_min,
-            "J_T": consts.J_T,
+            "c0_theory": theory.c0_theory, "c1_theory": theory.c1_theory,
+            "H": theory.H, "L": theory.L, "lambda_min": theory.lambda_min,
+            "J_T": theory.J_T,
         })
         payload["verdicts"]["equivalence_bracket"] = bool(
-            c0_hat >= consts.c0_theory * 0.99 and c1_hat <= consts.c1_theory * 1.01
+            c0_hat >= theory.c0_theory * 0.99 and c1_hat <= theory.c1_theory * 1.01
         )
 
-    if kernel is None:
-        f0 = WHITE_NOISE_F0
-        d0 = d0_from_spectral(f0)
-    else:
-        qf = quadratic_form_check(kernel, grid)
-        f0, d0 = qf.f0, qf.d0
+    if kernel is not None:
+        qf = quadratic_form_check(kernel, grid, consts.f0)
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
         payload["quadratic_form"] = {"f0_sim": qf.f0_sim}
         payload["verdicts"]["quadratic_form"] = qf.passed
-    payload["f0"] = f0
-    payload["d0"] = d0
 
     # two weight probes: a flat weight exercises the integrated path, a unit-norm
     # node spike exercises a single margin (where a non-sub-Gaussian driver
@@ -358,8 +353,8 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     payload["mgf_raw_margin"] = _mgf_dict(raw_spike)
     payload["verdicts"]["mgf_raw"] = bool(raw_flat.overall_pass and raw_spike.overall_pass)
     if kernel is not None:
-        lam_filt = np.array([0.0, 0.3, 0.6, 0.95]) * float(np.sqrt(8.0 / (d0 * grid.T)))
-        filt = mgf_check(cfg.noise.driver, flat, grid, d0, lam_filt, MGF_DEFAULT_REPS,
+        lam_filt = np.array([0.0, 0.3, 0.6, 0.95]) * float(np.sqrt(8.0 / (consts.d0 * grid.T)))
+        filt = mgf_check(cfg.noise.driver, flat, grid, consts.d0, lam_filt, MGF_DEFAULT_REPS,
                          derive_seed(master, STREAM_MGF, 2), kernel=kernel)
         payload["mgf_filtered"] = _mgf_dict(filt)
         payload["verdicts"]["mgf_filtered"] = filt.overall_pass

@@ -31,11 +31,9 @@ from .estimator import Observation, lse_fit, normalized_deviation
 from .noise import (
     FilterKernel,
     covariance_row,
-    d0_from_spectral,
     driver_log_mgf,
     driver_weights,
     f0_sim,
-    f0_sup,
     noise_path,
     quadratic_form,
     sample_driver,
@@ -430,35 +428,31 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
 
 @dataclass(frozen=True)
 class QuadraticFormReport:
-    d0: float
-    f0: float
     f0_sim: float
     b1: float
     b2: float
     passed: bool
 
 
-def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid) -> QuadraticFormReport:
-    """Verify <B delta, delta> <= d0 * ||delta||^2, d0 = 2*pi*f0, for every weight delta at once.
+def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, f0: float) -> QuadraticFormReport:
+    """Verify <B delta, delta> <= d0 * ||delta||^2 for every weight delta at once, d0 being
+    the quadratic-form constant of the spectral level ``f0`` (:class:`BoundConstants`).
 
     B is the covariance of the simulated nodes (:func:`covariance_row`), a
     moving average of the driver draws with the kernel's taps, so
-    <B delta, delta> = h^3 sum_m (sum_j w_j delta_j taps_{j-m})^2
-    <= 2*pi*f0_sim * ||delta||^2, with trapezoid weights w_j <= 1 and
-    ``f0_sim`` the simulated process's spectral supremum (:func:`f0_sim`);
-    weights near its peak frequency approach that bound (Grenander & Szegő,
-    *Toeplitz Forms and Their Applications*, 1958).  The check passes when
-    f0_sim <= f0 * (1 + 1e-3), f0 being the continuous kernel's supremum.
-    Also reports the two classical integrability constants of the covariance,
+    <B delta, delta> = h^3 sum_m (sum_j w_j delta_j taps_{j-m})^2 <= d0_sim * ||delta||^2,
+    with trapezoid weights w_j <= 1 and d0_sim the constant of ``f0_sim``, the
+    simulated process's spectral supremum (:func:`f0_sim`); weights near its
+    peak frequency approach that bound (Grenander & Szegő, *Toeplitz Forms and
+    Their Applications*, 1958).  The constant grows with the spectral level, so
+    the check passes when f0_sim <= f0 * (1 + 1e-3).  Also reports the two
+    classical integrability constants of the covariance,
     b1 = sqrt(double integral of B^2) and b2 = sup_t integral of |B(t-s)| ds,
     both on the truncated domain [0, T]^2.  B^2 and |B| are symmetric Toeplitz
     like B, so each product is one :func:`toeplitz_product` of its first row.
     """
-    f0 = f0_sup(kernel)
-    d0 = d0_from_spectral(f0)
     sim = f0_sim(kernel, grid.h)
     cov = covariance_row(kernel, grid)
     b1 = math.sqrt(quadratic_form(cov * cov, np.ones(grid.n_nodes), grid))
     b2 = float((grid.h * toeplitz_product(np.abs(cov), trapezoid_weights(grid))).max())
-    return QuadraticFormReport(d0=d0, f0=f0, f0_sim=sim, b1=b1, b2=b2,
-                               passed=sim <= f0 * (1.0 + 1e-3))
+    return QuadraticFormReport(f0_sim=sim, b1=b1, b2=b2, passed=sim <= f0 * (1.0 + 1e-3))

@@ -17,9 +17,9 @@ Its node covariance is h * sum_k taps_k taps_{k+m} at lag m*h
 (:func:`covariance_row`), and the supremum of its spectrum (:func:`f0_sim`)
 keeps the continuous kernel's f0 = sup f(lambda): 1 - 2e-8 of it for the
 exponential kernel at h = 0.02, where left-point samples psi(k*h) overshoot
-by 2%.  The increments start H + h before t = 0, all that the taps reach: the
-prehistory is derived from the kernel.  With a fixed seed the pipeline is
-reproducible bit for bit.
+by 2%.  The increments start one step per tap before t = 0, as far back as
+the taps reach: the prehistory is derived from the kernel.  With a fixed seed
+the pipeline is reproducible bit for bit.
 
 White-increment mode (``kernel=None``) represents the generalized derivative
 of xi: node values are increments divided by the step, so that quadrature
@@ -118,28 +118,15 @@ def driver_log_mgf(kind: str, x) -> np.ndarray:
     return out
 
 
-def _prehistory_steps(prehistory: float, h: float) -> int:
-    """Whole steps n_pre covering ``prehistory``, rounded up: the increments before t = 0."""
-    return int(np.ceil(prehistory / h - 1e-12))
+def simulate_increments(kind: str, grid: TimeGrid, n_pre: int, seed) -> np.ndarray:
+    """Increments dxi_j = sqrt(h) * Z_j of an integrated white noise, from n_pre steps before t=0.
 
-
-def _filter_prehistory(kernel: "FilterKernel", h: float) -> float:
-    """H + h: increments from this long before t = 0 reach every tap of the first node."""
-    return kernel.truncation_horizon + h
-
-
-def simulate_increments(kind: str, grid: TimeGrid, prehistory: float, seed) -> np.ndarray:
-    """Simulate increments dxi_j = sqrt(h) * Z_j of an integrated white noise.
-
-    ``prehistory`` extends the increment sequence to the left of t=0 so that a
-    causal filter has input on (-prehistory, 0]; it is rounded up to n_pre whole
-    steps.  Entry i is the increment over (s_i, s_{i+1}] with s_i = -n_pre*h + i*h,
-    so the last n_steps entries cover (0, T] and the first n_pre entries feed the
-    causal filter before time zero.
+    Entry i is the increment over (s_i, s_{i+1}] with s_i = -n_pre*h + i*h, so
+    the last n_steps entries cover (0, T] and the first n_pre entries, the
+    prehistory, feed a causal filter before time zero.
     """
-    if prehistory < 0:
-        raise ContractError(f"prehistory must be >= 0, got {prehistory}")
-    n_pre = _prehistory_steps(prehistory, grid.h)
+    if n_pre < 0:
+        raise ContractError(f"prehistory must be >= 0 steps, got {n_pre}")
     return np.sqrt(grid.h) * sample_driver(kind, n_pre + grid.n_steps, seed)
 
 
@@ -266,9 +253,9 @@ def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -
 
 
 def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid, seed) -> np.ndarray:
-    """Generate a stationary filtered path: increments from H + h before t = 0, then the filter."""
-    prehistory = _filter_prehistory(kernel, grid.h)
-    return apply_filter(kernel, simulate_increments(kind, grid, prehistory, seed), grid)
+    """Generate a stationary filtered path: one increment per tap before t = 0, then the filter."""
+    increments = simulate_increments(kind, grid, kernel.n_taps(grid.h), seed)
+    return apply_filter(kernel, increments, grid)
 
 
 def white_noise_path(kind: str, grid: TimeGrid, seed) -> np.ndarray:
@@ -292,14 +279,14 @@ def driver_weights(w: np.ndarray, grid: TimeGrid, kernel: FilterKernel | None = 
 
     A path is linear in the ``sample_driver(driver, u.size, seed)`` draws z that
     :func:`noise_path` makes from the same seed, so ``w @ noise_path(...)``
-    equals ``u @ z``.  White noise: u = w / sqrt(h).  Filtered noise, with n_pre
-    increments before t = 0: u[m] = sqrt(h) * sum_j w_j taps[n_pre - 1 + j - m],
-    one rFFT correlation.
+    equals ``u @ z``.  White noise: u = w / sqrt(h).  Filtered noise, with one
+    increment per tap before t = 0, n_pre = taps.size:
+    u[m] = sqrt(h) * sum_j w_j taps[n_pre - 1 + j - m], one rFFT correlation.
     """
     if kernel is None:
         return w / np.sqrt(grid.h)
     taps = kernel.taps(grid.h)
-    size = _prehistory_steps(_filter_prehistory(kernel, grid.h), grid.h) + grid.n_steps
+    size = taps.size + grid.n_steps
     n_fft = next_fast_len(max(size, taps.size + w.size - 1))
     full = irfft(rfft(taps, n_fft) * rfft(w[::-1], n_fft), n_fft)
     return np.sqrt(grid.h) * full[size - 1::-1]
@@ -379,13 +366,6 @@ def f0_sup(kernel: FilterKernel) -> float:
     :func:`spectral_density`.  On a nonnegative kernel the best bin is lambda = 0.
     """
     return _sup_by_scan(*_weighted_table(kernel))
-
-
-def d0_from_spectral(f0: float) -> float:
-    """Quadratic-form constant of a stationary noise with spectral sup f0: 2*pi*f0."""
-    if not np.isfinite(f0) or f0 <= 0:
-        raise ContractError(f"spectral supremum must be positive and finite, got {f0}")
-    return 2.0 * math.pi * f0
 
 
 # -- series construction of an orthogonal-increment process ---------------

@@ -15,6 +15,7 @@ tables a config names (kernel and regressor files).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -105,8 +106,11 @@ def inner_product(f, g, grid: TimeGrid) -> float:
 
 def load_table(path, what: str) -> np.ndarray:
     """A text table as a 2-d array, also of one row or one column; a config error names
-    an unreadable or non-numeric file as ``what`` (say, "kernel file")."""
+    an unreadable, empty or non-numeric file as ``what`` (say, "kernel file")."""
     try:
-        return np.loadtxt(path, dtype=float, ndmin=2)
+        lines = Path(path).read_text().splitlines()
+        if any(line.split("#", 1)[0].strip() for line in lines):
+            return np.loadtxt(lines, dtype=float, ndmin=2)
     except (OSError, ValueError) as err:
         raise ConfigError(f"{what} {path}: {err}") from None
+    raise ConfigError(f"{what} {path} is empty: it has no data row")

@@ -485,6 +485,64 @@ def test_oversized_beta_exits_2_with_max_admissible(tmp_path, capsys):
     assert "0.0625" in err
 
 
+def test_check_exits_2_when_beta_wipes_out_the_rate(tmp_path, monkeypatch, capsys):
+    doc = _linear_doc()
+    doc["bounds"] = {"beta": 10.0, "c0": 1.0}
+    cfg_path = _write_config(tmp_path, doc)
+
+    def never(*args, **kwargs):
+        raise AssertionError("an MGF check ran with constants no bound can use")
+
+    monkeypatch.setattr(cli, "mgf_check", never)
+    out = tmp_path / "x"
+    assert cli.main(["check", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "maximal admissible beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_verifies_the_configured_f0(tmp_path, capsys):
+    # 16x below the kernel's spectral supremum 1/(2 pi): the constants built on
+    # it are invalid, and `check` must test the f0 and d0 the run actually uses
+    doc = json.loads((CONFIGS / "exp_filtered.json").read_text())
+    doc["grid"] = {"T": 10.0, "n_steps": 500}
+    doc["bounds"].update(f0=0.01, equivalence_pairs=300)
+    cfg_path = _write_config(tmp_path, doc)
+    assert cli.main(["constants", "--config", cfg_path]) == 0
+    constants = json.loads(capsys.readouterr().out)["constants"]
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", cfg_path, "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["f0"] == constants["f0"] == 0.01
+    assert report["d0"] == constants["d0"] == 2 * math.pi * 0.01
+    assert report["verdicts"]["quadratic_form"] is False
+    assert report["verdicts"]["mgf_filtered"] is False
+    assert report["verdicts"]["mgf_raw"] is True
+
+
+@pytest.mark.parametrize("name,f0", [("exp_filtered", "auto"), ("linear_white", "auto"),
+                                     ("exp_filtered", 0.2)],
+                         ids=["exp_filtered", "linear_white", "exp_filtered_config_f0"])
+def test_constants_tails_and_check_use_the_same_constants(tmp_path, capsys, name, f0):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["grid"] = {"T": doc["grid"]["T"] / 5, "n_steps": 500}
+    doc["bounds"]["f0"] = f0
+    doc["montecarlo"]["n_trials"] = 120
+    cfg_path = _write_config(tmp_path, doc)
+    assert cli.main(["constants", "--config", cfg_path]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 0
+    meta = json.loads((tmp_path / "t" / "tails_meta.json").read_text())
+    assert cli.main(["check", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "check_report.json").read_text())
+    for constants in (printed["constants"], meta["constants"]):
+        assert (constants["f0"], constants["d0"]) == (report["f0"], report["d0"])
+    sampled = printed["extras"]["c0_source"] == "pair_sampling"
+    assert sampled == (name == "exp_filtered")
+    if sampled:
+        assert printed["constants"]["c0"] == meta["constants"]["c0"] == report["c0_hat"]
+        assert printed["extras"]["c1_hat"] == report["c1_hat"]
+
+
 def test_runtime_failure_exits_3(tmp_path, monkeypatch):
     cfg_path = _write_config(tmp_path, _linear_doc())
 
@@ -511,7 +569,7 @@ def test_config_key_error_exits_2_before_any_computation(tmp_path, monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("computation ran before the config was validated")
 
-    for module, name in ((cli, "f0_sup"), (harness, "f0_sup"), (cli, "run_trials"),
+    for module, name in ((cli, "f0_sup"), (cli, "run_trials"),
                          (cli, "estimate_equivalence_constants"), (cli, "noise_path"),
                          (cli, "ito_nisio_path"), (cli, "covariance_of_filter")):
         monkeypatch.setattr(module, name, never)
@@ -735,9 +793,11 @@ def test_constants_reads_a_regressor_file(tmp_path, capsys):
     assert payloads[1]["extras"]["c0_source"] == "pair_sampling"
 
 
-@pytest.mark.parametrize("text", ["0\n1\n", "0 1\n1 x\n"], ids=["one_column", "malformed"])
+@pytest.mark.parametrize("text,problem", [
+    ("0\n1\n", ""), ("0 1\n1 x\n", ""), ("", " is empty"), ("# time value\n\n", " is empty"),
+], ids=["one_column", "malformed", "empty", "comment_only"])
 @pytest.mark.parametrize("what", ["kernel", "regressor"])
-def test_bad_table_file_exits_2_naming_it(tmp_path, capsys, what, text):
+def test_bad_table_file_exits_2_naming_it(tmp_path, capsys, what, text, problem):
     table = tmp_path / "table.txt"
     table.write_text(text)
     if what == "kernel":
@@ -745,4 +805,4 @@ def test_bad_table_file_exits_2_naming_it(tmp_path, capsys, what, text):
     else:
         doc = _exp_inner_doc({"regressor_file": str(table)})
     assert cli.main(["constants", "--config", _write_config(tmp_path, doc)]) == 2
-    assert f"{what} file {table}" in capsys.readouterr().err
+    assert f"{what} file {table}{problem}" in capsys.readouterr().err

@@ -455,14 +455,14 @@ def test_quadratic_form_zero_weight():
 def test_quadratic_form_check_exponential_kernel():
     k = FilterKernel.exponential(1.0)
     g = TimeGrid(30.0, 600)
-    rep = quadratic_form_check(k, g)
+    f0 = f0_sup(k)
+    rep = quadratic_form_check(k, g, f0)
     assert rep.passed
-    assert rep.d0 == pytest.approx(1.0, rel=1e-5)
     # sup_t integral of |B(t-s)| ds over a long window approaches integral of B = 1
     assert rep.b2 == pytest.approx(1.0, abs=1e-3)
     # the verdict is the simulated spectrum's supremum against the kernel's
     assert rep.f0_sim == f0_sim(k, g.h)
-    assert rep.f0_sim <= rep.f0 * (1 + 1e-3)
+    assert rep.f0_sim <= f0 * (1 + 1e-3)
 
     # the matrix-free products against the dense N x N covariance matrix
     cov = covariance_row(k, g)
@@ -484,12 +484,13 @@ def test_quadratic_form_check_fails_where_the_simulated_spectrum_overshoots():
     # smooth weight sees it, a cosine at the taps' peak frequency does
     k = FilterKernel.tabulated([0.0, 0.228, 1.023, 1.339], [-1.935, -1.097, 1.187, -1.597])
     g = TimeGrid(30.0, 100)
-    rep = quadratic_form_check(k, g)
+    f0 = f0_sup(k)
+    rep = quadratic_form_check(k, g, f0)
     assert not rep.passed
-    assert rep.f0_sim / rep.f0 == pytest.approx(1.050, abs=1e-3)
+    assert rep.f0_sim / f0 == pytest.approx(1.050, abs=1e-3)
     taps = k.taps(g.h)
     lam = np.linspace(0.0, math.pi / g.h, 20_001)
     power = np.abs(np.exp(-1j * g.h * np.outer(lam, np.arange(taps.size))) @ taps) ** 2
     delta = np.cos(lam[power.argmax()] * g.nodes)
     form = quadratic_form(covariance_row(k, g), delta, g)
-    assert form >= 1.03 * rep.d0 * integrate(delta * delta, g)
+    assert form >= 1.03 * 2 * math.pi * f0 * integrate(delta * delta, g)

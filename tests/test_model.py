@@ -301,7 +301,8 @@ def test_tabulated_regressors_interpolate_and_reject_bad_tables(tmp_path):
     # a one-column file is three times and no regressor, not one time and two regressors
     for text, message in (("0\n1\n2\n", "a time column plus"),
                           ("0 1\n2 1\n2 3\n", "strictly increasing"),
-                          ("0 1\n1 x\n", "could not convert")):
+                          ("0 1\n1 x\n", "could not convert"),
+                          ("", "is empty"), ("# time y1\n\n", "is empty")):
         path.write_text(text)
         with pytest.raises(ConfigError, match=message) as err:
             tabulated_regressors(path)

@@ -18,7 +18,6 @@ from regtails.noise import (
     covariance_of_filter,
     covariance_row,
     DRIVER_KINDS,
-    d0_from_spectral,
     driver_log_mgf,
     driver_weights,
     f0_sim,
@@ -120,10 +119,10 @@ def test_driver_determinism():
 
 def test_increment_variance_scaling():
     g = TimeGrid(10.0, 1000)
-    inc = simulate_increments("gaussian", g, prehistory=0.0, seed=5)
+    inc = simulate_increments("gaussian", g, n_pre=0, seed=5)
     # 10^5 increments via repeated segments
     vals = np.concatenate([
-        simulate_increments("gaussian", g, 0.0, 100 + i) for i in range(100)
+        simulate_increments("gaussian", g, 0, 100 + i) for i in range(100)
     ])
     assert vals.size == 10 ** 5
     assert g.h * 0.98 <= vals.var() <= g.h * 1.02
@@ -132,7 +131,7 @@ def test_increment_variance_scaling():
 
 def test_disjoint_increments_uncorrelated():
     g = TimeGrid(1.0, 2000)
-    vals = simulate_increments("uniform_sqrt3", g, 0.0, 9)
+    vals = simulate_increments("uniform_sqrt3", g, 0, 9)
     a, b = vals[::2], vals[1::2]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(a.size)
@@ -140,9 +139,9 @@ def test_disjoint_increments_uncorrelated():
 
 def test_zero_prehistory_gives_only_main_segment():
     g = TimeGrid(1.0, 4)
-    inc = simulate_increments("gaussian", g, 0.0, 0)
+    inc = simulate_increments("gaussian", g, 0, 0)
     assert inc.shape == (4,)
-    inc2 = simulate_increments("gaussian", g, 0.5, 0)
+    inc2 = simulate_increments("gaussian", g, 2, 0)
     assert inc2.shape == (6,)
 
 
@@ -153,7 +152,7 @@ def test_delta_like_kernel_gives_unit_white_noise():
     g = TimeGrid(1.0, 100)
     h = g.h
     kernel = FilterKernel.tabulated([0.0, h], [1.0 / math.sqrt(h), 1.0 / math.sqrt(h)])
-    inc = simulate_increments("gaussian", g, prehistory=2 * h, seed=11)
+    inc = simulate_increments("gaussian", g, n_pre=2, seed=11)
     path = apply_filter(kernel, inc, g)
     # eps(t_j) = dxi(ending at t_j) / sqrt(h), with two prehistory increments
     expected = inc[1: 2 + g.n_steps] / math.sqrt(h)
@@ -164,7 +163,7 @@ def test_delta_like_kernel_gives_unit_white_noise():
 def test_apply_filter_matches_direct_convolution():
     g = TimeGrid(3.0, 300)
     kernel = FilterKernel.exponential(2.0)
-    inc = simulate_increments("rademacher", g, kernel.truncation_horizon + g.h, 4)
+    inc = simulate_increments("rademacher", g, kernel.n_taps(g.h), 4)
     n_pre = inc.size - g.n_steps
     direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
     np.testing.assert_allclose(apply_filter(kernel, inc, g), direct, rtol=1e-12, atol=1e-12)
@@ -178,7 +177,7 @@ def test_tabulated_kernels_differing_in_one_sample_filter_apart():
     assert first == FilterKernel.tabulated(list(times), list(first.samples))
     assert hash(first) == hash(FilterKernel.tabulated(list(times), list(first.samples)))
     g = TimeGrid(2.0, 200)
-    inc = simulate_increments("gaussian", g, 0.5 + g.h, 8)
+    inc = simulate_increments("gaussian", g, first.n_taps(g.h), 8)
     n_pre = inc.size - g.n_steps
     for kernel in (first, second):
         direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
@@ -188,9 +187,33 @@ def test_tabulated_kernels_differing_in_one_sample_filter_apart():
 def test_insufficient_prehistory_names_requirement():
     g = TimeGrid(1.0, 100)
     kernel = FilterKernel.exponential(1.0)
-    inc = simulate_increments("gaussian", g, prehistory=1.0, seed=0)
+    inc = simulate_increments("gaussian", g, n_pre=100, seed=0)
     with pytest.raises(ContractError, match="prehistory"):
         apply_filter(kernel, inc, g)
+
+
+@pytest.mark.parametrize("kernel,grid,n_taps", [
+    (FilterKernel.exponential(3.0), TimeGrid(1.0, 100), 667),
+    (FilterKernel.exponential(0.7), TimeGrid(1.0, 100), 2858),
+    (FilterKernel.tabulated([0.0, 0.228, 1.023, 1.339], [-1.935, -1.097, 1.187, -1.597]),
+     TimeGrid(30.0, 100), 5),
+], ids=["rate3", "rate0.7", "signed_table"])
+def test_filtered_path_draws_one_increment_per_tap_before_zero(kernel, grid, n_taps, monkeypatch):
+    # H/h is not a whole number here; a prehistory of H + h would draw one more
+    # increment than the taps reach
+    assert kernel.n_taps(grid.h) == n_taps
+    counts = []
+
+    def counting(kind, count, seed):
+        counts.append(count)
+        return sample_driver(kind, count, seed)
+
+    monkeypatch.setattr(noise, "sample_driver", counting)
+    path = filtered_noise_path("gaussian", kernel, grid, 3)
+    assert counts == [n_taps + grid.n_steps]
+    np.testing.assert_array_equal(
+        path, apply_filter(kernel, simulate_increments("gaussian", grid, n_taps, 3), grid))
+    assert driver_weights(np.ones(grid.n_nodes), grid, kernel).size == n_taps + grid.n_steps
 
 
 def test_filtered_variance_matches_kernel_l2():
@@ -237,7 +260,7 @@ def test_ensemble_covariance_matches_theory():
     batch = 1000
     for start in range(0, n_paths, batch):
         dxi = np.vstack([
-            simulate_increments("gaussian", g, n_pre * g.h, rng_master + start + i)
+            simulate_increments("gaussian", g, n_pre, rng_master + start + i)
             for i in range(batch)
         ])
         conv = fftconvolve(dxi, taps[None, :], mode="full", axes=1)
@@ -425,7 +448,7 @@ def test_simulated_quadratic_form_bounded_by_d0(kernel, T, n_steps, coeffs):
     grid = TimeGrid(T, n_steps)
     delta = sum(c * np.cos(i * math.pi * grid.nodes / T) for i, c in enumerate(coeffs))
     form = quadratic_form(covariance_row(kernel, grid), delta, grid)
-    d0 = d0_from_spectral(f0_sup(kernel))
+    d0 = 2 * math.pi * f0_sup(kernel)
     norm_sq = integrate(delta * delta, grid)
     assert 0.0 <= form <= d0 * norm_sq * (1 + 1e-9)
     # the bound quadratic_form_check's verdict rests on, for every weight
@@ -456,7 +479,7 @@ def test_next_fast_len_matches_scipy():
 ], ids=["exp_filtered", "half_grid", "odd", "tabulated", "tiny"])
 def test_numpy_fft_matches_scipy_fft_bit_for_bit(kernel, grid, monkeypatch):
     rng = np.random.default_rng(grid.n_steps)
-    increments = simulate_increments("gaussian", grid, kernel.truncation_horizon + grid.h, 5)
+    increments = simulate_increments("gaussian", grid, kernel.n_taps(grid.h), 5)
     w, x = rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_nodes)
 
     def outputs():
@@ -486,15 +509,6 @@ def test_driver_weights_reproduce_the_path_sum(kernel):
         draws = sample_driver("rademacher", u.size, seed)
         path_sum = w @ noise_path("rademacher", grid, seed, kernel)
         assert u @ draws == pytest.approx(path_sum, rel=1e-12, abs=1e-12 * (np.abs(u) @ np.abs(draws)))
-
-
-def test_d0_from_spectral():
-    assert d0_from_spectral(1 / (2 * math.pi)) == pytest.approx(1.0, abs=1e-15)
-    assert d0_from_spectral(1.0) == pytest.approx(2 * math.pi, abs=1e-14)
-    k2 = FilterKernel.exponential(2.0)
-    assert d0_from_spectral(f0_sup(k2)) == pytest.approx(0.25, rel=1e-5)
-    with pytest.raises(ContractError):
-        d0_from_spectral(0.0)
 
 
 def test_tabulated_kernel_from_file(tmp_path):
@@ -575,6 +589,8 @@ def test_white_path_scaling():
 @pytest.mark.parametrize("text,message", [
     ("0\n1\n", "exactly two columns"),       # two rows of one column, not one row of two
     ("0 1\n1 x\n", "could not convert"),
+    ("", "is empty"),
+    ("# time value\n\n", "is empty"),
 ])
 def test_kernel_file_with_bad_table_is_a_config_error(tmp_path, text, message):
     path = tmp_path / "kernel.txt"
