@@ -171,6 +171,20 @@ def _gauss_newton(obs, model, start, r, g, q_start, w, eye) -> tuple[np.ndarray,
     return tau, q_cur, False
 
 
+def _lattice_tables(model: RegressionModel, grid: TimeGrid, per_dim: int) -> tuple[np.ndarray, ...]:
+    """What the lattice scan needs apart from the data, built once per (model, grid).
+
+    The points p, the model values a_p and gradients there, the trapezoid
+    weights w, and e_p = h sum w a_p^2, the data-free term of
+    Q(p) = h x'(w x) - 2h a_p'(w x) + e_p.
+    """
+    points = _lattice_points(model.box, per_dim)
+    a = np.array([model.eval(grid.nodes, p) for p in points], dtype=float)
+    g = np.array([np.atleast_2d(model.grad(grid.nodes, p)) for p in points], dtype=float)
+    w = trapezoid_weights(grid)
+    return points, a, g, w, grid.h * ((a * a) @ w)
+
+
 def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     """Global lattice scan over the box followed by local Gauss-Newton refinement.
 
@@ -185,19 +199,19 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     lattice point) if every refinement start hits the iteration cap.  The model
     values and gradients on the lattice are memoized per (model, grid), so
     ``model.eval`` and ``model.grad`` must be pure.
+
+    The lattice values come from the expanded square, one matrix-vector product
+    per fit.  They only rank the points (order, ties, basins): identical model
+    rows tie exactly, and each start's residual and Q are taken directly, so a
+    refinement starts from the same numbers as :func:`objective`'s.
     """
     grid, per_dim = obs.grid, FitOptions.coarse_grid_per_dim
-    points = memo(("lattice", model.box, per_dim), lambda: _lattice_points(model.box, per_dim))
-    a_lattice = memo(("lattice values", model, grid, per_dim),
-                     lambda: np.array([model.eval(grid.nodes, p) for p in points], dtype=float))
-    g_lattice = memo(("lattice gradients", model, grid, per_dim),
-                     lambda: np.array([np.atleast_2d(model.grad(grid.nodes, p)) for p in points],
-                                      dtype=float))
-    w = trapezoid_weights(grid)
+    points, a_lattice, g_lattice, w, e = memo(
+        ("lattice", model, grid, per_dim), lambda: _lattice_tables(model, grid, per_dim))
     h = grid.h
-    residuals = obs.x_values - a_lattice
-    # one stacked (1, N) @ (N, 1) product per point: the same dot product as _q's
-    values = h * np.matmul((residuals * residuals)[:, None, :], w[:, None])[:, 0, 0]
+    x = obs.x_values
+    wx = w * x
+    values = h * (x @ wx) + (e - 2.0 * h * (a_lattice @ wx))
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DataError(f"objective is non-finite at tau {points[bad]}")
@@ -210,13 +224,14 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     is_start = _basin_starts(values, per_dim, model.q)
     starts = [i for i in order if is_start[i]][: FitOptions.n_refine_starts]
 
-    best_tau = points[order[0]]
-    best_q = float(values[order[0]])
+    # the lowest point, order[0], is always the first start and sets both
+    best_tau, best_q = points[order[0]], math.inf
     eye = np.eye(model.q)
     any_converged = False
     for idx in starts:
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx], residuals[idx], g_lattice[idx],
-                                       float(values[idx]), w, eye)
+        r = x - a_lattice[idx]
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx], r, g_lattice[idx],
+                                       _q(r, w, h, points[idx]), w, eye)
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
             best_tau, best_q = tau, q_val

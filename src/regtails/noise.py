@@ -330,16 +330,21 @@ def spectral_density(kernel: FilterKernel, lam) -> float | np.ndarray:
     return _power(*_weighted_table(kernel), lam)
 
 
-def _sup_by_scan(samples: np.ndarray, step: float) -> float:
+def _sup_power(samples: np.ndarray, step: float) -> float:
     """Supremum over lambda of :func:`_power`, the power of ``samples`` spaced ``step`` apart.
 
-    One rFFT of the samples, zero-padded 8x, gives |transform| at
+    Nonnegative samples peak at lambda = 0, since |sum_k s_k e^{-i k lambda step}|
+    <= sum_k s_k (Grenander & Szegő, *Toeplitz Forms and Their Applications*,
+    1958), so their supremum is (step * sum_k s_k)^2 / 2*pi, a pairwise sum
+    with no scan.  For signed samples one rFFT, zero-padded 8x, gives |transform| at
     lambda_k = 2*pi*k / (n_fft * step) for every frequency the spacing
     resolves, 8 bins per 2*pi over the samples' span.  Golden section then
     refines the power on the two bins around the best one; 40 steps, one new
     value each, shrink that bracket to about 4e-9 of its width.  The result is
     the larger of the power at the best bin and at the bracket's midpoint.
     """
+    if samples.min() >= 0.0:
+        return float((step * samples.sum()) ** 2 / (2.0 * math.pi))
     n_fft = next_fast_len(8 * samples.size)
     k = int(np.abs(rfft(samples, n_fft)).argmax())
     bin_width = 2.0 * math.pi / (n_fft * step)
@@ -362,10 +367,10 @@ def _sup_by_scan(samples: np.ndarray, step: float) -> float:
 def f0_sup(kernel: FilterKernel) -> float:
     """Supremum of the spectral density over frequency.
 
-    :func:`_sup_by_scan` of the trapezoid-weighted fine table, whose power is
-    :func:`spectral_density`.  On a nonnegative kernel the best bin is lambda = 0.
+    :func:`_sup_power` of the trapezoid-weighted fine table, whose power is
+    :func:`spectral_density`; a nonnegative kernel's is its power at lambda = 0.
     """
-    return _sup_by_scan(*_weighted_table(kernel))
+    return _sup_power(*_weighted_table(kernel))
 
 
 # -- series construction of an orthogonal-increment process ---------------
@@ -447,11 +452,11 @@ def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
 
 
 def f0_sim(kernel: FilterKernel, h: float) -> float:
-    """Spectral supremum of the simulated process: :func:`_sup_by_scan` of the taps.
+    """Spectral supremum of the simulated process: :func:`_sup_power` of the taps.
 
     Their power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi (:func:`_power`).
     """
-    return _sup_by_scan(kernel.taps(h), h)
+    return _sup_power(kernel.taps(h), h)
 
 
 def toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ kernel's own fine grid over [0, truncation_horizon], which is independent of
 the time grid; the covariance runs ``np.trapezoid`` on it, and the spectral
 density is a dot product with the trapezoid-weighted table.
 It also holds ``memo``, the one bounded store for arrays that depend only on
-the grid, kernel or model, so that per-trial work does not rebuild them; it
-keeps the 16 entries used last; and ``load_table``, the reader of the text
-tables a config names (kernel and regressor files).
+the grid, kernel or model, so that per-trial work does not rebuild them; an
+entry is one array or a tuple of them, and it keeps the 16 entries used last;
+and ``load_table``, the reader of the text tables a config names (kernel and
+regressor files).
 """
 
 from __future__ import annotations
@@ -57,15 +58,17 @@ class TimeGrid:
         return self.n_steps + 1
 
 
-_memo: dict[tuple, np.ndarray] = {}
+_memo: dict[tuple, np.ndarray | tuple[np.ndarray, ...]] = {}
 
 
-def memo(key: tuple, build) -> np.ndarray:
-    """Data-independent array under ``key``, built read-only on a miss; keeps the 16 used last."""
+def memo(key: tuple, build):
+    """Data-independent array, or tuple of arrays, under ``key``, built read-only on a miss;
+    keeps the 16 used last."""
     value = _memo.pop(key, None)  # re-inserted below: dict order is least recently used first
     if value is None:
         value = build()
-        value.setflags(write=False)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
         if len(_memo) >= 16:
             del _memo[next(iter(_memo))]
     _memo[key] = value

@@ -655,6 +655,24 @@ def _loaded_after(code: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_minflt from os.wait4")
+def test_check_makes_no_page_fault_storm(tmp_path):
+    # check on exp_filtered at half its grid (N = 2501) makes 6k-9k minor page
+    # faults, imports included; an array the allocator hands back to the system
+    # and faults in again on every block of a loop makes hundreds of thousands
+    doc = json.loads((CONFIGS / "exp_filtered.json").read_text())
+    doc["grid"]["n_steps"] = 2500
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "regtails.cli", "check", "--config", _write_config(tmp_path, doc),
+         "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_minflt < 50_000
+
+
 def test_cli_import_leaves_out_slow_scipy_modules():
     assert _loaded_after("import sys, regtails.cli") == []
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtails import numerics
-from regtails.config import build_grid, build_kernel, config_from_dict
+from regtails.config import build_grid, build_kernel, build_model, config_from_dict, load_config
 from regtails.errors import ContractError, DataError, DomainError, NonConvergenceError
 from regtails.estimator import (
     FitOptions,
@@ -494,6 +496,26 @@ def test_lattice_evaluated_once_across_fits(monkeypatch):
             assert objective(obs, base, (calls[k][1],)) < lattice_q
     # values and gradients on the lattice are built once, by the first fit
     assert sorted(at_lattice) == sorted([("eval", p) for p in lattice] + [("grad", p) for p in lattice])
+
+
+def test_fit_peak_memory_stays_below_ten_paths(monkeypatch):
+    # the lattice is ranked from arrays built once per (model, grid), one
+    # matrix-vector product per fit, so a fit on exp_filtered's grid (N = 5001)
+    # allocates a few paths and no (9, N) residual stack
+    monkeypatch.setattr(numerics, "_memo", {})
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "exp_filtered.json")
+    model, grid, kernel = build_model(cfg), build_grid(cfg), build_kernel(cfg)
+    truth = model.eval(grid.nodes, np.asarray(cfg.model.theta_true))
+    first, second = (Observation(grid=grid, x_values=truth + noise_path("rademacher", grid, seed, kernel))
+                     for seed in (1, 2))
+    lse_fit(first, model)  # builds the lattice tables
+    tracemalloc.start()
+    try:
+        lse_fit(second, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * grid.n_nodes * 8
 
 
 def _exp_const_lse(x, grid, lower, upper) -> float:

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,23 @@ def test_mgf_replications_are_rows_of_one_stream(driver):
     samples = z @ (trapezoid_weights(g) * np.sqrt(g.h))
     expected = np.exp(np.outer(lam, samples)).mean(axis=1)
     np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)
+
+
+def test_mgf_filtered_peak_memory_stays_below_a_megabyte():
+    # replications are drawn MGF_BLOCK rows at a time: at N = 2501 a row of a
+    # filtered weight's draws is 3,501 values, and the block's arrays stay small
+    kernel = FilterKernel.exponential(1.0)
+    grid = TimeGrid(50.0, 2500)
+    lam = np.array([0.0, 0.3, 0.6, 0.95]) * math.sqrt(8.0 / grid.T)
+    args = ("rademacher", np.ones(grid.n_nodes), grid, 1.0, lam, cli.MGF_DEFAULT_REPS, 5)
+    mgf_check(*args, kernel=kernel)  # builds the taps
+    tracemalloc.start()
+    try:
+        mgf_check(*args, kernel=kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_mgf_spike_draws_only_its_support():

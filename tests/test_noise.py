@@ -33,6 +33,7 @@ from regtails.noise import (
     toeplitz_product,
     white_noise_path,
     _fine_table,
+    _weighted_table,
 )
 from regtails.numerics import TimeGrid, inner_product, integrate, trapezoid_weights
 
@@ -343,15 +344,18 @@ def _kernels(draw):
     return FilterKernel.tabulated(times, sizes * signs)
 
 
-@settings(max_examples=16, deadline=None, derandomize=True)
-@given(kernel=_kernels(), lams=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
-       h=st.floats(0.005, 0.5))
 # a signed kernel whose highest lobe, near lambda = 5.3, is narrow enough to fall
 # between the points of a coarse log-spaced frequency scan, and between the
 # 8x-padded rFFT bins of its taps at h = 0.01
-@example(kernel=FilterKernel.tabulated([0.0, 0.297, 0.647, 1.540, 2.065, 3.027, 3.209, 4.003, 4.502],
-                                       [1.000, -1.774, -0.348, -1.077, 0.574, -0.751, 1.653, -0.857, 1.590]),
-         lams=[5.3], h=0.01)
+_NARROW_LOBE = FilterKernel.tabulated(
+    [0.0, 0.297, 0.647, 1.540, 2.065, 3.027, 3.209, 4.003, 4.502],
+    [1.000, -1.774, -0.348, -1.077, 0.574, -0.751, 1.653, -0.857, 1.590])
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(kernel=_kernels(), lams=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+       h=st.floats(0.005, 0.5))
+@example(kernel=_NARROW_LOBE, lams=[5.3], h=0.01)
 def test_f0_sup_is_supremum(kernel, lams, h):
     f0 = f0_sup(kernel)
     assert np.all(spectral_density(kernel, np.array(lams)) <= f0 * (1 + 1e-9))
@@ -371,6 +375,39 @@ def test_f0_sup_is_supremum(kernel, lams, h):
     if np.all(psi_u >= 0):
         # a nonnegative kernel peaks at lambda = 0, where f = (integral psi)^2 / 2pi
         assert f0 == pytest.approx(spectral_density(kernel, 0.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", [
+    FilterKernel.exponential(0.3),
+    FilterKernel.exponential(1.0),
+    FilterKernel.exponential(4.0),
+    FilterKernel.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
+    FilterKernel.tabulated([0.0, 0.5, 1.0, 2.5], [0.0, 0.0, 2.0, 0.7]),
+], ids=["exp0.3", "exp1", "exp4", "ramp", "delayed"])
+@pytest.mark.parametrize("h", [0.01, 0.02, 0.3])
+def test_nonnegative_suprema_need_no_scan(kernel, h, monkeypatch):
+    # |sum_k s_k e^{-i k lambda step}| <= sum_k s_k when every s_k >= 0, so both
+    # suprema are the power at lambda = 0, the table's pairwise sum, with no rFFT
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a nonnegative table needs no frequency scan")
+
+    monkeypatch.setattr(noise, "rfft", no_scan)
+    table, step = _weighted_table(kernel)
+    assert f0_sup(kernel) == (step * table.sum()) ** 2 / (2 * math.pi)
+    assert f0_sim(kernel, h) == (h * kernel.taps(h).sum()) ** 2 / (2 * math.pi)
+
+
+def test_signed_suprema_still_scan(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return np.fft.rfft(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "rfft", counted)
+    assert f0_sup(_NARROW_LOBE) > spectral_density(_NARROW_LOBE, 0.0)
+    assert f0_sim(_NARROW_LOBE, 0.01) > 0.01 ** 2 * _NARROW_LOBE.taps(0.01).sum() ** 2 / (2 * math.pi)
+    assert len(calls) == 2  # one 8x-padded scan per supremum
 
 
 # -- cell-average taps and the simulated covariance ------------------------------

@@ -120,3 +120,10 @@ def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
     memo(("key", 1), lambda: build(1))
     assert builds[-1] == 1
     assert not kept.flags.writeable
+
+
+def test_memo_freezes_each_array_of_a_tuple(monkeypatch):
+    monkeypatch.setattr(numerics, "_memo", {})
+    first, second = memo(("pair",), lambda: (np.zeros(2), np.ones(3)))
+    assert not first.flags.writeable and not second.flags.writeable
+    assert memo(("pair",), lambda: ())[1] is second  # a hit does not rebuild
