@@ -70,7 +70,7 @@ class LseResult:
 def _q(r: np.ndarray, w: np.ndarray, h: float, tau) -> float:
     """Trapezoid integral of the squared residual ``r``; the one Q expression."""
     val = float(h * np.dot(w, r * r))
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise DataError(f"objective is non-finite at tau {tau}")
     return val
 
@@ -105,66 +105,100 @@ def _basin_starts(values: np.ndarray, per_dim: int, q: int) -> np.ndarray:
     return keep.ravel()
 
 
-def _solve(gram, ridge, rhs, eye) -> np.ndarray:
-    """``np.linalg.solve(gram + ridge * eye, rhs)``; one parameter is one division.
+def _rank_lattice(values: np.ndarray, per_dim: int, q: int) -> tuple[list[int], int]:
+    """The refinement starts and the number of lattice points tied at the minimum.
+
+    The starts are the basin starts (:func:`_basin_starts`) in the order of
+    (value, point), at most ``FitOptions.n_refine_starts`` of them, so the
+    lowest point is the first.  The points are in ``itertools.product`` order
+    of increasing axes, which is lexicographic, so a stable sort by value breaks
+    ties by point.  One axis is ranked on Python floats: at nine points the
+    NumPy calls cost more than the work.
+    """
+    if q == 1:
+        v = values.tolist()
+        q_min = min(v)
+        tie = q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
+        tie_count = sum(x <= tie for x in v)
+        pad = [math.inf, *v, math.inf]
+        order = sorted(range(per_dim), key=v.__getitem__)
+        starts = [i for i in order if pad[i] >= v[i] <= pad[i + 2]]
+    else:
+        q_min = float(values.min())
+        tie_count = int((values <= q_min + FitOptions.tie_tol * max(1.0, abs(q_min))).sum())
+        is_start = _basin_starts(values, per_dim, q)
+        starts = [int(i) for i in np.argsort(values, kind="stable") if is_start[i]]
+    return starts[: FitOptions.n_refine_starts], tie_count
+
+
+def _solve(gram, ridge, rhs) -> list[float]:
+    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division.
 
     LAPACK's 1 x 1 solve is that division bit for bit, and it calls an exactly
     zero pivot singular, so this raises the same ``LinAlgError`` there.
     """
-    if rhs.shape == (1,):
-        pivot = gram[0, 0] + ridge
+    if len(rhs) == 1:
+        pivot = float(gram[0, 0]) + ridge
         if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
-        return rhs / pivot
-    return np.linalg.solve(gram + ridge * eye, rhs)
+        return [float(rhs[0]) / pivot]
+    return np.linalg.solve(gram + ridge * np.eye(len(rhs)), rhs).tolist()
 
 
-def _gauss_newton(obs, model, start, r, g, q_start, w, eye) -> tuple[np.ndarray, float, bool]:
+def _distance(a: list[float], b: list[float]) -> float:
+    """Euclidean distance as the root of the summed squares, as ``np.linalg.norm`` rounds it."""
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
+
+
+def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
-    ``r`` and ``g`` are the residual and model gradient at ``start``.  Candidates
-    come from ``box.clip``, so Q needs no box check, and an accepted candidate
-    carries its residual forward; its gradient is taken right after its ``eval``.
+    The parameter is a list of floats; ``r`` and ``g`` are the residual and model
+    gradient at ``start``.  Each candidate coordinate is clipped to the box with
+    ``<=``/``>=``, so a tie with a bound takes the bound, signed zero included,
+    as ``ParameterBox.clip`` does.  So Q needs no box check, and an accepted
+    candidate carries its residual forward; its gradient is taken right after
+    its ``eval``, on the same array.
     """
     grid = obs.grid
-    h = grid.h
-    box = model.box
-    tol = FitOptions.local_tol_factor * box.diameter
-    tau = np.asarray(start, dtype=float)
+    nodes, h = grid.nodes, grid.h
+    bounds = tuple(zip(model.box.lower, model.box.upper))
+    tol = FitOptions.local_tol_factor * model.box.diameter
+    tau, tau_arr = start, np.array(start)
     q_cur = q_start
     ridge = 0.0
     for _ in range(FitOptions.max_iter):
         if g is None:
-            g = np.atleast_2d(model.grad(grid.nodes, tau))
+            g = np.atleast_2d(model.grad(nodes, tau_arr))
         gw = g * w
         gram = h * (gw @ g.T)
         rhs = h * (gw @ r)
         try:
-            step = _solve(gram, ridge, rhs, eye)
+            step = _solve(gram, ridge, rhs)
         except np.linalg.LinAlgError:
-            ridge = max(ridge * 10.0, 1e-10 * (np.trace(gram) + 1.0))
+            ridge = max(ridge * 10.0, 1e-10 * (float(np.trace(gram)) + 1.0))
             continue
-        if not np.all(np.isfinite(step)):
-            raise DataError(f"non-finite search direction at tau {tau}")
+        if not all(map(math.isfinite, step)):
+            raise DataError(f"non-finite search direction at tau {tau_arr}")
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
-            cand = box.clip(tau + alpha * step)
-            r_new = obs.x_values - model.eval(grid.nodes, cand)
-            q_new = _q(r_new, w, h, cand)
+            cand = [t + alpha * s for t, s in zip(tau, step)]
+            cand = [lo if c <= lo else hi if c >= hi else c for c, (lo, hi) in zip(cand, bounds)]
+            cand_arr = np.array(cand)
+            r_new = obs.x_values - model.eval(nodes, cand_arr)
+            q_new = _q(r_new, w, h, cand_arr)
             if q_new < q_cur:
-                accepted = (cand, q_new, r_new)
+                accepted = (cand, cand_arr, q_new, r_new)
                 break
-            d = cand - tau
-            if math.sqrt(d @ d) < tol:
+            if _distance(cand, tau) < tol:
                 break
             alpha *= 0.5
         if accepted is None:
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
-        d = accepted[0] - tau
-        moved = math.sqrt(d @ d)
-        tau, q_cur, r = accepted
+        moved = _distance(accepted[0], tau)
+        tau, tau_arr, q_cur, r = accepted
         g = None
         if moved < tol:
             return tau, q_cur, True
@@ -212,41 +246,33 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     x = obs.x_values
     wx = w * x
     values = h * (x @ wx) + (e - 2.0 * h * (a_lattice @ wx))
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DataError(f"objective is non-finite at tau {points[bad]}")
 
-    q_min = float(values.min())
-    tie_mask = values <= q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
-    tie_count = int(tie_mask.sum())
+    starts, tie_count = _rank_lattice(values, per_dim, model.q)
 
-    order = np.lexsort(np.vstack((points.T[::-1], values)))  # by value, then point
-    is_start = _basin_starts(values, per_dim, model.q)
-    starts = [i for i in order if is_start[i]][: FitOptions.n_refine_starts]
-
-    # the lowest point, order[0], is always the first start and sets both
-    best_tau, best_q = points[order[0]], math.inf
-    eye = np.eye(model.q)
+    # the first start's result always replaces this, since its Q is finite
+    best_tau, best_q = [], math.inf
     any_converged = False
     for idx in starts:
         r = x - a_lattice[idx]
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx], r, g_lattice[idx],
-                                       _q(r, w, h, points[idx]), w, eye)
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx].tolist(), r, g_lattice[idx],
+                                       _q(r, w, h, points[idx]), w)
         any_converged = any_converged or ok
-        if q_val < best_q or (q_val == best_q and tuple(tau) < tuple(best_tau)):
+        if q_val < best_q or (q_val == best_q and tau < best_tau):
             best_tau, best_q = tau, q_val
     if not any_converged:
         raise NonConvergenceError(
             f"no refinement start converged within {FitOptions.max_iter} iterations",
-            best_point=tuple(float(x) for x in best_tau),
+            best_point=tuple(best_tau),
             best_value=best_q,
         )
 
-    lo, hi = model.box.lower_arr, model.box.upper_arr
-    margin = 1e-8 * (hi - lo)
-    boundary = bool(np.any(best_tau <= lo + margin) or np.any(best_tau >= hi - margin))
+    boundary = any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
+                   for t, lo, hi in zip(best_tau, model.box.lower, model.box.upper))
     return LseResult(
-        theta_hat=tuple(float(x) for x in best_tau),
+        theta_hat=tuple(best_tau),
         q_value=best_q,
         boundary=boundary,
         lattice_tie_count=tie_count,
