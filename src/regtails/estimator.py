@@ -89,46 +89,35 @@ def _lattice_points(box, per_dim: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _basin_starts(values: np.ndarray, per_dim: int, q: int) -> np.ndarray:
-    """Mask of the lattice points that no axis neighbour strictly undercuts.
-
-    ``values`` is in ``itertools.product`` order, the last axis varying fastest,
-    which is the C order of a ``(per_dim,) * q`` array.
-    """
-    v = values.reshape((per_dim,) * q)
-    keep = np.ones(v.shape, dtype=bool)
-    for axis in range(q):
-        head = (slice(None),) * axis + (slice(None, -1),)  # all but the last along ``axis``
-        tail = (slice(None),) * axis + (slice(1, None),)   # all but the first
-        keep[head] &= v[tail] >= v[head]
-        keep[tail] &= v[head] >= v[tail]
-    return keep.ravel()
-
-
 def _rank_lattice(values: np.ndarray, per_dim: int, q: int) -> tuple[list[int], int]:
     """The refinement starts and the number of lattice points tied at the minimum.
 
-    The starts are the basin starts (:func:`_basin_starts`) in the order of
-    (value, point), at most ``FitOptions.n_refine_starts`` of them, so the
-    lowest point is the first.  The points are in ``itertools.product`` order
-    of increasing axes, which is lexicographic, so a stable sort by value breaks
-    ties by point.  One axis is ranked on Python floats: at nine points the
-    NumPy calls cost more than the work.
+    A start is a point that no axis neighbour strictly undercuts; the starts
+    are taken in the order of (value, point), at most
+    ``FitOptions.n_refine_starts`` of them, so the lowest point is the first.
+    ``values`` is in ``itertools.product`` order, the last axis varying fastest:
+    the neighbours of point i along an axis of stride s are i - s and i + s, and
+    the order of increasing axes is lexicographic, so a stable sort by value
+    breaks ties by point.
     """
-    if q == 1:
-        v = values.tolist()
-        q_min = min(v)
-        tie = q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
-        tie_count = sum(x <= tie for x in v)
-        pad = [math.inf, *v, math.inf]
-        order = sorted(range(per_dim), key=v.__getitem__)
-        starts = [i for i in order if pad[i] >= v[i] <= pad[i + 2]]
-    else:
-        q_min = float(values.min())
-        tie_count = int((values <= q_min + FitOptions.tie_tol * max(1.0, abs(q_min))).sum())
-        is_start = _basin_starts(values, per_dim, q)
-        starts = [int(i) for i in np.argsort(values, kind="stable") if is_start[i]]
-    return starts[: FitOptions.n_refine_starts], tie_count
+    v = values.tolist()
+    q_min = min(v)
+    tie = q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
+    tie_count = sum(x <= tie for x in v)
+    strides = [per_dim ** k for k in range(q)]
+    last = per_dim - 1
+    starts = []
+    for i in sorted(range(len(v)), key=v.__getitem__):
+        x = v[i]
+        for s in strides:
+            k = i // s % per_dim
+            if (k > 0 and v[i - s] < x) or (k < last and v[i + s] < x):
+                break
+        else:
+            starts.append(i)
+            if len(starts) == FitOptions.n_refine_starts:
+                break
+    return starts, tie_count
 
 
 def _solve(gram, ridge, rhs) -> list[float]:
@@ -146,7 +135,12 @@ def _solve(gram, ridge, rhs) -> list[float]:
 
 
 def _distance(a: list[float], b: list[float]) -> float:
-    """Euclidean distance as the root of the summed squares, as ``np.linalg.norm`` rounds it."""
+    """Euclidean distance as the root of the summed squares.
+
+    For one parameter this is ``np.linalg.norm``'s rounding, bit for bit; for
+    more, ``np.linalg.norm`` may round its dot product differently (fused
+    multiply-add), so the two can differ in the last bit.
+    """
     return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
 
@@ -154,16 +148,15 @@ def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], flo
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
     The parameter is a list of floats; ``r`` and ``g`` are the residual and model
-    gradient at ``start``.  Each candidate coordinate is clipped to the box with
-    ``<=``/``>=``, so a tie with a bound takes the bound, signed zero included,
-    as ``ParameterBox.clip`` does.  So Q needs no box check, and an accepted
-    candidate carries its residual forward; its gradient is taken right after
-    its ``eval``, on the same array.
+    gradient at ``start``.  Each candidate is clipped by ``ParameterBox.clip``,
+    so a tie with a bound takes the bound, signed zero included.  So Q needs no
+    box check, and an accepted candidate carries its residual forward; its
+    gradient is taken right after its ``eval``, on the same array.
     """
     grid = obs.grid
     nodes, h = grid.nodes, grid.h
-    bounds = tuple(zip(model.box.lower, model.box.upper))
-    tol = FitOptions.local_tol_factor * model.box.diameter
+    box = model.box
+    tol = FitOptions.local_tol_factor * box.diameter
     tau, tau_arr = start, np.array(start)
     q_cur = q_start
     ridge = 0.0
@@ -183,8 +176,7 @@ def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], flo
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
-            cand = [t + alpha * s for t, s in zip(tau, step)]
-            cand = [lo if c <= lo else hi if c >= hi else c for c, (lo, hi) in zip(cand, bounds)]
+            cand = box.clip([t + alpha * s for t, s in zip(tau, step)])
             cand_arr = np.array(cand)
             r_new = obs.x_values - model.eval(nodes, cand_arr)
             q_new = _q(r_new, w, h, cand_arr)

@@ -67,8 +67,10 @@ class ParameterBox:
         theta = np.asarray(theta, dtype=float)
         return bool(np.all(theta >= self.lower_arr - 1e-12) and np.all(theta <= self.upper_arr + 1e-12))
 
-    def clip(self, theta) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.lower_arr, self.upper_arr)
+    def clip(self, theta: list[float]) -> list[float]:
+        """Each coordinate clipped to its bounds; a tie takes the bound, signed zero included."""
+        return [lo if t <= lo else hi if t >= hi else t
+                for t, lo, hi in zip(theta, self.lower, self.upper)]
 
     def corners(self) -> np.ndarray:
         cols = [(lo, hi) for lo, hi in zip(self.lower, self.upper)]

@@ -57,17 +57,21 @@ def test_box_arrays_built_once():
 
 
 def test_box_clip_signed_zero_takes_the_bound():
-    # clip passes array bounds, and with array bounds a signed-zero tie takes the
-    # bound's sign, at either bound; only the all-scalar call keeps the value's
+    # a signed-zero tie takes the bound's sign, at either bound, as np.clip does
+    # with array bounds; np.clip's all-scalar call keeps the value's
     for box, value, sign in [
         (ParameterBox((0.0,), (1.0,)), -0.0, False),
         (ParameterBox((-0.0,), (1.0,)), 0.0, True),
         (ParameterBox((-1.0,), (0.0,)), -0.0, False),
         (ParameterBox((-1.0,), (-0.0,)), 0.0, True),
     ]:
-        got = box.clip(np.array([value]))
-        assert got[0] == 0.0 and bool(np.signbit(got[0])) is sign
+        got = box.clip([value])
+        assert got == [0.0] and math.copysign(1.0, got[0]) == (-1.0 if sign else 1.0)
+        want = np.clip(np.array([value]), box.lower_arr, box.upper_arr)
+        assert bool(np.signbit(want[0])) is sign
     assert np.signbit(np.clip(-0.0, 0.0, 1.0))
+    box = ParameterBox((0.0, -1.0), (1.0, 2.0))
+    assert box.clip([-3.0, 0.5]) == [0.0, 0.5] and box.clip([0.25, 7.0]) == [0.25, 2.0]
 
 
 def test_gradients_match_finite_differences(exp1):
