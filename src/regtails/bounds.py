@@ -70,40 +70,29 @@ def default_beta(q: int, c0: float, d0: float) -> float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Everything needed to evaluate the tail envelopes.
+    """Everything needed to evaluate the tail envelopes, built from the spectral level f0.
 
-    b is derived in the constructor; when f0 is present, d0 must equal 2*pi*f0.
+    The constructor derives d0 = 2*pi*f0, the slack beta when none is given
+    (:func:`default_beta`) and the rate b.  ``dataclasses.replace`` keeps the
+    resolved beta, so a copy with another ``b_cal`` has the same d0 and b.
     """
 
     q: int
     c0: float
-    d0: float
-    beta: float
-    f0: float | None = None
+    f0: float
+    beta: float | None = None
     b_cal: float = 1.0
+    d0: float = field(init=False)
     b: float = field(init=False)
 
     def __post_init__(self):
-        if self.f0 is not None:
-            expected = 2.0 * math.pi * self.f0
-            if not math.isclose(self.d0, expected, rel_tol=1e-9):
-                raise ContractError(
-                    f"inconsistent constants: d0={self.d0} but 2*pi*f0={expected}"
-                )
         if self.b_cal < 0:
             raise ContractError(f"calibration prefactor must be >= 0, got {self.b_cal}")
-        object.__setattr__(self, "b", exponent_rate(self.q, self.c0, self.d0, self.beta))
-
-    @classmethod
-    def from_spectral(cls, q, c0, f0, beta=None, b_cal=1.0) -> "BoundConstants":
-        d0 = 2.0 * math.pi * f0
-        if beta is None:
-            beta = default_beta(q, c0, d0)
-        return cls(q=q, c0=c0, d0=d0, beta=beta, f0=f0, b_cal=b_cal)
-
-    def with_prefactor(self, b_cal: float) -> "BoundConstants":
-        return BoundConstants(q=self.q, c0=self.c0, d0=self.d0, beta=self.beta,
-                              f0=self.f0, b_cal=b_cal)
+        d0 = 2.0 * math.pi * self.f0
+        object.__setattr__(self, "d0", d0)
+        if self.beta is None:
+            object.__setattr__(self, "beta", default_beta(self.q, self.c0, d0))
+        object.__setattr__(self, "b", exponent_rate(self.q, self.c0, d0, self.beta))
 
 
 def noise_integral_tail(d0: float, delta_norm_sq: float, x: float) -> float:

@@ -26,11 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BoundConstants,
-    CONSISTENCY_EXPONENT_NOTE,
-    calibrate_prefactor,
-)
+from .bounds import CONSISTENCY_EXPONENT_NOTE, BoundConstants, calibrate_prefactor
 from .config import (
     ExperimentConfig,
     as_seed,
@@ -154,11 +150,8 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
         c0_hat, c1_hat = _sample_pairs(cfg, model, grid)
         c0 = c0_hat
         extras.update(c0_source="pair_sampling", c0_hat=c0_hat, c1_hat=c1_hat)
-    consts = BoundConstants.from_spectral(
-        q=model.q, c0=c0, f0=f0, beta=None if cfg.bounds.beta == "auto" else cfg.bounds.beta,
-        b_cal=cfg.bounds.B_cal.value,
-    )
-    return consts, extras
+    beta = None if cfg.bounds.beta == "auto" else cfg.bounds.beta
+    return BoundConstants(model.q, c0, f0, beta, cfg.bounds.B_cal.value), extras
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -205,7 +198,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if n_train:
         train_devs = deviations(records[:n_train])
         p_train = np.array([(train_devs >= r).mean() for r in r_grid])
-        consts = consts.with_prefactor(calibrate_prefactor(p_train, r_grid, consts.b))
+        consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_grid, consts.b))
     tail = estimate_tail(deviations(records[n_train:]), r_grid)
     cmp = compare_with_envelope(tail, consts)
 
@@ -321,13 +314,20 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
     if model.name == "exp_inner":
         theory = exp_model_constants(build_regressors(cfg), model.box, grid)
+        c0_theory, c1_theory = theory.c0_theory, theory.c1_theory
+        if cfg.norming != "s_T":
+            # the closed forms bound Phi / (T ||tau - tau'||^2); a norming d has
+            # ||u - v||^2 / max d_i^2 <= ||tau - tau'||^2 <= ||u - v||^2 / min d_i^2
+            d_sq = build_norming(cfg, model, grid) ** 2
+            c0_theory = c0_theory * grid.T / float(d_sq.max())
+            c1_theory = c1_theory * grid.T / float(d_sq.min())
         payload.update({
-            "c0_theory": theory.c0_theory, "c1_theory": theory.c1_theory,
+            "c0_theory": c0_theory, "c1_theory": c1_theory,
             "H": theory.H, "L": theory.L, "lambda_min": theory.lambda_min,
             "J_T": theory.J_T,
         })
         payload["verdicts"]["equivalence_bracket"] = bool(
-            c0_hat >= theory.c0_theory * 0.99 and c1_hat <= theory.c1_theory * 1.01
+            c0_hat >= c0_theory * 0.99 and c1_hat <= c1_theory * 1.01
         )
 
     if kernel is not None:

@@ -319,7 +319,7 @@ class ExpModelConstants:
 
 def exp_model_constants(regressors: Callable[[np.ndarray], np.ndarray], box: ParameterBox,
                         grid: TimeGrid) -> ExpModelConstants:
-    """Compute J_T = (T^{-1} integral y_i y_j), H, L, and the (c0, c1) bracket.
+    """Compute J_T = (T^{-1} integral y_i y_j), H, L, and the (c0, c1) bracket under s_T.
 
     ``regressors`` maps times to the bounded regressor rows y(t) in R^q.
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Every tolerance is fixed here; nothing is calibrated after the fact.
 """
 
+import dataclasses
 import math
 import time
 
@@ -142,14 +143,14 @@ def test_criterion_04_envelope_domination(driver):
     norming = cli.build_norming(cfg, model, grid)
     c0_hat, _ = estimate_equivalence_constants(model, (0.0,), grid, norming, 2000,
                                       derive_seed(cfg.montecarlo.master_seed, 4, 0))
-    consts = BoundConstants.from_spectral(q=1, c0=c0_hat, f0=f0)
+    consts = BoundConstants(q=1, c0=c0_hat, f0=f0)
 
     records = run_trials(cfg)
     n_train = len(records) // 10
     r_arr = np.asarray(r_grid)
     train_devs = deviations(records[:n_train])
     p_train = np.array([(train_devs >= r).mean() for r in r_arr])
-    consts = consts.with_prefactor(calibrate_prefactor(p_train, r_arr, consts.b))
+    consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_arr, consts.b))
 
     tail = estimate_tail(deviations(records[n_train:]), r_arr)
     cmp = compare_with_envelope(tail, consts)
@@ -276,7 +277,7 @@ def test_criterion_09_bound_formula_identities():
         a = bounds.stationary_rate(q, c0, f0, 0.0)
         b = bounds.exponent_rate(q, c0, 2 * math.pi * f0, 0.0)
         ok = ok and abs(a - b) <= 1e-14 * abs(b)
-        consts = BoundConstants(q=q, c0=c0, d0=2 * math.pi * f0, beta=0.0,
+        consts = BoundConstants(q=q, c0=c0, f0=f0, beta=0.0,
                                 b_cal=float(rng.uniform(0.5, 3.0)))
         h = float(rng.uniform(0.1, 3.0))
         T = float(rng.uniform(1.5, 200.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,24 +63,22 @@ def test_rates_consistent_under_spectral_substitution():
 
 
 def test_bound_constants_derivation():
-    consts = BoundConstants.from_spectral(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)
+    consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)
     assert consts.d0 == pytest.approx(1.0, rel=1e-15)
     assert consts.b == pytest.approx(1.0 / 16.0, rel=1e-14)
-    with pytest.raises(ContractError, match="inconsistent"):
-        BoundConstants(q=1, c0=1.0, d0=2.0, beta=0.0, f0=1.0)
     for f0 in (0.0, -1.0, math.inf):
         with pytest.raises(ContractError, match="must be positive and finite"):
-            BoundConstants.from_spectral(q=1, c0=1.0, f0=f0)
-    auto = BoundConstants.from_spectral(q=1, c0=1.0, f0=1.0 / (2 * math.pi))
+            BoundConstants(q=1, c0=1.0, f0=f0)
+    auto = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi))
     assert auto.beta == pytest.approx(default_beta(1, 1.0, 1.0))
     assert auto.b > 0
 
 
 def test_tail_envelope_examples():
-    consts = BoundConstants(q=1, c0=1.0, d0=1.0, beta=0.0)  # b = 1/16
+    consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)  # b = 1/16
     assert tail_envelope(consts, 0.0) == 1.0
     assert tail_envelope(consts, 4.0) == pytest.approx(math.exp(-1), rel=1e-14)
-    big = consts.with_prefactor(3.0)
+    big = dataclasses.replace(consts, b_cal=3.0)
     assert tail_envelope(big, 0.0) == 3.0
     assert tail_envelope(big, 0.0, clip=True) == 1.0
     r = np.linspace(0, 5, 50)
@@ -88,7 +87,7 @@ def test_tail_envelope_examples():
 
 
 def test_consistency_envelope():
-    consts = BoundConstants(q=1, c0=1.0, d0=1.0, beta=0.0)
+    consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)
     # R = rho * T^{1/2 - nu} = 4 reproduces the R-level value
     assert consistency_envelope(consts, 1.0, 0.0, 16.0) == pytest.approx(math.exp(-1), rel=1e-14)
     vals = [consistency_envelope(consts, 0.7, 0.2, T) for T in (2.0, 8.0, 32.0, 128.0)]
@@ -100,7 +99,7 @@ def test_consistency_envelope():
 
 
 def test_moderate_deviation_envelope():
-    consts = BoundConstants(q=1, c0=1.0, d0=1.0, beta=0.0)
+    consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)
     assert moderate_deviation_envelope(consts, 4.0, math.e) == pytest.approx(math.exp(-1), rel=1e-14)
     rng = np.random.default_rng(1)
     for _ in range(200):

@@ -745,6 +745,29 @@ def test_check_filtered_rademacher_passes(tmp_path):
     assert report["b2"] > 0
 
 
+@pytest.mark.parametrize("norming,theta,c0,c1", [
+    # d_T at theta = 0.3: d^2 = T e^0.6, so the bracket is [e^-1.6, e^0.4]
+    ("d_T", 0.3, math.exp(-1.6), math.exp(0.4)),
+    ("s_T", 0.0, math.exp(-1.0), math.exp(1.0)),
+], ids=["d_T", "s_T"])
+def test_check_equivalence_bracket_follows_the_norming(tmp_path, norming, theta, c0, c1):
+    doc = json.loads((CONFIGS / "exp_filtered.json").read_text())
+    doc["grid"] = {"T": 10.0, "n_steps": 1000}
+    doc["norming"] = norming
+    doc["model"]["theta_true"] = [theta]
+    cfg_path = _write_config(tmp_path, doc)
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", cfg_path, "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["verdicts"]["equivalence_bracket"] is True
+    assert report["c0_theory"] == pytest.approx(c0, rel=1e-6)
+    assert report["c1_theory"] == pytest.approx(c1, rel=1e-6)
+    assert report["c0_theory"] <= report["c0_hat"] <= report["c1_hat"] <= report["c1_theory"]
+    if norming == "s_T":
+        # s_T keeps the closed forms as they are, unscaled by T / s_T^2
+        assert report["c0_theory"] == report["L"] ** 2 * report["lambda_min"]
+
+
 def test_check_negative_control_fails_but_exits_0(tmp_path):
     doc = _linear_doc()
     doc["noise"] = {"driver": "centered_exponential", "kernel": None}

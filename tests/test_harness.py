@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import math
@@ -233,22 +234,22 @@ def test_compare_with_envelope_calibrated_passes():
     rng = np.random.default_rng(9)
     devs = np.abs(rng.standard_normal(20_000))
     r = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-    consts = BoundConstants(q=1, c0=1.0, d0=1.0, beta=0.0)  # b = 1/16
+    consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)  # b = 1/16
     p_hat = np.array([(devs >= x).mean() for x in r])
-    consts = consts.with_prefactor(calibrate_prefactor(p_hat, r, consts.b))
+    consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_hat, r, consts.b))
     tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
     assert cmp.overall_pass
     assert cmp.rate_ok  # half-normal rate 1/2 >= 1/16
     assert np.all(cmp.level_ok)
     # the envelope is clipped to a probability
-    assert compare_with_envelope(tail, consts.with_prefactor(3.0)).envelope[0] == 1.0
+    assert compare_with_envelope(tail, dataclasses.replace(consts, b_cal=3.0)).envelope[0] == 1.0
 
 
 def test_compare_with_envelope_adversarial_fails():
     devs = np.full(500, 10.0)
     r = np.array([1.0, 2.0])
-    consts = BoundConstants(q=1, c0=8.0, d0=0.5, beta=0.0, b_cal=1.0)  # b = 1
+    consts = BoundConstants(q=1, c0=8.0, f0=0.5 / (2 * math.pi), beta=0.0, b_cal=1.0)  # b = 1
     tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
     assert list(cmp.envelope) == [math.exp(-1.0), math.exp(-4.0)]
@@ -257,7 +258,7 @@ def test_compare_with_envelope_adversarial_fails():
     assert cmp.b_cert < consts.b
     # a calibrated prefactor of 0 (no training trial reached a level) certifies
     # no rate, and says so without a log(0) warning
-    assert compare_with_envelope(tail, consts.with_prefactor(0.0)).b_cert == -math.inf
+    assert compare_with_envelope(tail, dataclasses.replace(consts, b_cal=0.0)).b_cert == -math.inf
     # no level with R > 0 has a positive lower limit, so none certifies a rate
     assert compare_with_envelope(estimate_tail(np.zeros(500), r), consts).b_cert is None
 
