@@ -128,12 +128,10 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     """Assemble the bound constants from config, spectrum, and pair sampling.
 
     The one place that decides f0, d0 and c0 for ``constants``, ``tails`` and
-    ``check``.  With a kernel, ``extras`` also reports ``f0_sim``, the spectral
-    supremum of the simulated process on this grid (not used by any constant).
+    ``check``.  ``extras`` says where each came from, with the sampled c0_hat
+    and c1_hat.
     """
     extras: dict = {}
-    if kernel is not None:
-        extras["f0_sim"] = f0_sim(kernel, grid.h)
     if cfg.bounds.f0 != "auto":
         f0 = cfg.bounds.f0
         extras["f0_source"] = "config"
@@ -154,6 +152,19 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     return BoundConstants(model.q, c0, f0, beta, cfg.bounds.B_cal.value), extras
 
 
+def _reported_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[BoundConstants, dict]:
+    """:func:`resolve_constants`, with a kernel's ``f0_sim`` in ``extras``: the spectral
+    supremum of the simulated process on this grid, which no constant uses.
+
+    ``check`` reports it through ``quadratic_form_check`` instead, so it is
+    computed once there.
+    """
+    consts, extras = resolve_constants(cfg, model, grid, kernel)
+    if kernel is not None:
+        extras["f0_sim"] = f0_sim(kernel, grid.h)
+    return consts, extras
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -161,7 +172,7 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
-    consts, extras = resolve_constants(cfg, model, grid, kernel)
+    consts, extras = _reported_constants(cfg, model, grid, kernel)
     payload = {
         "constants": _constants_dict(consts),
         "extras": extras,
@@ -191,7 +202,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
-    consts, extras = resolve_constants(cfg, model, grid, kernel)
+    consts, extras = _reported_constants(cfg, model, grid, kernel)
 
     records = run_trials(cfg, workers=workers)
     r_grid = np.asarray(cfg.montecarlo.R_grid)

@@ -31,7 +31,6 @@ class NonConvergenceError(RuntimeError):
     Carries the best point seen so that callers can still record a result.
     """
 
-    def __init__(self, message, best_point=None, best_value=None):
+    def __init__(self, message, best_point=None):
         super().__init__(message)
         self.best_point = best_point
-        self.best_value = best_value

@@ -89,18 +89,17 @@ def _lattice_points(box, per_dim: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def _rank_lattice(values: np.ndarray, per_dim: int, q: int) -> tuple[list[int], int]:
+def _rank_lattice(v: list[float], per_dim: int, q: int) -> tuple[list[int], int]:
     """The refinement starts and the number of lattice points tied at the minimum.
 
     A start is a point that no axis neighbour strictly undercuts; the starts
     are taken in the order of (value, point), at most
     ``FitOptions.n_refine_starts`` of them, so the lowest point is the first.
-    ``values`` is in ``itertools.product`` order, the last axis varying fastest:
+    The values ``v`` are in ``itertools.product`` order, the last axis varying fastest:
     the neighbours of point i along an axis of stride s are i - s and i + s, and
     the order of increasing axes is lexicographic, so a stable sort by value
     breaks ties by point.
     """
-    v = values.tolist()
     q_min = min(v)
     tie = q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
     tie_count = sum(x <= tie for x in v)
@@ -121,13 +120,14 @@ def _rank_lattice(values: np.ndarray, per_dim: int, q: int) -> tuple[list[int], 
 
 
 def _solve(gram, ridge, rhs) -> list[float]:
-    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division.
+    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division,
+    for which ``gram`` may also be a nested list.
 
     LAPACK's 1 x 1 solve is that division bit for bit, and it calls an exactly
     zero pivot singular, so this raises the same ``LinAlgError`` there.
     """
     if len(rhs) == 1:
-        pivot = float(gram[0, 0]) + ridge
+        pivot = float(gram[0][0]) + ridge
         if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         return [float(rhs[0]) / pivot]
@@ -144,44 +144,38 @@ def _distance(a: list[float], b: list[float]) -> float:
     return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
 
-def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], float, bool]:
+def _gauss_newton(box, start, q_start, state, system, value) -> tuple[list[float], float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
-    The parameter is a list of floats; ``r`` and ``g`` are the residual and model
-    gradient at ``start``.  Each candidate is clipped by ``ParameterBox.clip``,
-    so a tie with a bound takes the bound, signed zero included.  So Q needs no
-    box check, and an accepted candidate carries its residual forward; its
-    gradient is taken right after its ``eval``, on the same array.
+    The parameter is a list of floats, ``start`` with Q value ``q_start``.
+    ``system(tau, state)`` is the Gauss-Newton system (gram, rhs) at ``tau``,
+    and ``value(cand)`` is Q at a candidate together with the state ``system``
+    reads there, so an accepted candidate carries it forward.  Each candidate is
+    clipped by ``ParameterBox.clip``, so a tie with a bound takes the bound,
+    signed zero included, and Q needs no box check.
     """
-    grid = obs.grid
-    nodes, h = grid.nodes, grid.h
-    box = model.box
     tol = FitOptions.local_tol_factor * box.diameter
-    tau, tau_arr = start, np.array(start)
-    q_cur = q_start
+    tau, q_cur = start, q_start
     ridge = 0.0
+    normal = None
     for _ in range(FitOptions.max_iter):
-        if g is None:
-            g = np.atleast_2d(model.grad(nodes, tau_arr))
-        gw = g * w
-        gram = h * (gw @ g.T)
-        rhs = h * (gw @ r)
+        if normal is None:
+            normal = system(tau, state)
+        gram, rhs = normal
         try:
             step = _solve(gram, ridge, rhs)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-10 * (float(np.trace(gram)) + 1.0))
             continue
         if not all(map(math.isfinite, step)):
-            raise DataError(f"non-finite search direction at tau {tau_arr}")
+            raise DataError(f"non-finite search direction at tau {np.array(tau)}")
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
             cand = box.clip([t + alpha * s for t, s in zip(tau, step)])
-            cand_arr = np.array(cand)
-            r_new = obs.x_values - model.eval(nodes, cand_arr)
-            q_new = _q(r_new, w, h, cand_arr)
+            q_new, cand_state = value(cand)
             if q_new < q_cur:
-                accepted = (cand, cand_arr, q_new, r_new)
+                accepted = (cand, q_new, cand_state)
                 break
             if _distance(cand, tau) < tol:
                 break
@@ -190,11 +184,43 @@ def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], flo
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
         moved = _distance(accepted[0], tau)
-        tau, tau_arr, q_cur, r = accepted
-        g = None
+        tau, q_cur, state = accepted
+        normal = None
         if moved < tol:
             return tau, q_cur, True
     return tau, q_cur, False
+
+
+def _search(box, values: list[float], start_at, system, value) -> LseResult:
+    """Rank the lattice ``values``, refine from the starts and keep the best: every fit's body.
+
+    ``start_at(i)`` is lattice point i as a list of floats, Q there and the
+    state of :func:`_gauss_newton`, which ``system`` and ``value`` define.
+    """
+    starts, tie_count = _rank_lattice(values, FitOptions.coarse_grid_per_dim, box.q)
+    # the first start's result always replaces this, since its Q is finite
+    best_tau, best_q = [], math.inf
+    any_converged = False
+    for idx in starts:
+        tau, q_val, ok = _gauss_newton(box, *start_at(idx), system, value)
+        any_converged = any_converged or ok
+        if q_val < best_q or (q_val == best_q and tau < best_tau):
+            best_tau, best_q = tau, q_val
+    if not any_converged:
+        raise NonConvergenceError(
+            f"no refinement start converged within {FitOptions.max_iter} iterations",
+            best_point=tuple(best_tau),
+        )
+
+    boundary = any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
+                   for t, lo, hi in zip(best_tau, box.lower, box.upper))
+    return LseResult(
+        theta_hat=tuple(best_tau),
+        q_value=best_q,
+        boundary=boundary,
+        lattice_tie_count=tie_count,
+        n_starts=len(starts),
+    )
 
 
 def _lattice_tables(model: RegressionModel, grid: TimeGrid, per_dim: int) -> tuple[np.ndarray, ...]:
@@ -234,42 +260,87 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     grid, per_dim = obs.grid, FitOptions.coarse_grid_per_dim
     points, a_lattice, g_lattice, w, e = memo(
         ("lattice", model, grid, per_dim), lambda: _lattice_tables(model, grid, per_dim))
-    h = grid.h
-    x = obs.x_values
+    h, x = grid.h, obs.x_values
     wx = w * x
     values = h * (x @ wx) + (e - 2.0 * h * (a_lattice @ wx))
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DataError(f"objective is non-finite at tau {points[bad]}")
 
-    starts, tie_count = _rank_lattice(values, per_dim, model.q)
+    def start_at(i):
+        r = x - a_lattice[i]
+        return points[i].tolist(), _q(r, w, h, points[i]), (r, g_lattice[i])
 
-    # the first start's result always replaces this, since its Q is finite
-    best_tau, best_q = [], math.inf
-    any_converged = False
-    for idx in starts:
-        r = x - a_lattice[idx]
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx].tolist(), r, g_lattice[idx],
-                                       _q(r, w, h, points[idx]), w)
-        any_converged = any_converged or ok
-        if q_val < best_q or (q_val == best_q and tau < best_tau):
-            best_tau, best_q = tau, q_val
-    if not any_converged:
-        raise NonConvergenceError(
-            f"no refinement start converged within {FitOptions.max_iter} iterations",
-            best_point=tuple(best_tau),
-            best_value=best_q,
-        )
+    return _search(model.box, values.tolist(), start_at, *_path_steps(obs, model, w))
 
-    boundary = any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
-                   for t, lo, hi in zip(best_tau, model.box.lower, model.box.upper))
-    return LseResult(
-        theta_hat=tuple(best_tau),
-        q_value=best_q,
-        boundary=boundary,
-        lattice_tie_count=tie_count,
-        n_starts=len(starts),
-    )
+
+def _path_steps(obs: Observation, model: RegressionModel, w: np.ndarray):
+    """:func:`_gauss_newton`'s ``system`` and ``value`` on a path, with trapezoid weights ``w``.
+
+    The state at a point is its residual r and model gradient g, or None for a
+    gradient not taken yet: an accepted candidate's is taken right after its
+    ``eval``, on the same parameter bits, so exp_inner reuses that value.
+    """
+    nodes, h, x = obs.grid.nodes, obs.grid.h, obs.x_values
+
+    def system(tau, state):
+        r, g = state
+        if g is None:
+            g = np.atleast_2d(model.grad(nodes, np.array(tau)))
+        gw = g * w
+        return h * (gw @ g.T), h * (gw @ r)
+
+    def value(cand):
+        cand_arr = np.array(cand)
+        r = x - model.eval(nodes, cand_arr)
+        return _q(r, w, h, cand_arr), (r, None)
+
+    return system, value
+
+
+def _scalar_lattice(model: RegressionModel, per_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points of a one-parameter box and f there."""
+    points = _lattice_points(model.box, per_dim)
+    return points, np.array([model.scalar.f(p) for p in points[:, 0].tolist()])
+
+
+def lse_fit_scalar(s: float, gram: float, model: RegressionModel) -> LseResult:
+    """:func:`lse_fit` of a model with a :class:`~regtails.model.ScalarForm`, from one number.
+
+    For a mean f(tau) phi(t), Q(tau) = h x'wx - 2 f(tau) s + f(tau)^2 G with
+    s = h w.(phi x) and ``gram`` G = h w.phi^2, so a path enters only through s.
+    The data-only term h x'wx is the same at every tau and is left out: here Q is
+    f^2 G - 2 f s, which is also the returned ``q_value``, and the lattice tie
+    tolerance is relative to its minimum.  The lattice, its ranking and the
+    Gauss-Newton loop are :func:`lse_fit`'s, on this Q: the gram is f'^2 G and
+    the right-hand side f' (s - f G).  f on the lattice is memoized per model.
+    """
+    f, f_prime = model.scalar.f, model.scalar.f_prime
+    per_dim = FitOptions.coarse_grid_per_dim
+    points, f_lattice = memo(("scalar lattice", model, per_dim),
+                             lambda: _scalar_lattice(model, per_dim))
+    points, f_lattice = points.tolist(), f_lattice.tolist()
+
+    def q_at(fv, tau):
+        val = fv * fv * gram - 2.0 * fv * s
+        if not math.isfinite(val):
+            raise DataError(f"objective is non-finite at tau {np.array(tau)}")
+        return val
+
+    values = [q_at(fv, p) for fv, p in zip(f_lattice, points)]
+
+    def start_at(i):
+        return points[i], values[i], f_lattice[i]
+
+    def system(tau, fv):
+        fp = f_prime(tau[0])
+        return [[fp * fp * gram]], [fp * (s - fv * gram)]
+
+    def value(cand):
+        fv = f(cand[0])
+        return q_at(fv, cand), fv
+
+    return _search(model.box, values, start_at, system, value)
 
 
 def normalized_deviation(theta_hat, theta_true, norming) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import config as _config
 from .bounds import BoundConstants, tail_envelope
 from .errors import ContractError, NonConvergenceError
-from .estimator import Observation, lse_fit, normalized_deviation
+from .estimator import Observation, lse_fit, lse_fit_scalar, normalized_deviation
 from .noise import (
     FilterKernel,
     covariance_row,
@@ -79,27 +79,54 @@ class TrialRecord:
 
 
 def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
-    """Run trials [start, stop); the frozen config pickles, so workers take it as is."""
+    """Run trials [start, stop); the frozen config pickles, so workers take it as is.
+
+    Trial i draws from its own generator, seeded derive_seed(master, STREAM_TRIALS, i).
+    A model with a scalar form f(tau) phi(t) is fitted from one number: the
+    path's s = h w.(phi x) is c + u @ z, with c = h w.(phi a_true), z the
+    trial's driver draws and u their weights (:func:`driver_weights`), so no
+    path is built.  Any other model fits the path :func:`noise_path` makes
+    from the same draws.
+    """
     grid = _config.build_grid(cfg)
     model = _config.build_model(cfg)
     kernel = _config.build_kernel(cfg)
+    driver = cfg.noise.driver
     theta_true = np.asarray(cfg.model.theta_true)
     a_true = model.eval(grid.nodes, theta_true)
     norming = _config.build_norming(cfg, model, grid)
+    if model.scalar is None:
+        def fit(seed):
+            eps = noise_path(driver, grid, seed, kernel)
+            return lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
+
+        def deviation(theta_hat):
+            return normalized_deviation(theta_hat, theta_true, norming)
+    else:
+        phi = model.scalar.phi(grid.nodes)
+        hw_phi = grid.h * trapezoid_weights(grid) * phi
+        u = driver_weights(hw_phi, grid, kernel)
+        gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
+        scale, theta0 = float(norming[0]), float(theta_true[0])
+
+        def fit(seed):
+            return lse_fit_scalar(c + float(u @ sample_driver(driver, u.size, seed)), gram, model)
+
+        def deviation(theta_hat):
+            # np.linalg.norm of one entry, bit for bit
+            return abs(scale * (theta_hat[0] - theta0))
     out = []
     for i in range(start, stop):
         seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
-        eps = noise_path(cfg.noise.driver, grid, seed, kernel)
-        obs = Observation(grid=grid, x_values=a_true + eps)
         try:
-            res = lse_fit(obs, model)
+            res = fit(seed)
             theta_hat, converged, boundary = res.theta_hat, True, res.boundary
             n_starts, ties = res.n_starts, res.lattice_tie_count
         except NonConvergenceError as err:
             theta_hat, converged, boundary = err.best_point, False, False
             n_starts = ties = 0
-        dev = normalized_deviation(theta_hat, theta_true, norming)
-        out.append(TrialRecord(i, seed, theta_hat, dev, converged, boundary, n_starts, ties))
+        out.append(TrialRecord(i, seed, theta_hat, deviation(theta_hat), converged, boundary,
+                               n_starts, ties))
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,18 +80,33 @@ class ParameterBox:
         return rng.uniform(self.lower_arr, self.upper_arr, size=(n, self.q))
 
 
+class ScalarForm(NamedTuple):
+    """A one-parameter mean a(t, tau) = f(tau) * phi(t), with f' the derivative of f.
+
+    Least squares reads a path x of such a model only through the one number
+    s = integral of phi x (``estimator.lse_fit_scalar``).
+    """
+
+    f: Callable[[float], float]
+    f_prime: Callable[[float], float]
+    phi: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class RegressionModel:
     """Response surface with gradient: eval(t, tau) -> values, grad(t, tau) -> (q, len(t)).
 
     ``eval`` and ``grad`` must be pure functions of ``(t, tau)``: ``lse_fit``
-    memoizes both at the lattice points per model and grid.
+    memoizes both at the lattice points per model and grid.  ``scalar`` is the
+    :class:`ScalarForm` of a built-in model whose mean is f(tau) * phi(t), and
+    None for every other model.
     """
 
     box: ParameterBox
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
+    scalar: ScalarForm | None = None
 
     @property
     def q(self) -> int:
@@ -99,6 +114,23 @@ class RegressionModel:
 
 
 # -- built-in models ------------------------------------------------------
+
+
+def _ones(t) -> np.ndarray:
+    return np.ones(np.shape(t))
+
+
+def _exp(tau: float) -> float:
+    """e^tau, and inf past the float range, as ``np.exp`` gives."""
+    try:
+        return math.exp(tau)
+    except OverflowError:
+        return math.inf
+
+
+def _unit_row(t) -> np.ndarray:
+    """The one row y(t) = 1 of ``constant_regressors(1)``."""
+    return np.ones((1, np.size(t)))
 
 
 def linear_model(box: ParameterBox) -> RegressionModel:
@@ -110,6 +142,8 @@ def linear_model(box: ParameterBox) -> RegressionModel:
         eval=lambda t, tau: tau[0] * t,
         grad=lambda t, tau: np.asarray(t, dtype=float)[None, :].copy(),
         name="linear",
+        scalar=ScalarForm(f=lambda tau: tau, f_prime=lambda tau: 1.0,
+                          phi=lambda t: np.asarray(t, dtype=float)),
     )
 
 
@@ -122,6 +156,7 @@ def constant_model(box: ParameterBox) -> RegressionModel:
         eval=lambda t, tau: np.full(np.shape(t), tau[0], dtype=float),
         grad=lambda t, tau: np.ones((1, np.size(t))),
         name="constant",
+        scalar=ScalarForm(f=lambda tau: tau, f_prime=lambda tau: 1.0, phi=_ones),
     )
 
 
@@ -133,7 +168,8 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
     and reused while calls pass that same array; a writable ``t`` is rebuilt on
     every call.  On those nodes ``grad`` reuses the value of the last ``eval``
     when ``tau`` is bit-equal, as after each accepted Gauss-Newton step, so the
-    gradient y * a costs no second ``exp``.
+    gradient y * a costs no second ``exp``.  With ``constant_regressors(1)``
+    the mean is e^tau * 1, which is its scalar form.
     """
     nodes = rows = tau_key = value = None
 
@@ -164,11 +200,14 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
             return y * value[None, :]
         return y * np.exp(tau @ y)[None, :]
 
-    return RegressionModel(box=box, eval=_eval, grad=_grad, name="exp_inner")
+    scalar = None
+    if regressors is _unit_row and box.q == 1:
+        scalar = ScalarForm(f=_exp, f_prime=_exp, phi=_ones)
+    return RegressionModel(box=box, eval=_eval, grad=_grad, name="exp_inner", scalar=scalar)
 
 
 def constant_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda t: np.ones((q, np.size(t)))
+    return _unit_row if q == 1 else lambda t: np.ones((q, np.size(t)))
 
 
 def cosine_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -18,6 +18,7 @@ from regtails.estimator import (
     LseResult,
     Observation,
     _gauss_newton,
+    _path_steps,
     _q,
     _rank_lattice,
     lse_fit,
@@ -301,7 +302,7 @@ def _reference_lse_fit(obs, model, opts=SimpleNamespace(**_FIT_DEFAULTS)):
             best_tau, best_q = tau, q_val
     if not any_converged:
         raise NonConvergenceError("reference did not converge",
-                                  best_point=tuple(float(x) for x in best_tau), best_value=best_q)
+                                  best_point=tuple(float(x) for x in best_tau))
     lo, hi = box.lower_arr, box.upper_arr
     margin = 1e-8 * (hi - lo)
     boundary = bool(np.any(best_tau <= lo + margin) or np.any(best_tau >= hi - margin))
@@ -493,8 +494,9 @@ def test_refinement_from_every_lattice_point_matches_reference(build, lo, hi):
         for p in np.linspace(lo, hi, FitOptions.coarse_grid_per_dim):
             r = obs.x_values - m.eval(g.nodes, np.array([p]))
             q_start = _q(r, w, g.h, p)
-            got = _gauss_newton(obs, m, [float(p)], r, np.atleast_2d(m.grad(g.nodes, np.array([p]))),
-                                q_start, w)
+            got = _gauss_newton(m.box, [float(p)], q_start,
+                                (r, np.atleast_2d(m.grad(g.nodes, np.array([p])))),
+                                *_path_steps(obs, m, w))
             tau, q_val, ok = _reference_gauss_newton(obs, m, np.array([p]), q_start, opts)
             assert repr((tuple(got[0]), got[1], got[2])) == repr((tuple(tau.tolist()), q_val, ok))
 

@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,16 @@ from scipy.stats import beta as beta_dist
 
 from regtails import cli, harness
 from regtails.bounds import BoundConstants, calibrate_prefactor
-from regtails.config import config_from_dict
+from regtails.config import (
+    build_grid,
+    build_kernel,
+    build_model,
+    build_norming,
+    config_from_dict,
+    load_config,
+)
 from regtails.errors import ContractError
+from regtails.estimator import Observation, lse_fit, normalized_deviation
 from regtails.harness import (
     MGF_BLOCK,
     STREAM_MGF,
@@ -35,10 +44,13 @@ from regtails.noise import (
     driver_weights,
     f0_sim,
     f0_sup,
+    noise_path,
     quadratic_form,
     sample_driver,
 )
 from regtails.numerics import TimeGrid, integrate, trapezoid_weights
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _linear_white_config(n_trials=200, seed=101, T=5.0, n_steps=500):
@@ -100,6 +112,128 @@ def test_run_trials_half_normal_deviations():
     # closed-form linear estimator: deviation = |N(0,1)| up to O(h)
     se = math.sqrt((1 - 2 / math.pi) / devs.size)
     assert abs(devs.mean() - math.sqrt(2 / math.pi)) <= 3 * se
+
+
+# -- the one-number route -------------------------------------------------------
+
+_SEPARABLE = {
+    "linear": ({"name": "linear", "box": {"lower": [0.0], "upper": [5.0]}, "theta_true": [2.0]},
+               "d_T"),
+    "constant": ({"name": "constant", "box": {"lower": [-1.0], "upper": [1.0]},
+                  "theta_true": [0.25]}, "s_T"),
+    "exp_inner": ({"name": "exp_inner", "parameters": {"regressors": "constant"},
+                   "box": {"lower": [-0.5], "upper": [0.5]}, "theta_true": [0.1]}, "s_T"),
+}
+_R_LEVELS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+
+
+def _separable_config(model, kernel, driver):
+    doc, norming = _SEPARABLE[model]
+    return config_from_dict({
+        "model": doc,
+        "noise": {"driver": driver, "kernel": kernel},
+        "grid": {"T": 5.0, "n_steps": 500},
+        "norming": norming,
+        "montecarlo": {"n_trials": 40, "master_seed": 5, "R_grid": _R_LEVELS},
+    })
+
+
+def _counts(devs):
+    return [int(np.sum(np.asarray(devs) >= r)) for r in _R_LEVELS]
+
+
+@pytest.mark.parametrize("driver", ["gaussian", "rademacher", "uniform_sqrt3"])
+@pytest.mark.parametrize("kernel", ["white", "exponential", "tabulated"])
+@pytest.mark.parametrize("model", sorted(_SEPARABLE))
+def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
+    # each record of the one-number route against lse_fit on the path that
+    # noise_path makes from the trial's seed
+    table = tmp_path / "kernel.txt"
+    table.write_text("0 1\n0.5 0.8\n1 0.3\n2 0\n")
+    spec = {"white": None, "exponential": {"form": "exponential", "rate": 2.0},
+            "tabulated": {"form": "tabulated", "file": str(table)}}[kernel]
+    cfg = _separable_config(model, spec, driver)
+    grid, m, k = build_grid(cfg), build_model(cfg), build_kernel(cfg)
+    assert m.scalar is not None
+    theta_true = np.asarray(cfg.model.theta_true)
+    a_true = m.eval(grid.nodes, theta_true)
+    norming = build_norming(cfg, m, grid)
+    width = m.box.upper[0] - m.box.lower[0]
+    records = run_trials(cfg)
+    path_devs = []
+    for r in records:
+        obs = Observation(grid=grid, x_values=a_true + noise_path(driver, grid, r.trial_seed, k))
+        want = lse_fit(obs, m)
+        if model == "exp_inner":
+            # test_fit_equals_clipped_normal_equation's bound: 5e-8 of the width,
+            # plus Q's rounding floor for a curvature 2 T e^(2 theta)
+            curvature = 2 * grid.T * math.exp(2 * want.theta_hat[0])
+            tol = 5e-8 * width + math.sqrt(16 * 2**-52 * want.q_value / curvature)
+        else:
+            tol = 1e-9 * width
+        assert abs(r.theta_hat[0] - want.theta_hat[0]) <= tol
+        assert (r.converged, r.boundary, r.n_starts, r.lattice_tie_count) == (
+            True, want.boundary, want.n_starts, want.lattice_tie_count)
+        path_devs.append(normalized_deviation(want.theta_hat, theta_true, norming))
+    assert _counts(deviations(records)) == _counts(path_devs)
+
+
+@pytest.mark.parametrize("name", ["exp_filtered", "linear_white"])
+def test_shipped_configs_build_no_path_and_call_no_path_fit(name, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a separable model built a path or ran the path fit")
+
+    monkeypatch.setattr(harness, "noise_path", never)
+    monkeypatch.setattr(harness, "lse_fit", never)
+    cfg = load_config(CONFIGS / f"{name}.json")
+    cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo, n_trials=20))
+    records = run_trials(cfg)
+    assert len(records) == 20 and all(r.converged for r in records)
+
+
+def test_cosine_regressors_keep_the_path_route(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a model without a scalar form took the one-number route")
+
+    monkeypatch.setattr(harness, "lse_fit_scalar", never)
+    cfg = config_from_dict({
+        "model": {"name": "exp_inner", "parameters": {"regressors": "cosine"},
+                  "box": {"lower": [-0.5, -0.5], "upper": [0.5, 0.5]}, "theta_true": [0.1, -0.2]},
+        "noise": {"driver": "gaussian", "kernel": {"form": "exponential", "rate": 1.0}},
+        "grid": {"T": 10.0, "n_steps": 500},
+        "norming": "s_T",
+        "montecarlo": {"n_trials": 10, "master_seed": 7, "R_grid": [0.0, 1.0]},
+    })
+    assert build_model(cfg).scalar is None
+    assert len(run_trials(cfg)) == 10
+
+
+def _exp_filtered_shaped(n_trials):
+    # exp_filtered on a shorter grid: constant regressor, Rademacher driver,
+    # exponential kernel, s_T norming
+    doc = json.loads((CONFIGS / "exp_filtered.json").read_text())
+    doc["grid"] = {"T": 10.0, "n_steps": 1000}
+    doc["montecarlo"]["n_trials"] = n_trials
+    doc["bounds"]["equivalence_pairs"] = 200
+    return doc
+
+
+def test_one_number_trial_replays_from_its_index():
+    cfg = config_from_dict(_exp_filtered_shaped(60))
+    records = run_trials(cfg)
+    for i in (0, 1, 17, 59):
+        assert harness._run_chunk(cfg, i, i + 1) == [records[i]]
+
+
+def test_one_number_tails_bytes_do_not_depend_on_workers(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_exp_filtered_shaped(200)))
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    for out, workers in ((out1, "1"), (out2, "2")):
+        assert cli.main(["tails", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", workers]) == 0
+    for name in ("tails.csv", "tails_meta.json", "tails_plot.tsv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # -- tail estimation ---------------------------------------------------------------
