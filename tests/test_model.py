@@ -1,8 +1,14 @@
+import dataclasses
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from regtails import cli
+from regtails import model as model_module
+from regtails.config import load_config
 from regtails.errors import ConfigError, ContractError, DegenerateModelError, DomainError
 from regtails.model import (
     ParameterBox,
@@ -254,6 +260,156 @@ def test_equivalence_needs_enough_pairs(exp1):
     N = norming_vector("s_T", exp1, (0.0,), g)
     with pytest.raises(ContractError):
         estimate_equivalence_constants(exp1, (0.0,), g, N, 50, seed=0)
+
+
+def _reference_equivalence_constants(model, theta, grid, norming, n_pairs, seed):
+    """The pair sampler as it was before the one-number route: :func:`phi` per pair."""
+    theta = np.asarray(theta, dtype=float)
+    norming = np.asarray(norming, dtype=float)
+    rng = np.random.default_rng(seed)
+    u_all = (model.box.sample(rng, 2 * n_pairs) - theta) * norming
+    lo, hi, kept = math.inf, -math.inf, 0
+    for k in range(n_pairs):
+        u, v = u_all[2 * k], u_all[2 * k + 1]
+        gap = float(np.dot(u - v, u - v))
+        if gap <= 1e-18:
+            continue
+        ratio = phi(model, theta, grid, norming, u, v) / gap
+        lo, hi, kept = min(lo, ratio), max(hi, ratio), kept + 1
+    if kept == 0:
+        raise ContractError("all sampled pairs were degenerate (coincident points)")
+    return lo, hi
+
+
+# (name, model, theta); T = 3 keeps G = integral of phi^2 away from 1
+_SCALAR_MODELS = [
+    ("linear", linear_model(ParameterBox((0.0,), (5.0,))), (2.0,)),
+    ("constant", constant_model(ParameterBox((-1.0,), (1.0,))), (0.0,)),
+    ("exp_inner", exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,))), (0.0,)),
+]
+
+
+@pytest.mark.parametrize("name,model,theta", _SCALAR_MODELS, ids=[m[0] for m in _SCALAR_MODELS])
+@pytest.mark.parametrize("mode", ["s_T", "d_T"])
+def test_scalar_pairs_match_the_phi_loop(name, model, theta, mode):
+    # the one-number route against phi per pair.  Today's loop forms
+    # tau_u t - tau_v t node by node, which cancels on the linear model's
+    # close pairs (2.0e-13 relative at N = 300); the exact test below pins
+    # the one-number route there
+    assert model.scalar is not None
+    grid = TimeGrid(3.0, 300)
+    norming = norming_vector(mode, model, theta, grid)
+    tol = 1e-12 if name == "linear" else 1e-13
+    for seed in range(5):
+        for n_pairs in (100, 2000):
+            got = estimate_equivalence_constants(model, theta, grid, norming, n_pairs, seed)
+            want = _reference_equivalence_constants(model, theta, grid, norming, n_pairs, seed)
+            assert got[0] == pytest.approx(want[0], rel=tol, abs=0)
+            assert got[1] == pytest.approx(want[1], rel=tol, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["s_T", "d_T"])
+def test_scalar_pairs_exact_on_linear_model(mode):
+    # every ratio of the linear model is (tau_u - tau_v)^2 G / gap with the
+    # trapezoid G of t^2, evaluated here in rational arithmetic
+    _, lin, theta = _SCALAR_MODELS[0]
+    grid = TimeGrid(3.0, 300)
+    norming = norming_vector(mode, lin, theta, grid)
+    w = [Fraction(1, 2) if k in (0, grid.n_steps) else 1 for k in range(grid.n_nodes)]
+    gram = Fraction(grid.h) * sum(wk * Fraction(float(t)) ** 2 for wk, t in zip(w, grid.nodes))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        u_all = (lin.box.sample(rng, 4000) - theta) * norming
+        tau = (theta + u_all / norming)[:, 0].tolist()
+        gap = ((u_all[0::2] - u_all[1::2])[:, 0] ** 2).tolist()
+        ratios = [(Fraction(tau[2 * k]) - Fraction(tau[2 * k + 1])) ** 2 * gram / Fraction(gap[k])
+                  for k in range(2000)]
+        got = estimate_equivalence_constants(lin, theta, grid, norming, 2000, seed)
+        for value, exact in zip(got, (min(ratios), max(ratios))):
+            assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 15) * exact
+
+
+@pytest.mark.parametrize("name,model,theta", _SCALAR_MODELS, ids=[m[0] for m in _SCALAR_MODELS])
+def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
+    grid = TimeGrid(3.0, 30)
+    norming = norming_vector("s_T", model, theta, grid)
+    with pytest.raises(ContractError, match="n_pairs must be >= 100, got 99"):
+        estimate_equivalence_constants(model, theta, grid, norming, 99, seed=0)
+
+    def sampled(points):
+        monkeypatch.setattr(ParameterBox, "sample",
+                            lambda box, rng, n: np.array(points, dtype=float).reshape(n, 1))
+
+    # every pair coincident
+    sampled([theta[0]] * 200)
+    for route in (estimate_equivalence_constants, _reference_equivalence_constants):
+        with pytest.raises(ContractError, match="all sampled pairs were degenerate"):
+            route(model, theta, grid, norming, 100, seed=0)
+
+    # a coincident pair outside the box is skipped; the first kept pair leaves it through v
+    lo, hi = model.box.lower[0], model.box.upper[0]
+    outside = hi + 0.25 * (hi - lo)
+    sampled([outside, outside, lo, outside] + [theta[0], hi] * 98)
+    messages = []
+    for route in (estimate_equivalence_constants, _reference_equivalence_constants):
+        with pytest.raises(DomainError) as err:
+            route(model, theta, grid, norming, 100, seed=0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("normalized shift v leaves the box at coordinate 0: value ")
+
+
+def test_scalar_pairs_reject_a_non_finite_phi():
+    # e^tau overflows inside this box (numpy warns), and phi's integrand check says so
+    model = exp_inner_model(constant_regressors(1), ParameterBox((700.0,), (720.0,)))
+    grid = TimeGrid(3.0, 30)
+    norming = norming_vector("s_T", model, (705.0,), grid)
+    for route in (estimate_equivalence_constants, _reference_equivalence_constants):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="integrand contains non-finite entries"):
+            route(model, (705.0,), grid, norming, 100, seed=0)
+
+
+def _counted(calls, fn, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_shipped_constants_evaluate_no_model_path(monkeypatch):
+    # exp_filtered samples its 2,000 pairs from f(tau) alone: no phi, no eval
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "exp_filtered.json")
+    assert cfg.bounds.c0 == "estimate" and cfg.norming == "s_T"
+    calls = {"eval": 0, "grad": 0}
+    built = cli.build_model(cfg)
+    model = dataclasses.replace(built, eval=_counted(calls, built.eval, "eval"),
+                                grad=_counted(calls, built.grad, "grad"))
+
+    def no_phi(*args, **kwargs):
+        raise AssertionError("phi evaluated a pair")
+
+    monkeypatch.setattr(model_module, "phi", no_phi)
+    consts, extras = cli.resolve_constants(cfg, model, cli.build_grid(cfg), cli.build_kernel(cfg))
+    # an s_T norming and the kernel's f0 read no model path either
+    assert calls == {"eval": 0, "grad": 0}
+    assert extras["c0_source"] == "pair_sampling" and consts.c0 == extras["c0_hat"] > 0
+
+
+def test_pairs_without_scalar_form_call_phi_per_pair(monkeypatch):
+    box = ParameterBox((-0.5, -0.5), (0.5, 0.5))
+    model = exp_inner_model(cosine_regressors(2), box)
+    assert model.scalar is None
+    grid = TimeGrid(3.0, 30)
+    norming = norming_vector("s_T", model, (0.0, 0.0), grid)
+    calls = {"phi": 0}
+    monkeypatch.setattr(model_module, "phi", _counted(calls, phi, "phi"))
+    got = estimate_equivalence_constants(model, (0.0, 0.0), grid, norming, 150, seed=4)
+    u_all = (box.sample(np.random.default_rng(4), 300) - 0.0) * norming
+    d = u_all[0::2] - u_all[1::2]
+    assert calls["phi"] == int(((d * d).sum(axis=1) > 1e-18).sum()) == 150
+    monkeypatch.setattr(model_module, "phi", phi)
+    assert got == _reference_equivalence_constants(model, (0.0, 0.0), grid, norming, 150, seed=4)
 
 
 def test_exp_model_constants_unit_regressor():
