@@ -14,6 +14,10 @@ Math. Programming 39, 1987): one start per basin the lattice resolves.  So a
 unimodal lattice is refined once, and on a plateau, where every point counts,
 several starts remain.  A basin with no lattice point of its own is found only
 if some Gauss-Newton step happens to land in it.
+
+A model whose mean is f(tau) phi(t) with f strictly increasing (its
+:class:`~regtails.model.ScalarForm`) needs no search: Q has one basin, and
+:func:`fit_scalar` takes its minimizer over the box in closed form.
 """
 
 from __future__ import annotations
@@ -120,14 +124,13 @@ def _rank_lattice(v: list[float], per_dim: int, q: int) -> tuple[list[int], int]
 
 
 def _solve(gram, ridge, rhs) -> list[float]:
-    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division,
-    for which ``gram`` may also be a nested list.
+    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division.
 
     LAPACK's 1 x 1 solve is that division bit for bit, and it calls an exactly
     zero pivot singular, so this raises the same ``LinAlgError`` there.
     """
     if len(rhs) == 1:
-        pivot = float(gram[0][0]) + ridge
+        pivot = float(gram[0, 0]) + ridge
         if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         return [float(rhs[0]) / pivot]
@@ -144,38 +147,50 @@ def _distance(a: list[float], b: list[float]) -> float:
     return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
 
-def _gauss_newton(box, start, q_start, state, system, value) -> tuple[list[float], float, bool]:
+def _at_bound(tau: list[float], box) -> bool:
+    """Whether some coordinate of ``tau`` lies within 1e-8 of its width from a bound."""
+    return any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
+               for t, lo, hi in zip(tau, box.lower, box.upper))
+
+
+def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
-    The parameter is a list of floats, ``start`` with Q value ``q_start``.
-    ``system(tau, state)`` is the Gauss-Newton system (gram, rhs) at ``tau``,
-    and ``value(cand)`` is Q at a candidate together with the state ``system``
-    reads there, so an accepted candidate carries it forward.  Each candidate is
-    clipped by ``ParameterBox.clip``, so a tie with a bound takes the bound,
-    signed zero included, and Q needs no box check.
+    The parameter is a list of floats; ``r`` and ``g`` are the residual and model
+    gradient at ``start``.  Each candidate is clipped by ``ParameterBox.clip``,
+    so a tie with a bound takes the bound, signed zero included.  So Q needs no
+    box check, and an accepted candidate carries its residual forward; its
+    gradient is taken right after its ``eval``, on the same array.
     """
+    grid = obs.grid
+    nodes, h = grid.nodes, grid.h
+    box = model.box
     tol = FitOptions.local_tol_factor * box.diameter
-    tau, q_cur = start, q_start
+    tau, tau_arr = start, np.array(start)
+    q_cur = q_start
     ridge = 0.0
-    normal = None
     for _ in range(FitOptions.max_iter):
-        if normal is None:
-            normal = system(tau, state)
-        gram, rhs = normal
+        if g is None:
+            g = np.atleast_2d(model.grad(nodes, tau_arr))
+        gw = g * w
+        gram = h * (gw @ g.T)
+        rhs = h * (gw @ r)
         try:
             step = _solve(gram, ridge, rhs)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-10 * (float(np.trace(gram)) + 1.0))
             continue
         if not all(map(math.isfinite, step)):
-            raise DataError(f"non-finite search direction at tau {np.array(tau)}")
+            raise DataError(f"non-finite search direction at tau {tau_arr}")
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
             cand = box.clip([t + alpha * s for t, s in zip(tau, step)])
-            q_new, cand_state = value(cand)
+            cand_arr = np.array(cand)
+            r_new = obs.x_values - model.eval(nodes, cand_arr)
+            q_new = _q(r_new, w, h, cand_arr)
             if q_new < q_cur:
-                accepted = (cand, q_new, cand_state)
+                accepted = (cand, cand_arr, q_new, r_new)
                 break
             if _distance(cand, tau) < tol:
                 break
@@ -184,43 +199,11 @@ def _gauss_newton(box, start, q_start, state, system, value) -> tuple[list[float
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
         moved = _distance(accepted[0], tau)
-        tau, q_cur, state = accepted
-        normal = None
+        tau, tau_arr, q_cur, r = accepted
+        g = None
         if moved < tol:
             return tau, q_cur, True
     return tau, q_cur, False
-
-
-def _search(box, values: list[float], start_at, system, value) -> LseResult:
-    """Rank the lattice ``values``, refine from the starts and keep the best: every fit's body.
-
-    ``start_at(i)`` is lattice point i as a list of floats, Q there and the
-    state of :func:`_gauss_newton`, which ``system`` and ``value`` define.
-    """
-    starts, tie_count = _rank_lattice(values, FitOptions.coarse_grid_per_dim, box.q)
-    # the first start's result always replaces this, since its Q is finite
-    best_tau, best_q = [], math.inf
-    any_converged = False
-    for idx in starts:
-        tau, q_val, ok = _gauss_newton(box, *start_at(idx), system, value)
-        any_converged = any_converged or ok
-        if q_val < best_q or (q_val == best_q and tau < best_tau):
-            best_tau, best_q = tau, q_val
-    if not any_converged:
-        raise NonConvergenceError(
-            f"no refinement start converged within {FitOptions.max_iter} iterations",
-            best_point=tuple(best_tau),
-        )
-
-    boundary = any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
-                   for t, lo, hi in zip(best_tau, box.lower, box.upper))
-    return LseResult(
-        theta_hat=tuple(best_tau),
-        q_value=best_q,
-        boundary=boundary,
-        lattice_tie_count=tie_count,
-        n_starts=len(starts),
-    )
 
 
 def _lattice_tables(model: RegressionModel, grid: TimeGrid, per_dim: int) -> tuple[np.ndarray, ...]:
@@ -267,80 +250,52 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise DataError(f"objective is non-finite at tau {points[bad]}")
 
-    def start_at(i):
-        r = x - a_lattice[i]
-        return points[i].tolist(), _q(r, w, h, points[i]), (r, g_lattice[i])
+    starts, tie_count = _rank_lattice(values.tolist(), per_dim, model.q)
 
-    return _search(model.box, values.tolist(), start_at, *_path_steps(obs, model, w))
+    # the first start's result always replaces this, since its Q is finite
+    best_tau, best_q = [], math.inf
+    any_converged = False
+    for idx in starts:
+        r = x - a_lattice[idx]
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx].tolist(), r, g_lattice[idx],
+                                       _q(r, w, h, points[idx]), w)
+        any_converged = any_converged or ok
+        if q_val < best_q or (q_val == best_q and tau < best_tau):
+            best_tau, best_q = tau, q_val
+    if not any_converged:
+        raise NonConvergenceError(
+            f"no refinement start converged within {FitOptions.max_iter} iterations",
+            best_point=tuple(best_tau),
+        )
 
-
-def _path_steps(obs: Observation, model: RegressionModel, w: np.ndarray):
-    """:func:`_gauss_newton`'s ``system`` and ``value`` on a path, with trapezoid weights ``w``.
-
-    The state at a point is its residual r and model gradient g, or None for a
-    gradient not taken yet: an accepted candidate's is taken right after its
-    ``eval``, on the same parameter bits, so exp_inner reuses that value.
-    """
-    nodes, h, x = obs.grid.nodes, obs.grid.h, obs.x_values
-
-    def system(tau, state):
-        r, g = state
-        if g is None:
-            g = np.atleast_2d(model.grad(nodes, np.array(tau)))
-        gw = g * w
-        return h * (gw @ g.T), h * (gw @ r)
-
-    def value(cand):
-        cand_arr = np.array(cand)
-        r = x - model.eval(nodes, cand_arr)
-        return _q(r, w, h, cand_arr), (r, None)
-
-    return system, value
+    return LseResult(
+        theta_hat=tuple(best_tau),
+        q_value=best_q,
+        boundary=_at_bound(best_tau, model.box),
+        lattice_tie_count=tie_count,
+        n_starts=len(starts),
+    )
 
 
-def _scalar_lattice(model: RegressionModel, per_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice points of a one-parameter box and f there."""
-    points = _lattice_points(model.box, per_dim)
-    return points, np.array([model.scalar.f(p) for p in points[:, 0].tolist()])
-
-
-def lse_fit_scalar(s: float, gram: float, model: RegressionModel) -> LseResult:
-    """:func:`lse_fit` of a model with a :class:`~regtails.model.ScalarForm`, from one number.
+def fit_scalar(s: float, gram: float, model: RegressionModel) -> LseResult:
+    """Least squares for a model with a :class:`~regtails.model.ScalarForm`, from one number.
 
     For a mean f(tau) phi(t), Q(tau) = h x'wx - 2 f(tau) s + f(tau)^2 G with
-    s = h w.(phi x) and ``gram`` G = h w.phi^2, so a path enters only through s.
-    The data-only term h x'wx is the same at every tau and is left out: here Q is
-    f^2 G - 2 f s, which is also the returned ``q_value``, and the lattice tie
-    tolerance is relative to its minimum.  The lattice, its ranking and the
-    Gauss-Newton loop are :func:`lse_fit`'s, on this Q: the gram is f'^2 G and
-    the right-hand side f' (s - f G).  f on the lattice is memoized per model.
+    s = h w.(phi x) and ``gram`` G = h w.phi^2 > 0, so a path enters only
+    through s.  Q is G (f(tau) - s/G)^2 plus a constant, and f is strictly
+    increasing, so Q strictly decreases up to f^-1(s/G) and strictly increases
+    after it: its minimizer over the closed box is f^-1(s/G) clipped to the box
+    (``f_inv`` gives -inf for an s/G below the range of f, hence the lower
+    bound).  A lattice over such a Q has one basin and no tie, so ``n_starts``
+    and ``lattice_tie_count`` are 1, as for a unimodal :func:`lse_fit`.  The
+    data-only term h x'wx is left out: ``q_value`` is f^2 G - 2 f s at the
+    estimate.  ``boundary`` is :func:`lse_fit`'s rule.
     """
-    f, f_prime = model.scalar.f, model.scalar.f_prime
-    per_dim = FitOptions.coarse_grid_per_dim
-    points, f_lattice = memo(("scalar lattice", model, per_dim),
-                             lambda: _scalar_lattice(model, per_dim))
-    points, f_lattice = points.tolist(), f_lattice.tolist()
-
-    def q_at(fv, tau):
-        val = fv * fv * gram - 2.0 * fv * s
-        if not math.isfinite(val):
-            raise DataError(f"objective is non-finite at tau {np.array(tau)}")
-        return val
-
-    values = [q_at(fv, p) for fv, p in zip(f_lattice, points)]
-
-    def start_at(i):
-        return points[i], values[i], f_lattice[i]
-
-    def system(tau, fv):
-        fp = f_prime(tau[0])
-        return [[fp * fp * gram]], [fp * (s - fv * gram)]
-
-    def value(cand):
-        fv = f(cand[0])
-        return q_at(fv, cand), fv
-
-    return _search(model.box, values, start_at, system, value)
+    box, scalar = model.box, model.scalar
+    tau = box.clip([scalar.f_inv(s / gram)])
+    fv = float(scalar.f(tau[0]))
+    return LseResult(theta_hat=tuple(tau), q_value=fv * fv * gram - 2.0 * fv * s,
+                     boundary=_at_bound(tau, box))
 
 
 def normalized_deviation(theta_hat, theta_true, norming) -> float:

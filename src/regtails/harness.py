@@ -27,7 +27,7 @@ import numpy as np
 from . import config as _config
 from .bounds import BoundConstants, tail_envelope
 from .errors import ContractError, NonConvergenceError
-from .estimator import Observation, lse_fit, lse_fit_scalar, normalized_deviation
+from .estimator import Observation, fit_scalar, lse_fit, normalized_deviation
 from .noise import (
     FilterKernel,
     covariance_row,
@@ -85,8 +85,9 @@ def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[T
     A model with a scalar form f(tau) phi(t) is fitted from one number: the
     path's s = h w.(phi x) is c + u @ z, with c = h w.(phi a_true), z the
     trial's driver draws and u their weights (:func:`driver_weights`), so no
-    path is built.  Any other model fits the path :func:`noise_path` makes
-    from the same draws.
+    path is built, and :func:`fit_scalar` takes the estimate in closed form
+    (one start and no lattice tie per trial).  Any other model fits the path
+    :func:`noise_path` makes from the same draws with :func:`lse_fit`.
     """
     grid = _config.build_grid(cfg)
     model = _config.build_model(cfg)
@@ -110,7 +111,7 @@ def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[T
         scale, theta0 = float(norming[0]), float(theta_true[0])
 
         def fit(seed):
-            return lse_fit_scalar(c + float(u @ sample_driver(driver, u.size, seed)), gram, model)
+            return fit_scalar(c + float(u @ sample_driver(driver, u.size, seed)), gram, model)
 
         def deviation(theta_hat):
             # np.linalg.norm of one entry, bit for bit

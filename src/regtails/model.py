@@ -11,7 +11,8 @@ The quadratic-equivalence constants (c0, c1) bounding
     c0 * ||u - v||^2  <=  Phi(u, v)  <=  c1 * ||u - v||^2
 
 are estimated by sampling pairs in the normed box image.  A model whose mean
-is f(tau) * phi(t) (its :class:`ScalarForm`) has the one-number
+is f(tau) * phi(t) with f strictly increasing (its :class:`ScalarForm`) is
+fitted in closed form from one number per path, and has the one-number
 Phi(u, v) = (f(tau_u) - f(tau_v))^2 * integral of phi^2, so all its pairs
 take one array pass over f at the sampled points; any other model evaluates
 two model paths on the grid per pair.  For the exponential-of-inner-product
@@ -85,19 +86,19 @@ class ParameterBox:
 
 
 class ScalarForm(NamedTuple):
-    """A one-parameter mean a(t, tau) = f(tau) * phi(t), with f' the derivative of f.
+    """A one-parameter mean a(t, tau) = f(tau) * phi(t) with f strictly increasing.
 
     Least squares reads a path x of such a model only through the one number
-    s = integral of phi x (``estimator.lse_fit_scalar``), and the pair sampler
-    reads a pair only through f(tau_u) - f(tau_v).  ``f`` and ``f_prime`` take
-    Python floats; ``f_array`` is f over an array of tau, rounded as the model's
-    ``eval`` rounds it.
+    s = integral of phi x, and its estimate is f^-1(s / integral of phi^2)
+    clipped to the box (``estimator.fit_scalar``); the pair sampler reads a pair
+    only through f(tau_u) - f(tau_v).  ``f`` maps an array of tau, rounded as
+    the model's ``eval`` rounds it.  ``f_inv`` takes a Python float and returns
+    -inf below the range of f.
     """
 
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    f_inv: Callable[[float], float]
     phi: Callable[[np.ndarray], np.ndarray]
-    f_array: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -132,19 +133,9 @@ def _identity(tau):
     return tau
 
 
-def _exp(tau: float) -> float:
-    """e^tau by ``math.exp``, with inf past the float range as ``np.exp`` gives.
-
-    Only the overflow matches ``np.exp``: inside the range the two may differ in
-    the last bit (on 45,953 of 10^6 uniform arguments in [-0.5, 0.5] with
-    numpy 2.4 on x86-64).  So the one-number trial fit
-    (``estimator.lse_fit_scalar``) rounds f through ``math.exp``, while
-    ``eval`` and the pair sampler round it through ``np.exp``.
-    """
-    try:
-        return math.exp(tau)
-    except OverflowError:
-        return math.inf
+def _log(y: float) -> float:
+    """ln y, and -inf for y <= 0: the inverse of e^tau, below its range too."""
+    return math.log(y) if y > 0.0 else -math.inf
 
 
 def _unit_row(t) -> np.ndarray:
@@ -161,8 +152,7 @@ def linear_model(box: ParameterBox) -> RegressionModel:
         eval=lambda t, tau: tau[0] * t,
         grad=lambda t, tau: np.asarray(t, dtype=float)[None, :].copy(),
         name="linear",
-        scalar=ScalarForm(f=_identity, f_prime=lambda tau: 1.0,
-                          phi=lambda t: np.asarray(t, dtype=float), f_array=_identity),
+        scalar=ScalarForm(f=_identity, f_inv=_identity, phi=lambda t: np.asarray(t, dtype=float)),
     )
 
 
@@ -175,7 +165,7 @@ def constant_model(box: ParameterBox) -> RegressionModel:
         eval=lambda t, tau: np.full(np.shape(t), tau[0], dtype=float),
         grad=lambda t, tau: np.ones((1, np.size(t))),
         name="constant",
-        scalar=ScalarForm(f=_identity, f_prime=lambda tau: 1.0, phi=_ones, f_array=_identity),
+        scalar=ScalarForm(f=_identity, f_inv=_identity, phi=_ones),
     )
 
 
@@ -221,7 +211,7 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
 
     scalar = None
     if regressors is _unit_row and box.q == 1:
-        scalar = ScalarForm(f=_exp, f_prime=_exp, phi=_ones, f_array=np.exp)
+        scalar = ScalarForm(f=np.exp, f_inv=_log, phi=_ones)
     return RegressionModel(box=box, eval=_eval, grad=_grad, name="exp_inner", scalar=scalar)
 
 
@@ -353,7 +343,7 @@ def _scalar_pair_ratios(model: RegressionModel, theta, grid: TimeGrid, norming,
     if bad.size:
         k, side, i = (int(j) for j in bad[0])
         raise _box_exit(model, tau[k, side], i, "uv"[side])
-    f = model.scalar.f_array(tau[:, :, 0])
+    f = model.scalar.f(tau[:, :, 0])
     df2 = (f[:, 0] - f[:, 1]) ** 2
     if not np.all(np.isfinite(df2)):
         raise ContractError("integrand contains non-finite entries")

@@ -25,7 +25,7 @@ from regtails.config import (
     load_config,
 )
 from regtails.errors import ConfigError, ContractError, NonConvergenceError
-from regtails.estimator import lse_fit_scalar
+from regtails.estimator import fit_scalar
 from regtails.harness import STREAM_TRIALS, derive_seed, run_trials
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -343,14 +343,14 @@ def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
         calls.append(None)
         if len(calls) in (4, 200):
             raise NonConvergenceError("capped", best_point=(2.0,))
-        res = lse_fit_scalar(s, gram, model)
+        res = fit_scalar(s, gram, model)
         if len(calls) in (10, 11, 12):
             return dataclasses.replace(res, n_starts=2)
         if len(calls) == 20:
             return dataclasses.replace(res, lattice_tie_count=3)
         return res
 
-    monkeypatch.setattr(harness, "lse_fit_scalar", fit)
+    monkeypatch.setattr(harness, "fit_scalar", fit)
     out = tmp_path / "o"
     assert cli.main(["tails", "--config", cfg_path, "--out", str(out)]) == 0
     meta = json.loads((out / "tails_meta.json").read_text())

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtails import numerics
+from regtails import cli, numerics
 from regtails.config import build_grid, build_kernel, build_model, config_from_dict, load_config
 from regtails.errors import ContractError, DataError, DomainError, NonConvergenceError
 from regtails.estimator import (
@@ -18,9 +19,9 @@ from regtails.estimator import (
     LseResult,
     Observation,
     _gauss_newton,
-    _path_steps,
     _q,
     _rank_lattice,
+    fit_scalar,
     lse_fit,
     normalized_deviation,
     objective,
@@ -494,9 +495,8 @@ def test_refinement_from_every_lattice_point_matches_reference(build, lo, hi):
         for p in np.linspace(lo, hi, FitOptions.coarse_grid_per_dim):
             r = obs.x_values - m.eval(g.nodes, np.array([p]))
             q_start = _q(r, w, g.h, p)
-            got = _gauss_newton(m.box, [float(p)], q_start,
-                                (r, np.atleast_2d(m.grad(g.nodes, np.array([p])))),
-                                *_path_steps(obs, m, w))
+            got = _gauss_newton(obs, m, [float(p)], r, np.atleast_2d(m.grad(g.nodes, np.array([p]))),
+                                q_start, w)
             tau, q_val, ok = _reference_gauss_newton(obs, m, np.array([p]), q_start, opts)
             assert repr((tuple(got[0]), got[1], got[2])) == repr((tuple(tau.tolist()), q_val, ok))
 
@@ -658,3 +658,72 @@ def test_exp_filtered_trials_equal_the_closed_form():
     for r in records:
         x = 1.0 + noise_path("rademacher", grid, r.trial_seed, kernel)  # e^0 + noise
         assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -0.5, 0.5)) <= 5e-8  # box width 1
+
+
+def _one_number(m, g, x) -> tuple[float, float]:
+    """s = h w.(phi x) and G = h w.phi^2 of a path x, for a model with a scalar form."""
+    phi = m.scalar.phi(g.nodes)
+    hw_phi = g.h * trapezoid_weights(g) * phi
+    return float(hw_phi @ x), float(hw_phi @ phi)
+
+
+def _assert_q_value(res, m, g, x):
+    # q_value leaves out the data-only term h x'wx of Q
+    full = res.q_value + g.h * float(trapezoid_weights(g) @ (x * x))
+    assert full == pytest.approx(objective(Observation(grid=g, x_values=x), m, res.theta_hat),
+                                 rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("level, noise, bound", [(0.0, 0.0, -0.5), (-0.3, 0.1, -0.5),
+                                                 (2.0 * math.exp(0.5), 0.1, 0.5)])
+def test_closed_form_clips_to_the_bound(level, noise, bound):
+    # exp_const, a = e^theta: s <= 0 is below the range of e^theta, so Q
+    # increases over the whole box; s/G above e^0.5 makes it decrease throughout
+    m = exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,)))
+    g = TimeGrid(5.0, 200)
+    x = level + noise * white_noise_path("gaussian", g, 4)
+    s, gram = _one_number(m, g, x)
+    assert s <= 0.0 if bound < 0 else s / gram > math.exp(0.5)
+    res = fit_scalar(s, gram, m)
+    assert res.theta_hat == (_exp_const_lse(x, g, -0.5, 0.5),) == (bound,)
+    assert res.boundary and (res.n_starts, res.lattice_tie_count) == (1, 1)
+    assert lse_fit(Observation(grid=g, x_values=x), m).theta_hat == res.theta_hat
+    _assert_q_value(res, m, g, x)
+
+
+@pytest.mark.parametrize("build", [linear_model, constant_model], ids=["linear", "constant"])
+def test_closed_form_interior_fit_is_s_over_g(build):
+    # test_fit_equals_clipped_normal_equation's oracle: the trapezoid normal equation
+    m = build(ParameterBox((0.0,), (5.0,)))
+    g = TimeGrid(4.0, 400)
+    x = m.eval(g.nodes, np.array([2.1])) + 0.3 * white_noise_path("gaussian", g, 6)
+    s, gram = _one_number(m, g, x)
+    res = fit_scalar(s, gram, m)
+    assert res.theta_hat == (s / gram,)
+    y = m.scalar.phi(g.nodes)
+    wy = trapezoid_weights(g) * y
+    assert abs(res.theta_hat[0] - (wy @ x) / (wy @ y)) <= 1e-9 * 5.0
+    assert not res.boundary and (res.n_starts, res.lattice_tie_count) == (1, 1)
+    assert abs(lse_fit(Observation(grid=g, x_values=x), m).theta_hat[0] - res.theta_hat[0]) <= 1e-9 * 5.0
+    _assert_q_value(res, m, g, x)
+
+
+def test_wide_exp_box_runs_where_f_squared_overflows(tmp_path):
+    # on [-1, 800] the lattice reaches e^800, where f^2 G overflows; the LSE is
+    # still well defined, and the closed form never evaluates f away from it
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "exp_filtered.json").read_text())
+    doc["model"]["box"] = {"lower": [-1.0], "upper": [800.0]}
+    doc["grid"] = {"T": 10.0, "n_steps": 1000}
+    doc["montecarlo"]["n_trials"] = 200
+    doc["bounds"]["c0"] = 0.3
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["tails", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    cfg = load_config(cfg_path)
+    grid, kernel = build_grid(cfg), build_kernel(cfg)
+    records = run_trials(cfg)
+    assert len(records) == 200 and all(r.converged for r in records)
+    assert any(r.boundary for r in records)
+    for r in records:
+        x = 1.0 + noise_path("rademacher", grid, r.trial_seed, kernel)  # e^0 + noise
+        assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -1.0, 800.0)) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
-from regtails import cli, harness
+from regtails import cli, estimator, harness
 from regtails.bounds import BoundConstants, calibrate_prefactor
 from regtails.config import (
     build_grid,
@@ -185,6 +185,7 @@ def test_shipped_configs_build_no_path_and_call_no_path_fit(name, monkeypatch):
 
     monkeypatch.setattr(harness, "noise_path", never)
     monkeypatch.setattr(harness, "lse_fit", never)
+    monkeypatch.setattr(estimator, "_gauss_newton", never)
     cfg = load_config(CONFIGS / f"{name}.json")
     cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo, n_trials=20))
     records = run_trials(cfg)
@@ -195,7 +196,7 @@ def test_cosine_regressors_keep_the_path_route(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a model without a scalar form took the one-number route")
 
-    monkeypatch.setattr(harness, "lse_fit_scalar", never)
+    monkeypatch.setattr(harness, "fit_scalar", never)
     cfg = config_from_dict({
         "model": {"name": "exp_inner", "parameters": {"regressors": "cosine"},
                   "box": {"lower": [-0.5, -0.5], "upper": [0.5, 0.5]}, "theta_true": [0.1, -0.2]},
