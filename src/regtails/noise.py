@@ -6,6 +6,17 @@ construction in :func:`ito_nisio_path`.  The ``centered_exponential`` driver is
 deliberately *not* sub-Gaussian; it exists as a negative control for the
 moment-generating-function checker in :mod:`regtails.harness`.
 
+Rademacher values are read from the bit generator's raw output.  PCG64 emits
+64-bit words; split each into two 32-bit half-words, low half first, and
+value k is +1 if bit 31 of the k-th half-word is set, else -1.  These are the
+values of ``Generator.integers(0, 2, n) * 2.0 - 1.0`` bit for bit: NumPy's
+``integers`` takes a range of 2 by Lemire's bounded method on 32-bit draws
+(D. Lemire, "Fast random integer generation in an interval", ACM TOMACS
+29(1), 2019), which returns the draw's top bit and never rejects at that
+range.  Under NumPy's reproducibility policy (NEP 19) a bit generator's
+stream is stable across releases while ``Generator`` methods may change
+theirs, so the Rademacher outputs rest only on the stable part.
+
 A stationary noise path is produced by pushing the increments of xi through a
 causal kernel psi,
 
@@ -65,15 +76,56 @@ def next_fast_len(n: int) -> int:
     return best
 
 
+def _rademacher(count: int, bits: np.random.BitGenerator, shared: bool) -> np.ndarray:
+    """``count`` Rademacher values from PCG64's raw words (see :func:`sample_driver`).
+
+    A ``shared`` generator's buffered half-word goes first, and an odd
+    remainder leaves the last word's upper half buffered, as ``integers``
+    does; a generator that no caller holds needs neither.
+    """
+    if type(bits) is not np.random.PCG64:
+        raise ContractError(
+            f"rademacher draws read PCG64 words, got a Generator over {type(bits).__name__}")
+    state = bits.state if shared else None
+    pending = bool(state and state["has_uint32"])
+    rest = count - pending
+    words = bits.random_raw((rest + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<i4")[:rest]  # low half first
+    if pending:
+        halves = np.concatenate((np.array([state["uinteger"]], "<u4").view("<i4"), halves))
+    z = (halves < 0) * 2.0
+    z -= 1.0
+    if pending or (shared and rest % 2):
+        state = bits.state
+        state["has_uint32"] = rest % 2
+        if rest % 2:
+            state["uinteger"] = int(words[-1] >> 32)
+        bits.state = state
+    return z
+
+
 def sample_driver(kind: str, count: int, seed) -> np.ndarray:
-    """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law."""
+    """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law.
+
+    ``seed`` is anything :func:`numpy.random.default_rng` takes; a Generator or
+    BitGenerator is drawn from and advanced.  Rademacher values are bit 31 of
+    PCG64's raw 32-bit half-words, low half first (:func:`_rademacher`): the
+    values and the live state that ``integers(0, 2, count) * 2.0 - 1.0``
+    gives, since Lemire's bounded method returns a 32-bit draw's top bit and
+    never rejects at range 2 (Lemire 2019).  NEP 19 keeps bit-generator
+    streams stable while ``Generator`` methods may change theirs, so these
+    values rest on the stable part.  The identity is checked for PCG64, the
+    bit generator ``default_rng`` builds; a Generator over any other is a
+    ContractError.
+    """
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     if kind == "gaussian":
         return rng.standard_normal(count)
     if kind == "rademacher":
-        return rng.integers(0, 2, count) * 2.0 - 1.0
+        shared = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+        return _rademacher(count, rng.bit_generator, shared)
     if kind == "uniform_sqrt3":
         return rng.uniform(-_SQRT3, _SQRT3, count)
     if kind == "centered_exponential":

@@ -541,6 +541,41 @@ def test_mgf_replications_are_rows_of_one_stream(driver):
     np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)
 
 
+def _rademacher_mgf_means_by_integers(delta, grid, lam, n_rep, seed, kernel):
+    # mgf_check's block loop with Rademacher values drawn through integers
+    u = driver_weights(trapezoid_weights(grid) * grid.h * delta, grid, kernel)
+    u = u[u != 0.0]
+    rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
+    samples = np.empty(n_rep)
+    for start in range(0, n_rep, MGF_BLOCK):
+        rows = min(MGF_BLOCK, n_rep - start)
+        z = rng.integers(0, 2, rows * u.size) * 2.0 - 1.0
+        samples[start:start + rows] = z.reshape(rows, u.size) @ u
+    means = np.empty(lam.size)
+    with np.errstate(over="ignore"):
+        for j, x in enumerate(lam):
+            vals = np.exp(x * samples)
+            means[j] = vals.mean() if np.all(np.isfinite(vals)) else math.inf
+    return means
+
+
+@pytest.mark.parametrize("weight", ["flat", "spike", "filtered"])
+@pytest.mark.parametrize("n_rep", [10_000, 10_001])
+def test_mgf_rademacher_replications_match_integers_bit_for_bit(weight, n_rep):
+    # 101 nodes: the flat and filtered rows have odd counts, and 10,001
+    # replications end on a one-row block of an odd count
+    g = TimeGrid(1.0, 100)
+    delta = np.ones(g.n_nodes)
+    if weight == "spike":
+        delta = np.zeros(g.n_nodes)
+        delta[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)
+    kernel = FilterKernel.exponential(1.0) if weight == "filtered" else None
+    lam = np.array([0.5, 1.5, 2.0])
+    rep = mgf_check("rademacher", delta, g, 1.0, lam, n_rep, 17, kernel=kernel)
+    expected = _rademacher_mgf_means_by_integers(delta, g, lam, n_rep, 17, kernel)
+    assert np.all(rep.empirical_mean == expected)
+
+
 def test_mgf_filtered_peak_memory_stays_below_a_megabyte():
     # replications are drawn MGF_BLOCK rows at a time: at N = 2501 a row of a
     # filtered weight's draws is 3,501 values, and the block's arrays stay small

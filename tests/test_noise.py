@@ -46,6 +46,52 @@ def test_rademacher_support():
     assert set(np.unique(draws)) <= {-1.0, 1.0}
 
 
+def _rademacher_by_integers(count, rng):
+    # the route the raw-word signs replace, kept here as their reference
+    return rng.integers(0, 2, count) * 2.0 - 1.0
+
+
+def _live_state(rng):
+    # NumPy leaves a consumed half-word's stale value in `uinteger`; only a
+    # buffered one is ever read again
+    s = rng.bit_generator.state
+    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+
+
+_RADEMACHER_COUNTS = (1, 2, 3, 101, 7_001, 20_008, 28_008)
+_RANDOM_COUNTS = tuple(np.random.default_rng(8).integers(1, 30_000, 6).tolist())
+
+
+@pytest.mark.parametrize("count", _RADEMACHER_COUNTS + _RANDOM_COUNTS)
+@pytest.mark.parametrize("seed", [0, 1, 271_828, 2 ** 63 + 12_345])
+def test_rademacher_from_an_int_seed_matches_integers(count, seed):
+    got = sample_driver("rademacher", count, seed)
+    assert np.array_equal(got, _rademacher_by_integers(count, np.random.default_rng(seed)))
+
+
+def test_rademacher_on_a_shared_generator_matches_integers():
+    # one stream, consecutive odd and even counts, starting on a half-word that
+    # an odd-count integers call left buffered: values, live state and the
+    # next draw all agree with a twin that draws through integers
+    ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+    ours.integers(0, 2, 3)
+    twin.integers(0, 2, 3)
+    assert ours.bit_generator.state["has_uint32"] == 1
+    counts = list(_RADEMACHER_COUNTS) + [1, 1, 4, 5, 2]
+    counts += np.random.default_rng(3).integers(1, 300, 60).tolist()
+    for count in counts:
+        got = sample_driver("rademacher", count, ours)
+        assert np.array_equal(got, _rademacher_by_integers(count, twin)), count
+        assert _live_state(ours) == _live_state(twin), count
+    assert np.array_equal(ours.standard_normal(5), twin.standard_normal(5))
+
+
+def test_rademacher_needs_a_pcg64_generator():
+    # MT19937's native 32-bit output would give other bits than integers
+    with pytest.raises(ContractError, match="MT19937"):
+        sample_driver("rademacher", 5, np.random.Generator(np.random.MT19937(0)))
+
+
 def test_uniform_variance_matches_analytic():
     # Var U[-a, a] = a^2 / 3 = 1 for a = sqrt(3)
     draws = sample_driver("uniform_sqrt3", 10 ** 6, 2)
