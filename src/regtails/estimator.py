@@ -17,7 +17,9 @@ if some Gauss-Newton step happens to land in it.
 
 A model whose mean is f(tau) phi(t) with f strictly increasing (its
 :class:`~regtails.model.ScalarForm`) needs no search: Q has one basin, and
-:func:`fit_scalar` takes its minimizer over the box in closed form.
+:func:`fit_scalar` takes its minimizer over the box in closed form.  The
+search, :func:`lse_fit`, serves the models without one: q >= 2, tabulated
+regressors and custom models.
 """
 
 from __future__ import annotations
@@ -123,83 +125,58 @@ def _rank_lattice(v: list[float], per_dim: int, q: int) -> tuple[list[int], int]
     return starts, tie_count
 
 
-def _solve(gram, ridge, rhs) -> list[float]:
-    """``np.linalg.solve(gram + ridge * I, rhs)`` as floats; one parameter is one division.
-
-    LAPACK's 1 x 1 solve is that division bit for bit, and it calls an exactly
-    zero pivot singular, so this raises the same ``LinAlgError`` there.
-    """
-    if len(rhs) == 1:
-        pivot = float(gram[0, 0]) + ridge
-        if pivot == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return [float(rhs[0]) / pivot]
-    return np.linalg.solve(gram + ridge * np.eye(len(rhs)), rhs).tolist()
-
-
-def _distance(a: list[float], b: list[float]) -> float:
-    """Euclidean distance as the root of the summed squares.
-
-    For one parameter this is ``np.linalg.norm``'s rounding, bit for bit; for
-    more, ``np.linalg.norm`` may round its dot product differently (fused
-    multiply-add), so the two can differ in the last bit.
-    """
-    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
-
-
 def _at_bound(tau: list[float], box) -> bool:
     """Whether some coordinate of ``tau`` lies within 1e-8 of its width from a bound."""
     return any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
                for t, lo, hi in zip(tau, box.lower, box.upper))
 
 
-def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], float, bool]:
+def _gauss_newton(obs, model, start, r, q_start, w) -> tuple[np.ndarray, float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
-    The parameter is a list of floats; ``r`` and ``g`` are the residual and model
-    gradient at ``start``.  Each candidate is clipped by ``ParameterBox.clip``,
-    so a tie with a bound takes the bound, signed zero included.  So Q needs no
-    box check, and an accepted candidate carries its residual forward; its
-    gradient is taken right after its ``eval``, on the same array.
+    ``start`` is a parameter array and ``r`` the residual there.  Each candidate
+    is clipped to the box by ``np.clip`` on the bound arrays, so a tie with a
+    bound takes the bound, signed zero included, and Q needs no box check.  An
+    accepted candidate carries its residual forward; its gradient is taken
+    right after its ``eval``.
     """
     grid = obs.grid
     nodes, h = grid.nodes, grid.h
     box = model.box
     tol = FitOptions.local_tol_factor * box.diameter
-    tau, tau_arr = start, np.array(start)
-    q_cur = q_start
+    tau, q_cur = start, q_start
+    g = None
     ridge = 0.0
     for _ in range(FitOptions.max_iter):
         if g is None:
-            g = np.atleast_2d(model.grad(nodes, tau_arr))
+            g = np.atleast_2d(model.grad(nodes, tau))
         gw = g * w
         gram = h * (gw @ g.T)
         rhs = h * (gw @ r)
         try:
-            step = _solve(gram, ridge, rhs)
+            step = np.linalg.solve(gram + ridge * np.eye(model.q), rhs)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-10 * (float(np.trace(gram)) + 1.0))
             continue
-        if not all(map(math.isfinite, step)):
-            raise DataError(f"non-finite search direction at tau {tau_arr}")
+        if not np.all(np.isfinite(step)):
+            raise DataError(f"non-finite search direction at tau {tau}")
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
-            cand = box.clip([t + alpha * s for t, s in zip(tau, step)])
-            cand_arr = np.array(cand)
-            r_new = obs.x_values - model.eval(nodes, cand_arr)
-            q_new = _q(r_new, w, h, cand_arr)
+            cand = np.clip(tau + alpha * step, box.lower_arr, box.upper_arr)
+            r_new = obs.x_values - model.eval(nodes, cand)
+            q_new = _q(r_new, w, h, cand)
             if q_new < q_cur:
-                accepted = (cand, cand_arr, q_new, r_new)
+                accepted = (cand, q_new, r_new)
                 break
-            if _distance(cand, tau) < tol:
+            if np.linalg.norm(cand - tau) < tol:
                 break
             alpha *= 0.5
         if accepted is None:
             # no descent left at this point: treat as converged to a minimizer
             return tau, q_cur, True
-        moved = _distance(accepted[0], tau)
-        tau, tau_arr, q_cur, r = accepted
+        moved = np.linalg.norm(accepted[0] - tau)
+        tau, q_cur, r = accepted
         g = None
         if moved < tol:
             return tau, q_cur, True
@@ -209,15 +186,14 @@ def _gauss_newton(obs, model, start, r, g, q_start, w) -> tuple[list[float], flo
 def _lattice_tables(model: RegressionModel, grid: TimeGrid, per_dim: int) -> tuple[np.ndarray, ...]:
     """What the lattice scan needs apart from the data, built once per (model, grid).
 
-    The points p, the model values a_p and gradients there, the trapezoid
-    weights w, and e_p = h sum w a_p^2, the data-free term of
-    Q(p) = h x'(w x) - 2h a_p'(w x) + e_p.
+    The points p, the model values a_p there (points x N floats, the bulk of
+    the store), the trapezoid weights w, and e_p = h sum w a_p^2, the data-free
+    term of Q(p) = h x'(w x) - 2h a_p'(w x) + e_p.
     """
     points = _lattice_points(model.box, per_dim)
     a = np.array([model.eval(grid.nodes, p) for p in points], dtype=float)
-    g = np.array([np.atleast_2d(model.grad(grid.nodes, p)) for p in points], dtype=float)
     w = trapezoid_weights(grid)
-    return points, a, g, w, grid.h * ((a * a) @ w)
+    return points, a, w, grid.h * ((a * a) @ w)
 
 
 def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
@@ -230,10 +206,15 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     plateau counts.  A basin with no lattice point of its own is found only when
     a Gauss-Newton step happens to jump into it.  Ties on the lattice are broken
     by the lexicographically smallest point and their multiplicity is recorded.
-    The returned objective value never exceeds the best lattice value.  Raises NonConvergenceError (carrying the best
-    lattice point) if every refinement start hits the iteration cap.  The model
-    values and gradients on the lattice are memoized per (model, grid), so
-    ``model.eval`` and ``model.grad`` must be pure.
+    The returned objective value never exceeds the best lattice value.  Raises
+    NonConvergenceError (carrying the best lattice point) if every refinement
+    start hits the iteration cap.  The model values on the lattice, points x N
+    floats, are memoized per (model, grid), so ``model.eval`` must be pure;
+    each start takes its gradient from ``model.grad``.
+
+    A model with a :class:`~regtails.model.ScalarForm` is fitted by
+    :func:`fit_scalar` instead; this fit serves the rest: q >= 2, tabulated
+    regressors and custom models.
 
     The lattice values come from the expanded square, one matrix-vector product
     per fit.  They only rank the points (order, ties, basins): identical model
@@ -241,7 +222,7 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     refinement starts from the same numbers as :func:`objective`'s.
     """
     grid, per_dim = obs.grid, FitOptions.coarse_grid_per_dim
-    points, a_lattice, g_lattice, w, e = memo(
+    points, a_lattice, w, e = memo(
         ("lattice", model, grid, per_dim), lambda: _lattice_tables(model, grid, per_dim))
     h, x = grid.h, obs.x_values
     wx = w * x
@@ -253,23 +234,23 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     starts, tie_count = _rank_lattice(values.tolist(), per_dim, model.q)
 
     # the first start's result always replaces this, since its Q is finite
-    best_tau, best_q = [], math.inf
+    best_tau, best_q = (), math.inf
     any_converged = False
     for idx in starts:
         r = x - a_lattice[idx]
-        tau, q_val, ok = _gauss_newton(obs, model, points[idx].tolist(), r, g_lattice[idx],
-                                       _q(r, w, h, points[idx]), w)
+        tau, q_val, ok = _gauss_newton(obs, model, points[idx], r, _q(r, w, h, points[idx]), w)
+        tau = tuple(tau.tolist())
         any_converged = any_converged or ok
         if q_val < best_q or (q_val == best_q and tau < best_tau):
             best_tau, best_q = tau, q_val
     if not any_converged:
         raise NonConvergenceError(
             f"no refinement start converged within {FitOptions.max_iter} iterations",
-            best_point=tuple(best_tau),
+            best_point=best_tau,
         )
 
     return LseResult(
-        theta_hat=tuple(best_tau),
+        theta_hat=best_tau,
         q_value=best_q,
         boundary=_at_bound(best_tau, model.box),
         lattice_tie_count=tie_count,

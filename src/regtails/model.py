@@ -139,7 +139,7 @@ def _log(y: float) -> float:
 
 
 def _unit_row(t) -> np.ndarray:
-    """The one row y(t) = 1 of ``constant_regressors(1)``."""
+    """The one row y(t) = 1 of ``constant_regressors(1)`` and ``cosine_regressors(1)``."""
     return np.ones((1, np.size(t)))
 
 
@@ -178,7 +178,7 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
     every call.  On those nodes ``grad`` reuses the value of the last ``eval``
     when ``tau`` is bit-equal, as after each accepted Gauss-Newton step, so the
     gradient y * a costs no second ``exp``.  With ``constant_regressors(1)``
-    the mean is e^tau * 1, which is its scalar form.
+    or ``cosine_regressors(1)`` the mean is e^tau * 1, which is its scalar form.
     """
     nodes = rows = tau_key = value = None
 
@@ -220,7 +220,9 @@ def constant_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def cosine_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Rows 1, cos t, cos 2t, ... (first q of them)."""
+    """Rows 1, cos t, cos 2t, ... (first q of them); at q = 1 the constant row."""
+    if q == 1:
+        return _unit_row
 
     def y(t):
         t = np.asarray(t, dtype=float)

@@ -123,6 +123,8 @@ _SEPARABLE = {
                   "theta_true": [0.25]}, "s_T"),
     "exp_inner": ({"name": "exp_inner", "parameters": {"regressors": "constant"},
                    "box": {"lower": [-0.5], "upper": [0.5]}, "theta_true": [0.1]}, "s_T"),
+    "exp_inner_cosine": ({"name": "exp_inner", "parameters": {"regressors": "cosine"},
+                          "box": {"lower": [-0.5], "upper": [0.5]}, "theta_true": [0.1]}, "s_T"),
 }
 _R_LEVELS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -164,7 +166,7 @@ def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
     for r in records:
         obs = Observation(grid=grid, x_values=a_true + noise_path(driver, grid, r.trial_seed, k))
         want = lse_fit(obs, m)
-        if model == "exp_inner":
+        if model.startswith("exp_inner"):
             # test_fit_equals_clipped_normal_equation's bound: 5e-8 of the width,
             # plus Q's rounding floor for a curvature 2 T e^(2 theta)
             curvature = 2 * grid.T * math.exp(2 * want.theta_hat[0])
