@@ -49,6 +49,7 @@ from .harness import (
     derive_seed,
     deviations,
     estimate_tail,
+    index_streams,
     mgf_check,
     quadratic_form_check,
     run_trials,
@@ -289,8 +290,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         keys = [{"lag": float(k * grid.h)} for k in lag_steps]
 
     prods = np.zeros((n_paths, len(pairs)))
-    for i in range(n_paths):
-        x = path(derive_seed(master, STREAM_PATHS, i))
+    for i, _, bits in index_streams(master, STREAM_PATHS, 0, n_paths):
+        x = path(bits)
         if i < n_files:
             _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", column],
                         [[float(t), float(v)] for t, v in zip(grid.nodes, x)], sep="\t")

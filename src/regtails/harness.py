@@ -1,9 +1,14 @@
 """Monte-Carlo experiment engine and noise-property checkers.
 
 Trials are seeded counter-style, trial_seed = mix(master_seed, trial_index),
-so results are reproducible bit for bit regardless of execution order or the
-number of worker processes.  Aggregation (tail counts, interval fitting) is a
-pure function of the record set and therefore order-independent.
+and trial i draws the stream ``default_rng(trial_seed)`` would give, so
+results are reproducible bit for bit regardless of execution order or the
+number of worker processes, and any trial replays from its index alone.  A
+chunk of trials takes its seeds and PCG64 states in one array pass
+(:func:`index_streams`) and draws every trial from one bit generator reset to
+that trial's state, building no generator per trial.  Aggregation (tail
+counts, interval fitting) is a pure function of the record set and therefore
+order-independent.
 
 The sub-Gaussianity checker tests one-sided domination of the moment
 generating function of the weighted noise integral I = integral of
@@ -35,6 +40,7 @@ from .noise import (
     driver_weights,
     f0_sim,
     noise_path,
+    pcg64_states,
     quadratic_form,
     sample_driver,
     toeplitz_product,
@@ -52,6 +58,11 @@ STREAM_PATHS = 6
 #: fewest trials an exceedance table is estimated from
 MIN_TAIL_TRIALS = 100
 
+#: indices whose seeds and PCG64 states are taken in one array pass; a state is
+#: about 0.5 kB of Python objects, so a block bounds the memory they hold (5,000
+#: at once raised the peak RSS of a 5,000-trial ``tails`` by 1.6 MB)
+SEED_BLOCK = 512
+
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -60,10 +71,33 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(master_seed: int, stream: int, index: int) -> int:
-    """Pure 64-bit mix of (master_seed, stream, index); the trial-seed function."""
+def derive_seed(master_seed: int, stream: int, index):
+    """Pure 64-bit mix of (master_seed, stream, index); the trial-seed function.
+
+    ``index`` is an int or a ``uint64`` array of indices; an array gives the
+    array of seeds, each equal to the int form's, its products wrapping
+    modulo 2^64 as array arithmetic does.
+    """
     z = _splitmix64((master_seed & _MASK64) ^ _splitmix64(stream & _MASK64))
     return _splitmix64(z ^ _splitmix64(index & _MASK64))
+
+
+def index_streams(master_seed: int, stream: int, start: int, stop: int):
+    """Yield (index, seed, bits) for each index in [start, stop), seed = derive_seed(...).
+
+    ``bits`` is one PCG64, reset for each index to ``default_rng(seed)``'s
+    fresh state (:func:`pcg64_states`), so :func:`sample_driver` draws from it
+    what ``default_rng(seed)`` would; it is valid until the next index.  The
+    seeds and states are taken SEED_BLOCK indices at a time, each block in
+    one array pass.
+    """
+    bits = np.random.PCG64(0)
+    for low in range(start, stop, SEED_BLOCK):
+        high = min(low + SEED_BLOCK, stop)
+        seeds = derive_seed(master_seed, stream, np.arange(low, high, dtype=np.uint64))
+        for index, seed, state in zip(range(low, high), seeds.tolist(), pcg64_states(seeds)):
+            bits.state = state
+            yield index, seed, bits
 
 
 @dataclass(frozen=True)
@@ -81,7 +115,8 @@ class TrialRecord:
 def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
     """Run trials [start, stop); the frozen config pickles, so workers take it as is.
 
-    Trial i draws from its own generator, seeded derive_seed(master, STREAM_TRIALS, i).
+    Trial i draws the stream of ``default_rng(derive_seed(master, STREAM_TRIALS, i))``
+    from the chunk's one bit generator (:func:`index_streams`), on either route.
     A model with a scalar form f(tau) phi(t) is fitted from one number: the
     path's s = h w.(phi x) is c + u @ z, with c = h w.(phi a_true), z the
     trial's driver draws and u their weights (:func:`driver_weights`), so no
@@ -97,8 +132,8 @@ def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[T
     a_true = model.eval(grid.nodes, theta_true)
     norming = _config.build_norming(cfg, model, grid)
     if model.scalar is None:
-        def fit(seed):
-            eps = noise_path(driver, grid, seed, kernel)
+        def fit(bits):
+            eps = noise_path(driver, grid, bits, kernel)
             return lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
 
         def deviation(theta_hat):
@@ -110,17 +145,16 @@ def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[T
         gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
         scale, theta0 = float(norming[0]), float(theta_true[0])
 
-        def fit(seed):
-            return fit_scalar(c + float(u @ sample_driver(driver, u.size, seed)), gram, model)
+        def fit(bits):
+            return fit_scalar(c + float(u @ sample_driver(driver, u.size, bits)), gram, model)
 
         def deviation(theta_hat):
             # np.linalg.norm of one entry, bit for bit
             return abs(scale * (theta_hat[0] - theta0))
     out = []
-    for i in range(start, stop):
-        seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
+    for i, seed, bits in index_streams(cfg.montecarlo.master_seed, STREAM_TRIALS, start, stop):
         try:
-            res = fit(seed)
+            res = fit(bits)
             theta_hat, converged, boundary = res.theta_hat, True, res.boundary
             n_starts, ties = res.n_starts, res.lattice_tie_count
         except NonConvergenceError as err:

@@ -17,6 +17,12 @@ range.  Under NumPy's reproducibility policy (NEP 19) a bit generator's
 stream is stable across releases while ``Generator`` methods may change
 theirs, so the Rademacher outputs rest only on the stable part.
 
+Many seeded streams share one bit generator: :func:`pcg64_states` gives the
+PCG64 state that ``default_rng(seed)`` starts from for a whole array of
+seeds at once, and :func:`sample_driver` reads a bare bit generator set to
+one of them as that fresh generator.  NEP 19 keeps bit-generator seeding
+stable too, so each stream is a pure function of its seed.
+
 A stationary noise path is produced by pushing the increments of xi through a
 causal kernel psi,
 
@@ -76,16 +82,75 @@ def next_fast_len(n: int) -> int:
     return best
 
 
+def _hash_keys(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """SeedSequence's (xor, multiplier) pairs of its first n hash calls.
+
+    Call k xors with constant k and multiplies by constant k + 1, constant k
+    being init * mult^k mod 2^32.
+    """
+    consts = [init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(n + 1)]
+    return tuple(zip(consts, consts[1:]))
+
+
+_SEED_HASH_POOL = _hash_keys(0x43B0D7E5, 0x931E8875, 16)  # 4 pool words, then 12 cross-mixes
+_SEED_HASH_OUT = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)    # 8 output half-words
+_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, key: tuple[int, int]) -> np.ndarray:
+    value = (value ^ key[0]) * key[1]
+    return value ^ (value >> 16)
+
+
+def pcg64_states(seeds) -> list[dict]:
+    """``default_rng(seed).bit_generator.state`` for each 64-bit seed, building no generator.
+
+    ``default_rng(seed)`` seeds PCG64 from ``SeedSequence(seed).generate_state(4, uint64)``.
+    The sequence hashes the seed's 32-bit words, low word first, into a pool
+    of 4; a seed below 2^32 has one word, and the pool pads it with the zero
+    that a high word of 0 gives.  The hash's constants run the same for every
+    seed, so it is taken for all seeds at once in ``uint32`` arrays, whose
+    products wrap.  PCG64 then takes the four words as a 128-bit initial state
+    and stream, and seeds as O'Neill's ``pcg_setseq_128_srandom_r`` does
+    (O'Neill, "PCG: A family of simple fast space-efficient statistically good
+    algorithms for random number generation", HMC-CS-2014-0905): increment
+    2 initseq + 1, state 0, one step, add the initial state, one step more.
+    Setting a PCG64's ``state`` to the result gives the stream
+    ``default_rng(seed)`` gives; NEP 19 keeps that seeding stable.
+    """
+    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)  # array products wrap without a warning
+    pool_keys = iter(_SEED_HASH_POOL)
+    zero = np.zeros_like(seeds)
+    pool = [_hashmix(word.astype(np.uint32), next(pool_keys))
+            for word in (seeds & 0xFFFFFFFF, seeds >> 32, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(0xCA01F9DD) * pool[dst]
+                         - np.uint32(0x4973F715) * _hashmix(pool[src], next(pool_keys)))
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = [_hashmix(pool[k % 4], key).astype(np.uint64) for k, key in enumerate(_SEED_HASH_OUT)]
+    words = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for s0, s1, s2, s3 in zip(*words):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _rademacher(count: int, bits: np.random.BitGenerator, shared: bool) -> np.ndarray:
     """``count`` Rademacher values from PCG64's raw words (see :func:`sample_driver`).
 
     A ``shared`` generator's buffered half-word goes first, and an odd
     remainder leaves the last word's upper half buffered, as ``integers``
-    does; a generator that no caller holds needs neither.
+    does; a fresh bit generator needs neither.
     """
     if type(bits) is not np.random.PCG64:
-        raise ContractError(
-            f"rademacher draws read PCG64 words, got a Generator over {type(bits).__name__}")
+        given = ("a Generator over " if shared else "a bare ") + type(bits).__name__
+        raise ContractError(f"rademacher draws read PCG64 words, got {given}")
     state = bits.state if shared else None
     pending = bool(state and state["has_uint32"])
     rest = count - pending
@@ -104,27 +169,42 @@ def _rademacher(count: int, bits: np.random.BitGenerator, shared: bool) -> np.nd
     return z
 
 
+@functools.lru_cache(maxsize=1)  # a Generator holds no state: one serves every reset of its bits
+def _generator(bits: np.random.BitGenerator) -> np.random.Generator:
+    return np.random.Generator(bits)
+
+
 def sample_driver(kind: str, count: int, seed) -> np.ndarray:
     """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law.
 
-    ``seed`` is anything :func:`numpy.random.default_rng` takes; a Generator or
-    BitGenerator is drawn from and advanced.  Rademacher values are bit 31 of
+    ``seed`` is anything :func:`numpy.random.default_rng` takes.  A Generator
+    is a shared stream: it is drawn from and advanced.  A bare BitGenerator is
+    read as freshly seeded, as if it were ``default_rng(seed)``'s and no
+    caller held it: it is advanced, but Rademacher draws neither read nor leave
+    a buffered half-word.  So one PCG64 set to each seed's
+    :func:`pcg64_states` entry in turn draws what ``default_rng(seed)``
+    would, with no generator built per seed.  Rademacher values are bit 31 of
     PCG64's raw 32-bit half-words, low half first (:func:`_rademacher`): the
     values and the live state that ``integers(0, 2, count) * 2.0 - 1.0``
     gives, since Lemire's bounded method returns a 32-bit draw's top bit and
     never rejects at range 2 (Lemire 2019).  NEP 19 keeps bit-generator
     streams stable while ``Generator`` methods may change theirs, so these
     values rest on the stable part.  The identity is checked for PCG64, the
-    bit generator ``default_rng`` builds; a Generator over any other is a
-    ContractError.
+    bit generator ``default_rng`` builds; a Generator over any other, or any
+    other bare bit generator, is a ContractError.
     """
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
+    shared = isinstance(seed, np.random.Generator)
+    if shared:
+        rng = seed
+    elif isinstance(seed, np.random.BitGenerator):
+        rng = _generator(seed)
+    else:
+        rng = np.random.default_rng(seed)
     if kind == "gaussian":
         return rng.standard_normal(count)
     if kind == "rademacher":
-        shared = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
         return _rademacher(count, rng.bit_generator, shared)
     if kind == "uniform_sqrt3":
         return rng.uniform(-_SQRT3, _SQRT3, count)

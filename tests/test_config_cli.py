@@ -26,7 +26,8 @@ from regtails.config import (
 )
 from regtails.errors import ConfigError, ContractError, NonConvergenceError
 from regtails.estimator import fit_scalar
-from regtails.harness import STREAM_TRIALS, derive_seed, run_trials
+from regtails.harness import STREAM_PATHS, STREAM_TRIALS, derive_seed, run_trials
+from regtails.noise import ito_nisio_path, noise_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -677,6 +678,17 @@ def test_cli_import_leaves_out_slow_scipy_modules():
     assert _loaded_after("import sys, regtails.cli") == []
 
 
+def test_cli_import_leaves_out_numpy_random():
+    # numpy loads numpy.random at its first use; loaded at import, its import
+    # time would land in the set-up of every command
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regtails.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_cli_subcommands_run_without_scipy(tmp_path):
     doc = _linear_doc()
     doc["noise"] = {"driver": "rademacher", "kernel": {"form": "exponential", "rate": 1.0}}
@@ -723,6 +735,30 @@ def test_simulate_series_mode(tmp_path):
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary["mode"] == "series_construction"
     assert summary["all_within_4se"]
+
+
+@pytest.mark.parametrize("mode", ["white", "filtered", "series_construction"])
+def test_simulate_paths_are_the_streams_of_default_rng(mode, tmp_path):
+    # each path file against the path drawn from default_rng(derive_seed(master, STREAM_PATHS, i))
+    doc = _linear_doc()
+    doc["noise"] = {"driver": "rademacher",
+                    "kernel": {"form": "exponential", "rate": 1.0} if mode == "filtered" else None}
+    if mode == "series_construction":
+        doc["noise"]["basis"] = {"n_terms": 33, "horizon": 5.0}
+    doc["montecarlo"]["n_trials"] = 19
+    cfg = config_from_dict(doc)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads((out / "simulate_summary.json").read_text())["mode"] == mode
+    grid, kernel, basis = build_grid(cfg), build_kernel(cfg), build_basis(cfg)
+    files = sorted(out.glob("path_*.tsv"))
+    assert len(files) == 16
+    for i, file in enumerate(files):
+        rng = np.random.default_rng(derive_seed(11, STREAM_PATHS, i))
+        want = (noise_path("rademacher", grid, rng, kernel) if basis is None
+                else ito_nisio_path("rademacher", basis, grid, rng))
+        rows = [line for line in file.read_text().splitlines() if not line.startswith("#")][1:]
+        assert [float(row.split("\t")[1]) for row in rows] == want.tolist(), file.name
 
 
 def test_check_filtered_rademacher_passes(tmp_path):

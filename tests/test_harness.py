@@ -21,10 +21,12 @@ from regtails.config import (
     load_config,
 )
 from regtails.errors import ContractError
-from regtails.estimator import Observation, lse_fit, normalized_deviation
+from regtails.estimator import Observation, fit_scalar, lse_fit, normalized_deviation
 from regtails.harness import (
     MGF_BLOCK,
     STREAM_MGF,
+    STREAM_PATHS,
+    STREAM_TRIALS,
     TrialRecord,
     clopper_pearson,
     compare_with_envelope,
@@ -39,6 +41,7 @@ from regtails.harness import (
 from regtails.noise import (
     DRIVER_KINDS,
     FilterKernel,
+    apply_filter,
     covariance_row,
     driver_log_mgf,
     driver_weights,
@@ -73,6 +76,108 @@ def test_derive_seed_is_pure_and_spread():
     seeds = {derive_seed(12345, 1, i) for i in range(10_000)}
     assert len(seeds) == 10_000
     assert derive_seed(12345, 1, 0) != derive_seed(12345, 2, 0)
+
+
+def test_derive_seed_on_an_index_array_matches_the_int_form():
+    # a chunk takes its seeds from one array call; its uint64 products wrap
+    # silently, where a wrapping scalar product would warn and fail here
+    indices = list(range(5000)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    for master in (0, 12345, 2**63 + 7, 2**64 - 1):
+        for stream in (STREAM_TRIALS, STREAM_PATHS):
+            got = derive_seed(master, stream, np.array(indices, dtype=np.uint64)).tolist()
+            assert got == [derive_seed(master, stream, i) for i in indices]
+            assert all(type(seed) is int for seed in got)
+
+
+def test_index_streams_are_default_rng_streams_across_seed_blocks():
+    start, stop = harness.SEED_BLOCK - 7, 2 * harness.SEED_BLOCK + 5
+    streams = harness.index_streams(9, STREAM_PATHS, start, stop)
+    got = [(i, seed, bits.state) for i, seed, bits in streams]
+    assert got == [(i, derive_seed(9, STREAM_PATHS, i),
+                    np.random.default_rng(derive_seed(9, STREAM_PATHS, i)).bit_generator.state)
+                   for i in range(start, stop)]
+    assert list(harness.index_streams(9, STREAM_PATHS, 4, 4)) == []
+
+
+# each law by its Generator method: the reference for sample_driver's draws
+_REFERENCE_DRAWS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "rademacher": lambda rng, n: rng.integers(0, 2, n) * 2.0 - 1.0,
+    "uniform_sqrt3": lambda rng, n: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), n),
+    "centered_exponential": lambda rng, n: rng.exponential(1.0, n) - 1.0,
+}
+
+
+def _reference_chunk(cfg, start, stop):
+    """Trials [start, stop), trial i drawn from default_rng(derive_seed(master, STREAM_TRIALS, i))."""
+    grid, model, kernel = build_grid(cfg), build_model(cfg), build_kernel(cfg)
+    theta_true = np.asarray(cfg.model.theta_true)
+    a_true = model.eval(grid.nodes, theta_true)
+    norming = build_norming(cfg, model, grid)
+    sqrt_h = np.sqrt(grid.h)
+    n_draws = grid.n_nodes if kernel is None else kernel.n_taps(grid.h) + grid.n_steps
+    if model.scalar is not None:
+        phi = model.scalar.phi(grid.nodes)
+        hw_phi = grid.h * trapezoid_weights(grid) * phi
+        u = driver_weights(hw_phi, grid, kernel)
+        gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
+    records = []
+    for i in range(start, stop):
+        seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
+        z = _REFERENCE_DRAWS[cfg.noise.driver](np.random.default_rng(seed), n_draws)
+        if model.scalar is None:
+            eps = z / sqrt_h if kernel is None else apply_filter(kernel, sqrt_h * z, grid)
+            fit = lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
+        else:
+            fit = fit_scalar(c + float(u @ z), gram, model)
+        records.append(TrialRecord(
+            i, seed, fit.theta_hat, normalized_deviation(fit.theta_hat, theta_true, norming),
+            True, fit.boundary, fit.n_starts, fit.lattice_tie_count))
+    return records
+
+
+def _route_config(route, driver, kernel, n_trials=60):
+    # exp_inner with the constant regressor takes the one-number route, with
+    # cosine regressors at q = 2 the path route
+    regressors, q = {"one_number": ("constant", 1), "path": ("cosine", 2)}[route]
+    return config_from_dict({
+        "model": {"name": "exp_inner", "parameters": {"regressors": regressors},
+                  "box": {"lower": [-0.5] * q, "upper": [0.5] * q},
+                  "theta_true": [0.1, -0.2][:q]},
+        "noise": {"driver": driver, "kernel": kernel},
+        "grid": {"T": 5.0, "n_steps": 500},
+        "norming": "s_T",
+        "montecarlo": {"n_trials": n_trials, "master_seed": 23, "R_grid": [0.0, 1.0]},
+    })
+
+
+@pytest.mark.parametrize("route", ["one_number", "path"])
+@pytest.mark.parametrize("kernel", [None, {"form": "exponential", "rate": 2.0}])
+@pytest.mark.parametrize("driver", DRIVER_KINDS)
+def test_chunk_records_match_a_default_rng_per_trial(driver, kernel, route):
+    # the chunk's one reset bit generator against a generator built per trial,
+    # over chunk bounds at odd offsets
+    cfg = _route_config(route, driver, kernel)
+    assert (build_model(cfg).scalar is None) == (route == "path")
+    assert harness._run_chunk(cfg, 3, 58) == _reference_chunk(cfg, 3, 58)
+
+
+@pytest.mark.parametrize("route, driver", [("one_number", "gaussian"),
+                                           ("one_number", "rademacher"), ("path", "rademacher")])
+def test_a_chunk_builds_no_generator_per_trial(route, driver, monkeypatch):
+    built = []
+
+    def counted(name, make):
+        def build(*args, **kwargs):
+            built.append(name)
+            return make(*args, **kwargs)
+        return build
+
+    cfg = _route_config(route, driver, {"form": "exponential", "rate": 2.0}, n_trials=200)
+    for name in ("default_rng", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+    assert len(harness._run_chunk(cfg, 0, 200)) == 200
+    assert len(built) <= 1, built[:3]
 
 
 # -- run_trials ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy.signal import fftconvolve
 
 from regtails import noise, numerics
 from regtails.errors import ConfigError, ContractError
+from regtails.harness import STREAM_TRIALS, derive_seed
 from regtails.noise import (
     BasisSpec,
     FilterKernel,
@@ -26,6 +27,7 @@ from regtails.noise import (
     ito_nisio_path,
     next_fast_len,
     noise_path,
+    pcg64_states,
     quadratic_form,
     sample_driver,
     simulate_increments,
@@ -88,8 +90,34 @@ def test_rademacher_on_a_shared_generator_matches_integers():
 
 def test_rademacher_needs_a_pcg64_generator():
     # MT19937's native 32-bit output would give other bits than integers
-    with pytest.raises(ContractError, match="MT19937"):
+    with pytest.raises(ContractError, match="got a Generator over MT19937"):
         sample_driver("rademacher", 5, np.random.Generator(np.random.MT19937(0)))
+    with pytest.raises(ContractError, match="got a bare MT19937"):
+        sample_driver("rademacher", 5, np.random.MT19937(0))
+
+
+# -- seeding many streams at once -------------------------------------------------
+
+
+def test_pcg64_states_are_default_rng_states():
+    # fails if NumPy ever changes SeedSequence's hash or PCG64's seeding
+    seeds = [derive_seed(2024, STREAM_TRIALS, i) for i in range(20_000)]
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345]
+    assert pcg64_states(seeds) == [np.random.default_rng(s).bit_generator.state for s in seeds]
+    assert pcg64_states([]) == []
+
+
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_a_reset_bit_generator_draws_what_default_rng_draws(kind):
+    # one PCG64 reset to each seed's state in turn; an odd count ends mid-word,
+    # and the half-word a shared generator would buffer must not reach the next seed
+    seeds = np.random.default_rng(11).integers(0, 2**64 - 1, 80, dtype=np.uint64).tolist()
+    seeds += [0, 2**64 - 1]
+    bits = np.random.PCG64(0)
+    for j, (seed, state) in enumerate(zip(seeds, pcg64_states(seeds))):
+        count = (1, 2, 2501, 7001)[j % 4]
+        bits.state = state
+        assert np.array_equal(sample_driver(kind, count, bits), sample_driver(kind, count, seed))
 
 
 def test_uniform_variance_matches_analytic():
