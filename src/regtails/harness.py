@@ -16,7 +16,7 @@ delta(t) * eps(t) dt by the Gaussian envelope exp(lambda^2 * d0 * ||delta||^2 / 
 I is a weighted sum of i.i.d. driver draws, so its log-MGF is the sum of the
 driver's closed-form log-MGF over the weights and the verdict is exact.  Beside
 it the checker reports a Monte-Carlo estimate from replications drawn from one
-seeded stream, replication r being the r-th run of consecutive driver draws, so
+seeded PCG64, replication r being the r-th run of consecutive driver draws, so
 they too are reproducible bit for bit.
 """
 
@@ -26,6 +26,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ def index_streams(master_seed: int, stream: int, start: int, stop: int):
             yield index, seed, bits
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial_index: int
     trial_seed: int
     theta_hat: tuple[float, ...]
@@ -418,6 +418,8 @@ def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> Envelop
 
 #: replications drawn and summed per matrix product; the draws are one stream,
 #: so the block size bounds memory (MGF_BLOCK x driver count) and changes no draw.
+#: It must stay even: a Rademacher draw takes whole 64-bit words, so the blocks
+#: continue one stream only when every block's draw count but the last is even.
 #: A multiple of 4 dividing the replication count keeps BLAS's row blocking, so
 #: the sums' last bits; 8 rows (0.2 MB of draws at N = 2501) stay under glibc's
 #: heap-trim threshold, where 64 rows were trimmed and faulted in again per block.
@@ -447,9 +449,10 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
     lambda^2 * d0 * ||delta||^2 / 2 up to a relative 1e-12 for rounding (a
     Gaussian spike weight meets the bound with equality).  ``exact_mean`` and
     ``envelope`` are exp of the two sides.  ``empirical_mean`` is the sampler's
-    estimate: n_rep replications from one generator seeded by (seed, STREAM_MGF,
-    0), replication r the r-th run of u.size draws, MGF_BLOCK of them summed by
-    one matrix product; it is +inf at a lambda where a replication overflows.
+    estimate: n_rep replications from one PCG64 seeded by (seed, STREAM_MGF, 0),
+    the bit generator of ``default_rng`` at that seed, replication r the r-th
+    run of u.size draws, MGF_BLOCK of them summed by one matrix product; it is
+    +inf at a lambda where a replication overflows.
     """
     if n_rep < 10_000:
         raise ContractError(f"need n_rep >= 10000 for stable exponential moments, got {n_rep}")
@@ -465,12 +468,12 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
     log_mgf = np.array([driver_log_mgf(driver, lam * u).sum() for lam in lambda_grid])
     passed = log_mgf <= exponents * (1.0 + 1e-12)
 
-    rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
+    bits = np.random.PCG64(derive_seed(seed, STREAM_MGF, 0))
     samples = np.empty(n_rep)
     for start in range(0, n_rep, MGF_BLOCK):
         rows = min(MGF_BLOCK, n_rep - start)
         samples[start:start + rows] = (
-            sample_driver(driver, rows * u.size, rng).reshape(rows, u.size) @ u)
+            sample_driver(driver, rows * u.size, bits).reshape(rows, u.size) @ u)
     means = np.empty(lambda_grid.size)
     with np.errstate(over="ignore"):  # an overflow is reported as +inf
         for j, lam in enumerate(lambda_grid):

@@ -17,11 +17,12 @@ range.  Under NumPy's reproducibility policy (NEP 19) a bit generator's
 stream is stable across releases while ``Generator`` methods may change
 theirs, so the Rademacher outputs rest only on the stable part.
 
-Many seeded streams share one bit generator: :func:`pcg64_states` gives the
-PCG64 state that ``default_rng(seed)`` starts from for a whole array of
-seeds at once, and :func:`sample_driver` reads a bare bit generator set to
-one of them as that fresh generator.  NEP 19 keeps bit-generator seeding
-stable too, so each stream is a pure function of its seed.
+Every draw reads one stream form, a bare PCG64, and advances it.  Many
+seeded streams share one: :func:`pcg64_states` gives the PCG64 state that
+``default_rng(seed)`` starts from for a whole array of seeds at once, and a
+PCG64 set to one of them draws what that fresh generator would.  NEP 19
+keeps bit-generator seeding stable too, so each stream is a pure function of
+its seed.
 
 A stationary noise path is produced by pushing the increments of xi through a
 causal kernel psi,
@@ -141,71 +142,50 @@ def pcg64_states(seeds) -> list[dict]:
     return states
 
 
-def _rademacher(count: int, bits: np.random.BitGenerator, shared: bool) -> np.ndarray:
+def _rademacher(count: int, bits: np.random.PCG64) -> np.ndarray:
     """``count`` Rademacher values from PCG64's raw words (see :func:`sample_driver`).
 
-    A ``shared`` generator's buffered half-word goes first, and an odd
-    remainder leaves the last word's upper half buffered, as ``integers``
-    does; a fresh bit generator needs neither.
+    A draw takes ceil(count/2) whole words, and an odd count drops the last
+    word's upper half.  So back-to-back draws continue one stream, as one
+    ``integers`` call would, when every count except the last is even.
     """
-    if type(bits) is not np.random.PCG64:
-        given = ("a Generator over " if shared else "a bare ") + type(bits).__name__
-        raise ContractError(f"rademacher draws read PCG64 words, got {given}")
-    state = bits.state if shared else None
-    pending = bool(state and state["has_uint32"])
-    rest = count - pending
-    words = bits.random_raw((rest + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<i4")[:rest]  # low half first
-    if pending:
-        halves = np.concatenate((np.array([state["uinteger"]], "<u4").view("<i4"), halves))
-    z = (halves < 0) * 2.0
+    halves = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<i4")[:count]
+    z = (halves < 0) * 2.0  # bit 31 of each half-word, low half first
     z -= 1.0
-    if pending or (shared and rest % 2):
-        state = bits.state
-        state["has_uint32"] = rest % 2
-        if rest % 2:
-            state["uinteger"] = int(words[-1] >> 32)
-        bits.state = state
     return z
 
 
 @functools.lru_cache(maxsize=1)  # a Generator holds no state: one serves every reset of its bits
-def _generator(bits: np.random.BitGenerator) -> np.random.Generator:
+def _generator(bits: np.random.PCG64) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def sample_driver(kind: str, count: int, seed) -> np.ndarray:
-    """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law.
+def sample_driver(kind: str, count: int, bits: np.random.PCG64) -> np.ndarray:
+    """Draw ``count`` i.i.d. unit-variance, mean-zero values of the named law from ``bits``.
 
-    ``seed`` is anything :func:`numpy.random.default_rng` takes.  A Generator
-    is a shared stream: it is drawn from and advanced.  A bare BitGenerator is
-    read as freshly seeded, as if it were ``default_rng(seed)``'s and no
-    caller held it: it is advanced, but Rademacher draws neither read nor leave
-    a buffered half-word.  So one PCG64 set to each seed's
-    :func:`pcg64_states` entry in turn draws what ``default_rng(seed)``
-    would, with no generator built per seed.  Rademacher values are bit 31 of
-    PCG64's raw 32-bit half-words, low half first (:func:`_rademacher`): the
-    values and the live state that ``integers(0, 2, count) * 2.0 - 1.0``
-    gives, since Lemire's bounded method returns a 32-bit draw's top bit and
-    never rejects at range 2 (Lemire 2019).  NEP 19 keeps bit-generator
-    streams stable while ``Generator`` methods may change theirs, so these
-    values rest on the stable part.  The identity is checked for PCG64, the
-    bit generator ``default_rng`` builds; a Generator over any other, or any
-    other bare bit generator, is a ContractError.
+    ``bits`` is a bare PCG64, the bit generator ``default_rng`` builds, and the
+    draw advances it; anything else, an int seed or a Generator included, is a
+    ContractError.  A PCG64 set to a seed's :func:`pcg64_states` entry, or
+    built as ``PCG64(seed)``, draws what ``default_rng(seed)`` would, with no
+    generator built per seed.  Gaussian, uniform and exponential values come
+    from the ``Generator`` methods over ``bits``.  Rademacher values are bit 31
+    of PCG64's raw 32-bit half-words, low half first (:func:`_rademacher`): the
+    values that ``integers(0, 2, count) * 2.0 - 1.0`` gives on a fresh stream,
+    since Lemire's bounded method returns a 32-bit draw's top bit and never
+    rejects at range 2 (Lemire 2019).  A draw takes whole 64-bit words, so
+    draws continue one stream when every count except the last is even.  NEP 19
+    keeps bit-generator streams stable while ``Generator`` methods may change
+    theirs, so these values rest on the stable part.
     """
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
-    shared = isinstance(seed, np.random.Generator)
-    if shared:
-        rng = seed
-    elif isinstance(seed, np.random.BitGenerator):
-        rng = _generator(seed)
-    else:
-        rng = np.random.default_rng(seed)
+    if type(bits) is not np.random.PCG64:
+        raise ContractError(f"driver draws read a bare PCG64, got {type(bits).__name__}")
+    if kind == "rademacher":
+        return _rademacher(count, bits)
+    rng = _generator(bits)
     if kind == "gaussian":
         return rng.standard_normal(count)
-    if kind == "rademacher":
-        return _rademacher(count, rng.bit_generator, shared)
     if kind == "uniform_sqrt3":
         return rng.uniform(-_SQRT3, _SQRT3, count)
     if kind == "centered_exponential":
@@ -250,7 +230,7 @@ def driver_log_mgf(kind: str, x) -> np.ndarray:
     return out
 
 
-def simulate_increments(kind: str, grid: TimeGrid, n_pre: int, seed) -> np.ndarray:
+def simulate_increments(kind: str, grid: TimeGrid, n_pre: int, bits: np.random.PCG64) -> np.ndarray:
     """Increments dxi_j = sqrt(h) * Z_j of an integrated white noise, from n_pre steps before t=0.
 
     Entry i is the increment over (s_i, s_{i+1}] with s_i = -n_pre*h + i*h, so
@@ -259,7 +239,7 @@ def simulate_increments(kind: str, grid: TimeGrid, n_pre: int, seed) -> np.ndarr
     """
     if n_pre < 0:
         raise ContractError(f"prehistory must be >= 0 steps, got {n_pre}")
-    return np.sqrt(grid.h) * sample_driver(kind, n_pre + grid.n_steps, seed)
+    return np.sqrt(grid.h) * sample_driver(kind, n_pre + grid.n_steps, bits)
 
 
 @dataclass(frozen=True)
@@ -384,33 +364,35 @@ def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -
     return conv[n_pre - 1: n_pre + grid.n_steps]
 
 
-def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid, seed) -> np.ndarray:
+def filtered_noise_path(kind: str, kernel: FilterKernel, grid: TimeGrid,
+                        bits: np.random.PCG64) -> np.ndarray:
     """Generate a stationary filtered path: one increment per tap before t = 0, then the filter."""
-    increments = simulate_increments(kind, grid, kernel.n_taps(grid.h), seed)
+    increments = simulate_increments(kind, grid, kernel.n_taps(grid.h), bits)
     return apply_filter(kernel, increments, grid)
 
 
-def white_noise_path(kind: str, grid: TimeGrid, seed) -> np.ndarray:
+def white_noise_path(kind: str, grid: TimeGrid, bits: np.random.PCG64) -> np.ndarray:
     """White-increment noise: node values are increment densities dxi/h.
 
     Each value is an independent draw scaled by 1/sqrt(h), so quadrature of
     delta(t)*eps(t) reproduces the stochastic integral of delta against xi.
     """
-    return sample_driver(kind, grid.n_nodes, seed) / np.sqrt(grid.h)
+    return sample_driver(kind, grid.n_nodes, bits) / np.sqrt(grid.h)
 
 
-def noise_path(driver: str, grid: TimeGrid, seed, kernel: FilterKernel | None = None) -> np.ndarray:
+def noise_path(driver: str, grid: TimeGrid, bits: np.random.PCG64,
+               kernel: FilterKernel | None = None) -> np.ndarray:
     """Node values of one noise path: white increments without a kernel, else filtered."""
     if kernel is None:
-        return white_noise_path(driver, grid, seed)
-    return filtered_noise_path(driver, kernel, grid, seed)
+        return white_noise_path(driver, grid, bits)
+    return filtered_noise_path(driver, kernel, grid, bits)
 
 
 def driver_weights(w: np.ndarray, grid: TimeGrid, kernel: FilterKernel | None = None) -> np.ndarray:
     """Coefficients u of a path's weighted sum in its driver draws: w @ path == u @ draws.
 
-    A path is linear in the ``sample_driver(driver, u.size, seed)`` draws z that
-    :func:`noise_path` makes from the same seed, so ``w @ noise_path(...)``
+    A path is linear in the ``sample_driver(driver, u.size, bits)`` draws z that
+    :func:`noise_path` makes from the same stream, so ``w @ noise_path(...)``
     equals ``u @ z``.  White noise: u = w / sqrt(h).  Filtered noise, with one
     increment per tap before t = 0, n_pre = taps.size:
     u[m] = sqrt(h) * sum_j w_j taps[n_pre - 1 + j - m], one rFFT correlation.
@@ -447,7 +429,8 @@ def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
 
 def _power(samples: np.ndarray, step: float, lam) -> np.ndarray:
     """step^2 |sum_k samples_k e^{-i k lambda step}|^2 / 2*pi, elementwise in lambda."""
-    transform = np.exp(-1j * step * np.multiply.outer(lam, np.arange(samples.size))) @ samples
+    phases = np.exp(-1j * step * np.multiply.outer(lam, np.arange(samples.size)))
+    transform = (phases * samples).sum(axis=-1)  # pairwise, as np.trapezoid sums
     return step * step * np.abs(transform) ** 2 / (2.0 * math.pi)
 
 
@@ -550,7 +533,8 @@ def _haar_running_integrals(n_terms: int, horizon: float, times: np.ndarray) -> 
     return out
 
 
-def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid, seed) -> np.ndarray:
+def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid,
+                   bits: np.random.PCG64) -> np.ndarray:
     """Partial sum xi(t_j) = sum_k z_k * integral_0^{t_j} phi_k, z_k i.i.d. driver draws.
 
     With a gaussian driver this is a truncated expansion of a standard Wiener
@@ -561,7 +545,7 @@ def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid, seed) -> np.ndar
         raise ConfigError(
             f"grid horizon {grid.T} exceeds basis support horizon {basis.horizon}"
         )
-    coeffs = sample_driver(kind, basis.n_terms, seed)
+    coeffs = sample_driver(kind, basis.n_terms, bits)
     return coeffs @ memo(("haar", basis, grid),
                          lambda: _haar_running_integrals(basis.n_terms, basis.horizon, grid.nodes))
 

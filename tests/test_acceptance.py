@@ -84,7 +84,7 @@ def test_criterion_02_linear_oracle_equivalence():
     worst = 0.0
     n_interior = 0
     for i in range(100):
-        eps = white_noise_path("gaussian", g, derive_seed(77, STREAM_TRIALS, i))
+        eps = white_noise_path("gaussian", g, np.random.PCG64(derive_seed(77, STREAM_TRIALS, i)))
         x = lin.eval(g.nodes, np.array([2.0])) + eps
         obs = Observation(grid=g, x_values=x)
         res = lse_fit(obs, lin)
@@ -243,7 +243,7 @@ def test_criterion_08_series_construction_covariance():
 
     def covariances(n_terms):
         basis = BasisSpec(n_terms=n_terms, horizon=2.0)
-        xs = np.array([ito_nisio_path("gaussian", basis, grid, 8000 + i)
+        xs = np.array([ito_nisio_path("gaussian", basis, grid, np.random.PCG64(8000 + i))
                        for i in range(n_seeds)])
         out = []
         for a, b in pairs:

@@ -754,9 +754,9 @@ def test_simulate_paths_are_the_streams_of_default_rng(mode, tmp_path):
     files = sorted(out.glob("path_*.tsv"))
     assert len(files) == 16
     for i, file in enumerate(files):
-        rng = np.random.default_rng(derive_seed(11, STREAM_PATHS, i))
-        want = (noise_path("rademacher", grid, rng, kernel) if basis is None
-                else ito_nisio_path("rademacher", basis, grid, rng))
+        bits = np.random.default_rng(derive_seed(11, STREAM_PATHS, i)).bit_generator
+        want = (noise_path("rademacher", grid, bits, kernel) if basis is None
+                else ito_nisio_path("rademacher", basis, grid, bits))
         rows = [line for line in file.read_text().splitlines() if not line.startswith("#")][1:]
         assert [float(row.split("\t")[1]) for row in rows] == want.tolist(), file.name
 

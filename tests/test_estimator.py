@@ -50,7 +50,7 @@ def _lin():
 
 def _noisy_linear_obs(theta, grid, seed):
     m = _lin()
-    eps = white_noise_path("gaussian", grid, seed)
+    eps = white_noise_path("gaussian", grid, np.random.PCG64(seed))
     return Observation(grid=grid, x_values=m.eval(grid.nodes, np.array([theta])) + eps)
 
 
@@ -137,7 +137,7 @@ def test_interior_gradient_small():
     box = ParameterBox((-0.5,), (0.5,))
     m = exp_inner_model(constant_regressors(1), box)
     g = TimeGrid(2.0, 200)
-    eps = white_noise_path("gaussian", g, 77) * 0.05
+    eps = white_noise_path("gaussian", g, np.random.PCG64(77)) * 0.05
     obs = Observation(grid=g, x_values=m.eval(g.nodes, np.array([0.1])) + eps)
     res = lse_fit(obs, m)
     assert not res.boundary
@@ -373,7 +373,7 @@ def test_fit_bit_identical_to_reference(case, monkeypatch):
     ref = _uncached(m)
     a_true = m.eval(g.nodes, np.asarray(theta))
     for seed in range(6):
-        eps = noise_path("gaussian", g, seed, kernel)
+        eps = noise_path("gaussian", g, np.random.PCG64(seed), kernel)
         obs = Observation(grid=g, x_values=a_true + scale * eps)
         got, want = lse_fit(obs, m), _reference_lse_fit(obs, ref)
         # repr, not ==: -0.0 == 0.0, but tails.csv prints the sign
@@ -419,7 +419,7 @@ def test_fit_beats_lattice_and_truth(name, seed, where, scale):
     m, g = _BUILT_IN[name]
     lo, hi = m.box.lower[0], m.box.upper[0]
     theta = (lo + where * (hi - lo),)
-    eps = white_noise_path("gaussian", g, seed)
+    eps = white_noise_path("gaussian", g, np.random.PCG64(seed))
     obs = Observation(grid=g, x_values=m.eval(g.nodes, np.asarray(theta)) + scale * eps)
     res = lse_fit(obs, m)
     q_hat = objective(obs, m, res.theta_hat)
@@ -471,7 +471,7 @@ def test_refinement_from_every_lattice_point_matches_reference(build, lo, hi):
     opts = SimpleNamespace(**_FIT_DEFAULTS)
     for scale in (0.0, 0.01):
         obs = Observation(grid=g, x_values=m.eval(g.nodes, np.array([0.0]))
-                          + scale * white_noise_path("gaussian", g, 3))
+                          + scale * white_noise_path("gaussian", g, np.random.PCG64(3)))
         for p in np.linspace(lo, hi, FitOptions.coarse_grid_per_dim):
             r = obs.x_values - m.eval(g.nodes, np.array([p]))
             q_start = _q(r, w, g.h, p)
@@ -538,7 +538,7 @@ def test_lattice_evaluated_once_across_fits(monkeypatch):
     at_lattice = []
     for seed in (3, 4):
         calls.clear()
-        eps = white_noise_path("gaussian", g, seed) * 0.2
+        eps = white_noise_path("gaussian", g, np.random.PCG64(seed)) * 0.2
         obs = Observation(grid=g, x_values=base.eval(g.nodes, np.array([2.1])) + eps)
         lse_fit(obs, m)
         at_lattice += [call for call in calls if call[1] in lattice]
@@ -563,8 +563,8 @@ def test_fit_peak_memory_stays_below_ten_paths(monkeypatch):
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "exp_filtered.json")
     model, grid, kernel = build_model(cfg), build_grid(cfg), build_kernel(cfg)
     truth = model.eval(grid.nodes, np.asarray(cfg.model.theta_true))
-    first, second = (Observation(grid=grid, x_values=truth + noise_path("rademacher", grid, seed, kernel))
-                     for seed in (1, 2))
+    first, second = (Observation(grid=grid, x_values=truth + noise_path(
+        "rademacher", grid, np.random.PCG64(seed), kernel)) for seed in (1, 2))
     lse_fit(first, model)  # builds the lattice tables
     tracemalloc.start()
     try:
@@ -581,7 +581,7 @@ def test_lattice_memo_holds_one_value_table(monkeypatch):
     g = TimeGrid(20.0, 5000)
     m = exp_inner_model(cosine_regressors(3), ParameterBox((-0.5,) * 3, (0.5,) * 3))
     obs = Observation(grid=g, x_values=m.eval(g.nodes, np.array([0.2, -0.1, 0.05]))
-                      + 0.3 * white_noise_path("gaussian", g, 7))
+                      + 0.3 * white_noise_path("gaussian", g, np.random.PCG64(7)))
     monkeypatch.setattr(numerics, "_memo", {})
     lse_fit(obs, m)
     held = sum(a.nbytes for v in numerics._memo.values() for a in (v if isinstance(v, tuple) else (v,)))
@@ -612,7 +612,7 @@ def test_fit_equals_clipped_normal_equation(name, lower, width, where, T, n_step
     box = ParameterBox((lower,), (lower + width,))
     g = TimeGrid(T, n_steps)
     truth = lower + where * width
-    noise = scale * white_noise_path("gaussian", g, seed)
+    noise = scale * white_noise_path("gaussian", g, np.random.PCG64(seed))
     if name == "exp_const":
         obs = Observation(grid=g, x_values=math.exp(truth) + noise)
         m = exp_inner_model(constant_regressors(1), box)
@@ -648,7 +648,8 @@ def test_exp_filtered_trials_equal_the_closed_form():
     records = run_trials(cfg)
     assert len(records) == 400 and all(r.converged for r in records)
     for r in records:
-        x = 1.0 + noise_path("rademacher", grid, r.trial_seed, kernel)  # e^0 + noise
+        # e^0 + noise
+        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(r.trial_seed), kernel)
         assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -0.5, 0.5)) <= 5e-8  # box width 1
 
 
@@ -673,7 +674,7 @@ def test_closed_form_clips_to_the_bound(level, noise, bound):
     # increases over the whole box; s/G above e^0.5 makes it decrease throughout
     m = exp_inner_model(constant_regressors(1), ParameterBox((-0.5,), (0.5,)))
     g = TimeGrid(5.0, 200)
-    x = level + noise * white_noise_path("gaussian", g, 4)
+    x = level + noise * white_noise_path("gaussian", g, np.random.PCG64(4))
     s, gram = _one_number(m, g, x)
     assert s <= 0.0 if bound < 0 else s / gram > math.exp(0.5)
     res = fit_scalar(s, gram, m)
@@ -688,7 +689,7 @@ def test_closed_form_interior_fit_is_s_over_g(build):
     # test_fit_equals_clipped_normal_equation's oracle: the trapezoid normal equation
     m = build(ParameterBox((0.0,), (5.0,)))
     g = TimeGrid(4.0, 400)
-    x = m.eval(g.nodes, np.array([2.1])) + 0.3 * white_noise_path("gaussian", g, 6)
+    x = m.eval(g.nodes, np.array([2.1])) + 0.3 * white_noise_path("gaussian", g, np.random.PCG64(6))
     s, gram = _one_number(m, g, x)
     res = fit_scalar(s, gram, m)
     assert res.theta_hat == (s / gram,)
@@ -717,5 +718,6 @@ def test_wide_exp_box_runs_where_f_squared_overflows(tmp_path):
     assert len(records) == 200 and all(r.converged for r in records)
     assert any(r.boundary for r in records)
     for r in records:
-        x = 1.0 + noise_path("rademacher", grid, r.trial_seed, kernel)  # e^0 + noise
+        # e^0 + noise
+        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(r.trial_seed), kernel)
         assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -1.0, 800.0)) <= 1e-12

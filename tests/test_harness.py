@@ -52,6 +52,7 @@ from regtails.noise import (
     sample_driver,
 )
 from regtails.numerics import TimeGrid, integrate, trapezoid_weights
+from test_noise import REFERENCE_DRAWS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,15 +100,6 @@ def test_index_streams_are_default_rng_streams_across_seed_blocks():
     assert list(harness.index_streams(9, STREAM_PATHS, 4, 4)) == []
 
 
-# each law by its Generator method: the reference for sample_driver's draws
-_REFERENCE_DRAWS = {
-    "gaussian": lambda rng, n: rng.standard_normal(n),
-    "rademacher": lambda rng, n: rng.integers(0, 2, n) * 2.0 - 1.0,
-    "uniform_sqrt3": lambda rng, n: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), n),
-    "centered_exponential": lambda rng, n: rng.exponential(1.0, n) - 1.0,
-}
-
-
 def _reference_chunk(cfg, start, stop):
     """Trials [start, stop), trial i drawn from default_rng(derive_seed(master, STREAM_TRIALS, i))."""
     grid, model, kernel = build_grid(cfg), build_model(cfg), build_kernel(cfg)
@@ -124,7 +116,7 @@ def _reference_chunk(cfg, start, stop):
     records = []
     for i in range(start, stop):
         seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
-        z = _REFERENCE_DRAWS[cfg.noise.driver](np.random.default_rng(seed), n_draws)
+        z = REFERENCE_DRAWS[cfg.noise.driver](np.random.default_rng(seed), n_draws)
         if model.scalar is None:
             eps = z / sqrt_h if kernel is None else apply_filter(kernel, sqrt_h * z, grid)
             fit = lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
@@ -269,7 +261,8 @@ def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
     records = run_trials(cfg)
     path_devs = []
     for r in records:
-        obs = Observation(grid=grid, x_values=a_true + noise_path(driver, grid, r.trial_seed, k))
+        eps = noise_path(driver, grid, np.random.PCG64(r.trial_seed), k)
+        obs = Observation(grid=grid, x_values=a_true + eps)
         want = lse_fit(obs, m)
         if model.startswith("exp_inner"):
             # test_fit_equals_clipped_normal_equation's bound: 5e-8 of the width,
@@ -636,13 +629,14 @@ def test_mgf_zero_weight_is_a_contract_error(kernel, monkeypatch):
 @pytest.mark.parametrize("driver", DRIVER_KINDS)
 def test_mgf_replications_are_rows_of_one_stream(driver):
     # 101 nodes: an odd count per row, so a row boundary splits the 64-bit words
-    # that 32-bit draws are taken from, and 10,000 rows end in a partial block
+    # that 32-bit draws are taken from; the reference is one call of the law's
+    # Generator method on default_rng at the check's stream seed
     g = TimeGrid(1.0, 100)
     lam = np.array([0.5, 1.0])
     n_rep, seed = 10_000, 21
     rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, n_rep, seed)
     rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
-    z = sample_driver(driver, n_rep * g.n_nodes, rng).reshape(n_rep, g.n_nodes)
+    z = REFERENCE_DRAWS[driver](rng, n_rep * g.n_nodes).reshape(n_rep, g.n_nodes)
     samples = z @ (trapezoid_weights(g) * np.sqrt(g.h))
     expected = np.exp(np.outer(lam, samples)).mean(axis=1)
     np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)

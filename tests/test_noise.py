@@ -44,20 +44,22 @@ from regtails.numerics import TimeGrid, inner_product, integrate, trapezoid_weig
 
 
 def test_rademacher_support():
-    draws = sample_driver("rademacher", 5000, 1)
+    draws = sample_driver("rademacher", 5000, np.random.PCG64(1))
     assert set(np.unique(draws)) <= {-1.0, 1.0}
 
 
-def _rademacher_by_integers(count, rng):
+def _rademacher_by_integers(rng, count):
     # the route the raw-word signs replace, kept here as their reference
     return rng.integers(0, 2, count) * 2.0 - 1.0
 
 
-def _live_state(rng):
-    # NumPy leaves a consumed half-word's stale value in `uinteger`; only a
-    # buffered one is ever read again
-    s = rng.bit_generator.state
-    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+# each law by its Generator method: the reference for sample_driver's draws
+REFERENCE_DRAWS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "rademacher": _rademacher_by_integers,
+    "uniform_sqrt3": lambda rng, n: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), n),
+    "centered_exponential": lambda rng, n: rng.exponential(1.0, n) - 1.0,
+}
 
 
 _RADEMACHER_COUNTS = (1, 2, 3, 101, 7_001, 20_008, 28_008)
@@ -66,34 +68,19 @@ _RANDOM_COUNTS = tuple(np.random.default_rng(8).integers(1, 30_000, 6).tolist())
 
 @pytest.mark.parametrize("count", _RADEMACHER_COUNTS + _RANDOM_COUNTS)
 @pytest.mark.parametrize("seed", [0, 1, 271_828, 2 ** 63 + 12_345])
-def test_rademacher_from_an_int_seed_matches_integers(count, seed):
-    got = sample_driver("rademacher", count, seed)
-    assert np.array_equal(got, _rademacher_by_integers(count, np.random.default_rng(seed)))
+def test_rademacher_from_a_fresh_pcg64_matches_integers(count, seed):
+    got = sample_driver("rademacher", count, np.random.PCG64(seed))
+    assert np.array_equal(got, _rademacher_by_integers(np.random.default_rng(seed), count))
 
 
-def test_rademacher_on_a_shared_generator_matches_integers():
-    # one stream, consecutive odd and even counts, starting on a half-word that
-    # an odd-count integers call left buffered: values, live state and the
-    # next draw all agree with a twin that draws through integers
-    ours, twin = np.random.default_rng(9), np.random.default_rng(9)
-    ours.integers(0, 2, 3)
-    twin.integers(0, 2, 3)
-    assert ours.bit_generator.state["has_uint32"] == 1
-    counts = list(_RADEMACHER_COUNTS) + [1, 1, 4, 5, 2]
-    counts += np.random.default_rng(3).integers(1, 300, 60).tolist()
-    for count in counts:
-        got = sample_driver("rademacher", count, ours)
-        assert np.array_equal(got, _rademacher_by_integers(count, twin)), count
-        assert _live_state(ours) == _live_state(twin), count
-    assert np.array_equal(ours.standard_normal(5), twin.standard_normal(5))
-
-
-def test_rademacher_needs_a_pcg64_generator():
-    # MT19937's native 32-bit output would give other bits than integers
-    with pytest.raises(ContractError, match="got a Generator over MT19937"):
-        sample_driver("rademacher", 5, np.random.Generator(np.random.MT19937(0)))
-    with pytest.raises(ContractError, match="got a bare MT19937"):
-        sample_driver("rademacher", 5, np.random.MT19937(0))
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_every_driver_reads_only_a_bare_pcg64(kind):
+    # MT19937's native 32-bit output would give other bits than integers; an int
+    # seed or a Generator is a second stream form with rules of its own
+    for stream, name in ((7, "int"), (np.random.default_rng(7), "Generator"),
+                         (np.random.MT19937(7), "MT19937")):
+        with pytest.raises(ContractError, match=f"got {name}$"):
+            sample_driver(kind, 5, stream)
 
 
 # -- seeding many streams at once -------------------------------------------------
@@ -109,31 +96,33 @@ def test_pcg64_states_are_default_rng_states():
 
 @pytest.mark.parametrize("kind", DRIVER_KINDS)
 def test_a_reset_bit_generator_draws_what_default_rng_draws(kind):
-    # one PCG64 reset to each seed's state in turn; an odd count ends mid-word,
-    # and the half-word a shared generator would buffer must not reach the next seed
+    # one PCG64 reset to each seed's state in turn, against the law's Generator
+    # method on default_rng(seed); an odd count ends mid-word, and the upper
+    # half of the last word must not reach the next seed
     seeds = np.random.default_rng(11).integers(0, 2**64 - 1, 80, dtype=np.uint64).tolist()
     seeds += [0, 2**64 - 1]
     bits = np.random.PCG64(0)
     for j, (seed, state) in enumerate(zip(seeds, pcg64_states(seeds))):
         count = (1, 2, 2501, 7001)[j % 4]
         bits.state = state
-        assert np.array_equal(sample_driver(kind, count, bits), sample_driver(kind, count, seed))
+        want = REFERENCE_DRAWS[kind](np.random.default_rng(seed), count)
+        assert np.array_equal(sample_driver(kind, count, bits), want)
 
 
 def test_uniform_variance_matches_analytic():
     # Var U[-a, a] = a^2 / 3 = 1 for a = sqrt(3)
-    draws = sample_driver("uniform_sqrt3", 10 ** 6, 2)
+    draws = sample_driver("uniform_sqrt3", 10 ** 6, np.random.PCG64(2))
     assert 0.99 <= draws.var() <= 1.01
     assert abs(draws).max() <= math.sqrt(3.0)
 
 
 def test_gaussian_fourth_moment():
-    draws = sample_driver("gaussian", 10 ** 6, 3)
+    draws = sample_driver("gaussian", 10 ** 6, np.random.PCG64(3))
     assert 2.94 <= np.mean(draws ** 4) <= 3.06
 
 
 def test_centered_exponential_moments():
-    draws = sample_driver("centered_exponential", 10 ** 6, 4)
+    draws = sample_driver("centered_exponential", 10 ** 6, np.random.PCG64(4))
     assert abs(draws.mean()) < 0.01
     assert 0.99 <= draws.var() <= 1.01
     assert draws.min() >= -1.0
@@ -141,7 +130,7 @@ def test_centered_exponential_moments():
 
 def test_unknown_driver_rejected():
     with pytest.raises(ConfigError):
-        sample_driver("cauchy", 10, 0)
+        sample_driver("cauchy", 10, np.random.PCG64(0))
 
 
 _DIRECT_LOG_MGF = {
@@ -184,8 +173,8 @@ def test_unknown_driver_log_mgf_rejected():
 
 
 def test_driver_determinism():
-    a = sample_driver("gaussian", 100, 42)
-    b = sample_driver("gaussian", 100, 42)
+    a = sample_driver("gaussian", 100, np.random.PCG64(42))
+    b = sample_driver("gaussian", 100, np.random.PCG64(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -194,10 +183,10 @@ def test_driver_determinism():
 
 def test_increment_variance_scaling():
     g = TimeGrid(10.0, 1000)
-    inc = simulate_increments("gaussian", g, n_pre=0, seed=5)
+    inc = simulate_increments("gaussian", g, n_pre=0, bits=np.random.PCG64(5))
     # 10^5 increments via repeated segments
     vals = np.concatenate([
-        simulate_increments("gaussian", g, 0, 100 + i) for i in range(100)
+        simulate_increments("gaussian", g, 0, np.random.PCG64(100 + i)) for i in range(100)
     ])
     assert vals.size == 10 ** 5
     assert g.h * 0.98 <= vals.var() <= g.h * 1.02
@@ -206,7 +195,7 @@ def test_increment_variance_scaling():
 
 def test_disjoint_increments_uncorrelated():
     g = TimeGrid(1.0, 2000)
-    vals = simulate_increments("uniform_sqrt3", g, 0, 9)
+    vals = simulate_increments("uniform_sqrt3", g, 0, np.random.PCG64(9))
     a, b = vals[::2], vals[1::2]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(a.size)
@@ -214,9 +203,9 @@ def test_disjoint_increments_uncorrelated():
 
 def test_zero_prehistory_gives_only_main_segment():
     g = TimeGrid(1.0, 4)
-    inc = simulate_increments("gaussian", g, 0, 0)
+    inc = simulate_increments("gaussian", g, 0, np.random.PCG64(0))
     assert inc.shape == (4,)
-    inc2 = simulate_increments("gaussian", g, 2, 0)
+    inc2 = simulate_increments("gaussian", g, 2, np.random.PCG64(0))
     assert inc2.shape == (6,)
 
 
@@ -227,7 +216,7 @@ def test_delta_like_kernel_gives_unit_white_noise():
     g = TimeGrid(1.0, 100)
     h = g.h
     kernel = FilterKernel.tabulated([0.0, h], [1.0 / math.sqrt(h), 1.0 / math.sqrt(h)])
-    inc = simulate_increments("gaussian", g, n_pre=2, seed=11)
+    inc = simulate_increments("gaussian", g, n_pre=2, bits=np.random.PCG64(11))
     path = apply_filter(kernel, inc, g)
     # eps(t_j) = dxi(ending at t_j) / sqrt(h), with two prehistory increments
     expected = inc[1: 2 + g.n_steps] / math.sqrt(h)
@@ -238,7 +227,7 @@ def test_delta_like_kernel_gives_unit_white_noise():
 def test_apply_filter_matches_direct_convolution():
     g = TimeGrid(3.0, 300)
     kernel = FilterKernel.exponential(2.0)
-    inc = simulate_increments("rademacher", g, kernel.n_taps(g.h), 4)
+    inc = simulate_increments("rademacher", g, kernel.n_taps(g.h), np.random.PCG64(4))
     n_pre = inc.size - g.n_steps
     direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
     np.testing.assert_allclose(apply_filter(kernel, inc, g), direct, rtol=1e-12, atol=1e-12)
@@ -252,7 +241,7 @@ def test_tabulated_kernels_differing_in_one_sample_filter_apart():
     assert first == FilterKernel.tabulated(list(times), list(first.samples))
     assert hash(first) == hash(FilterKernel.tabulated(list(times), list(first.samples)))
     g = TimeGrid(2.0, 200)
-    inc = simulate_increments("gaussian", g, first.n_taps(g.h), 8)
+    inc = simulate_increments("gaussian", g, first.n_taps(g.h), np.random.PCG64(8))
     n_pre = inc.size - g.n_steps
     for kernel in (first, second):
         direct = np.convolve(inc, kernel.taps(g.h))[n_pre - 1: n_pre + g.n_steps]
@@ -262,7 +251,7 @@ def test_tabulated_kernels_differing_in_one_sample_filter_apart():
 def test_insufficient_prehistory_names_requirement():
     g = TimeGrid(1.0, 100)
     kernel = FilterKernel.exponential(1.0)
-    inc = simulate_increments("gaussian", g, n_pre=100, seed=0)
+    inc = simulate_increments("gaussian", g, n_pre=100, bits=np.random.PCG64(0))
     with pytest.raises(ContractError, match="prehistory"):
         apply_filter(kernel, inc, g)
 
@@ -279,29 +268,30 @@ def test_filtered_path_draws_one_increment_per_tap_before_zero(kernel, grid, n_t
     assert kernel.n_taps(grid.h) == n_taps
     counts = []
 
-    def counting(kind, count, seed):
+    def counting(kind, count, bits):
         counts.append(count)
-        return sample_driver(kind, count, seed)
+        return sample_driver(kind, count, bits)
 
     monkeypatch.setattr(noise, "sample_driver", counting)
-    path = filtered_noise_path("gaussian", kernel, grid, 3)
+    path = filtered_noise_path("gaussian", kernel, grid, np.random.PCG64(3))
     assert counts == [n_taps + grid.n_steps]
     np.testing.assert_array_equal(
-        path, apply_filter(kernel, simulate_increments("gaussian", grid, n_taps, 3), grid))
+        path,
+        apply_filter(kernel, simulate_increments("gaussian", grid, n_taps, np.random.PCG64(3)), grid))
     assert driver_weights(np.ones(grid.n_nodes), grid, kernel).size == n_taps + grid.n_steps
 
 
 def test_filtered_variance_matches_kernel_l2():
     # B(0) = integral of exp(-2u) = 1/2 for rate 1
     g = TimeGrid(800.0, 40_000)
-    path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, 21)
+    path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, np.random.PCG64(21))
     assert 0.5 * 0.93 <= path.var() <= 0.5 * 1.07
 
 
 def test_filtered_lag_covariance():
     # lag-1 covariance exp(-1)/2 for rate 1
     g = TimeGrid(800.0, 40_000)
-    path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, 22)
+    path = filtered_noise_path("gaussian", FilterKernel.exponential(1.0), g, np.random.PCG64(22))
     lag = int(round(1.0 / g.h))
     emp = np.mean(path[:-lag] * path[lag:])
     assert emp == pytest.approx(math.exp(-1) / 2, abs=0.02)
@@ -310,14 +300,14 @@ def test_filtered_lag_covariance():
 def test_path_determinism():
     g = TimeGrid(2.0, 200)
     k = FilterKernel.exponential(1.0)
-    a = filtered_noise_path("rademacher", k, g, 7)
-    b = filtered_noise_path("rademacher", k, g, 7)
+    a = filtered_noise_path("rademacher", k, g, np.random.PCG64(7))
+    b = filtered_noise_path("rademacher", k, g, np.random.PCG64(7))
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(noise_path("rademacher", g, 7, k), a)
-    w1 = white_noise_path("gaussian", g, 8)
-    w2 = white_noise_path("gaussian", g, 8)
+    np.testing.assert_array_equal(noise_path("rademacher", g, np.random.PCG64(7), k), a)
+    w1 = white_noise_path("gaussian", g, np.random.PCG64(8))
+    w2 = white_noise_path("gaussian", g, np.random.PCG64(8))
     np.testing.assert_array_equal(w1, w2)
-    np.testing.assert_array_equal(noise_path("gaussian", g, 8), w1)
+    np.testing.assert_array_equal(noise_path("gaussian", g, np.random.PCG64(8)), w1)
 
 
 def test_ensemble_covariance_matches_theory():
@@ -335,7 +325,7 @@ def test_ensemble_covariance_matches_theory():
     batch = 1000
     for start in range(0, n_paths, batch):
         dxi = np.vstack([
-            simulate_increments("gaussian", g, n_pre, rng_master + start + i)
+            simulate_increments("gaussian", g, n_pre, np.random.PCG64(rng_master + start + i))
             for i in range(batch)
         ])
         conv = fftconvolve(dxi, taps[None, :], mode="full", axes=1)
@@ -398,6 +388,14 @@ def test_spectral_density_closed_form():
     assert f0_sup(k) == pytest.approx(1 / (2 * math.pi), rel=1e-6)
 
 
+def test_spectral_density_sums_its_table_pairwise():
+    # the constant kernel -0.1 on [0, 2] has f(0) = 0.2^2 / 2 pi; a sequential sum
+    # of its 65,537-term table drifts by 1.2e-13 relative, a pairwise one by ulps
+    kernel = FilterKernel.tabulated([0.0, 2.0], [-0.1, -0.1])
+    want = 0.04 / (2 * math.pi)
+    assert abs(spectral_density(kernel, 0.0) - want) <= 4 * math.ulp(want)
+
+
 def test_spectrum_even():
     k = FilterKernel.exponential(0.7)
     rng = np.random.default_rng(3)
@@ -438,7 +436,8 @@ def test_f0_sup_is_supremum(kernel, lams, h):
     transform = np.exp(-1j * h * np.outer(lams, np.arange(taps.size))) @ taps
     assert np.all(h * h * np.abs(transform) ** 2 / (2 * math.pi) <= f0_sim(kernel, h) * (1 + 1e-9))
     # the density is the trapezoid quadrature of psi's Fourier transform on the fine grid,
-    # up to the rounding of a 65,537-term dot product (at most 2.5e-13 over 300 kernels)
+    # up to the rounding of two 65,537-term pairwise sums that differ in where the end
+    # nodes are halved (at most 7.8e-14 relative over 300 kernels, near the density's zeros)
     u, psi_u, step = _fine_table(kernel)
     phase = np.exp(-1j * np.outer(lams, u))
     direct = np.abs(np.trapezoid(phase * psi_u, dx=step, axis=1)) ** 2 / (2 * math.pi)
@@ -590,7 +589,7 @@ def test_next_fast_len_matches_scipy():
 ], ids=["exp_filtered", "half_grid", "odd", "tabulated", "tiny"])
 def test_numpy_fft_matches_scipy_fft_bit_for_bit(kernel, grid, monkeypatch):
     rng = np.random.default_rng(grid.n_steps)
-    increments = simulate_increments("gaussian", grid, kernel.n_taps(grid.h), 5)
+    increments = simulate_increments("gaussian", grid, kernel.n_taps(grid.h), np.random.PCG64(5))
     w, x = rng.standard_normal(grid.n_nodes), rng.standard_normal(grid.n_nodes)
 
     def outputs():
@@ -617,8 +616,8 @@ def test_driver_weights_reproduce_the_path_sum(kernel):
     w = trapezoid_weights(grid) * grid.h * np.cos(grid.nodes)
     u = driver_weights(w, grid, kernel)
     for seed in (1, 2, 3):
-        draws = sample_driver("rademacher", u.size, seed)
-        path_sum = w @ noise_path("rademacher", grid, seed, kernel)
+        draws = sample_driver("rademacher", u.size, np.random.PCG64(seed))
+        path_sum = w @ noise_path("rademacher", grid, np.random.PCG64(seed), kernel)
         assert u @ draws == pytest.approx(path_sum, rel=1e-12, abs=1e-12 * (np.abs(u) @ np.abs(draws)))
 
 
@@ -642,7 +641,7 @@ def test_series_path_starts_at_zero():
     basis = BasisSpec(n_terms=64, horizon=2.0)
     g = TimeGrid(1.0, 8)
     for seed in range(5):
-        xi = ito_nisio_path("gaussian", basis, g, seed)
+        xi = ito_nisio_path("gaussian", basis, g, np.random.PCG64(seed))
         assert xi[0] == 0.0
 
 
@@ -662,7 +661,8 @@ def test_series_variance_matches_time():
     basis = BasisSpec(n_terms=1024, horizon=2.0)
     g = TimeGrid(1.0, 8)
     n_seeds = 10_000
-    xs = np.array([ito_nisio_path("gaussian", basis, g, 5000 + i) for i in range(n_seeds)])
+    xs = np.array([ito_nisio_path("gaussian", basis, g, np.random.PCG64(5000 + i))
+                   for i in range(n_seeds)])
     for t, j in ((0.25, 2), (0.5, 4), (1.0, 8)):
         var = xs[:, j].var()
         assert t * 0.95 <= var <= t * 1.05, f"Var xi({t}) = {var}"
@@ -671,7 +671,8 @@ def test_series_variance_matches_time():
 def test_series_covariance_is_min():
     basis = BasisSpec(n_terms=256, horizon=2.0)
     g = TimeGrid(1.0, 4)
-    xs = np.array([ito_nisio_path("rademacher", basis, g, 100 + i) for i in range(4000)])
+    xs = np.array([ito_nisio_path("rademacher", basis, g, np.random.PCG64(100 + i))
+                   for i in range(4000)])
     cov = np.mean(xs[:, 1] * xs[:, 4])  # s=0.25, t=1.0
     se = np.std(xs[:, 1] * xs[:, 4], ddof=1) / math.sqrt(xs.shape[0])
     assert abs(cov - 0.25) <= 4 * se
@@ -680,7 +681,7 @@ def test_series_covariance_is_min():
 def test_series_horizon_guard():
     basis = BasisSpec(n_terms=16, horizon=0.5)
     with pytest.raises(ConfigError):
-        ito_nisio_path("gaussian", basis, TimeGrid(1.0, 4), 0)
+        ito_nisio_path("gaussian", basis, TimeGrid(1.0, 4), np.random.PCG64(0))
 
 
 def test_white_path_scaling():
@@ -690,7 +691,7 @@ def test_white_path_scaling():
     delta = np.sin(g.nodes)
     samples = []
     for seed in range(4000):
-        path = white_noise_path("gaussian", g, seed)
+        path = white_noise_path("gaussian", g, np.random.PCG64(seed))
         samples.append(inner_product(delta, path, g))
     target = inner_product(delta, delta, g)
     var = np.var(samples)
