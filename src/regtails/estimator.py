@@ -17,7 +17,7 @@ if some Gauss-Newton step happens to land in it.
 
 A model whose mean is f(tau) phi(t) with f strictly increasing (its
 :class:`~regtails.model.ScalarForm`) needs no search: Q has one basin, and
-:func:`fit_scalar` takes its minimizer over the box in closed form.  The
+``harness.ScalarDesign`` takes its minimizer over the box in closed form.  The
 search, :func:`lse_fit`, serves the models without one: q >= 2, tabulated
 regressors and custom models.
 """
@@ -69,8 +69,8 @@ class LseResult:
     theta_hat: tuple[float, ...]
     q_value: float
     boundary: bool
-    lattice_tie_count: int = 1
-    n_starts: int = 1
+    lattice_tie_count: int
+    n_starts: int
 
 
 def _q(r: np.ndarray, w: np.ndarray, h: float, tau) -> float:
@@ -212,9 +212,9 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     floats, are memoized per (model, grid), so ``model.eval`` must be pure;
     each start takes its gradient from ``model.grad``.
 
-    A model with a :class:`~regtails.model.ScalarForm` is fitted by
-    :func:`fit_scalar` instead; this fit serves the rest: q >= 2, tabulated
-    regressors and custom models.
+    A model with a :class:`~regtails.model.ScalarForm` is fitted in closed form
+    by ``harness.ScalarDesign`` instead; this fit serves the rest: q >= 2,
+    tabulated regressors and custom models.
 
     The lattice values come from the expanded square, one matrix-vector product
     per fit.  They only rank the points (order, ties, basins): identical model
@@ -256,27 +256,6 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
         lattice_tie_count=tie_count,
         n_starts=len(starts),
     )
-
-
-def fit_scalar(s: float, gram: float, model: RegressionModel) -> LseResult:
-    """Least squares for a model with a :class:`~regtails.model.ScalarForm`, from one number.
-
-    For a mean f(tau) phi(t), Q(tau) = h x'wx - 2 f(tau) s + f(tau)^2 G with
-    s = h w.(phi x) and ``gram`` G = h w.phi^2 > 0, so a path enters only
-    through s.  Q is G (f(tau) - s/G)^2 plus a constant, and f is strictly
-    increasing, so Q strictly decreases up to f^-1(s/G) and strictly increases
-    after it: its minimizer over the closed box is f^-1(s/G) clipped to the box
-    (``f_inv`` gives -inf for an s/G below the range of f, hence the lower
-    bound).  A lattice over such a Q has one basin and no tie, so ``n_starts``
-    and ``lattice_tie_count`` are 1, as for a unimodal :func:`lse_fit`.  The
-    data-only term h x'wx is left out: ``q_value`` is f^2 G - 2 f s at the
-    estimate.  ``boundary`` is :func:`lse_fit`'s rule.
-    """
-    box, scalar = model.box, model.scalar
-    tau = box.clip([scalar.f_inv(s / gram)])
-    fv = float(scalar.f(tau[0]))
-    return LseResult(theta_hat=tuple(tau), q_value=fv * fv * gram - 2.0 * fv * s,
-                     boundary=_at_bound(tau, box))
 
 
 def normalized_deviation(theta_hat, theta_true, norming) -> float:

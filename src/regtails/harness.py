@@ -33,7 +33,8 @@ import numpy as np
 from . import config as _config
 from .bounds import BoundConstants, tail_envelope
 from .errors import ContractError, NonConvergenceError
-from .estimator import Observation, fit_scalar, lse_fit, normalized_deviation
+from .estimator import Observation, _at_bound, lse_fit, normalized_deviation
+from .model import RegressionModel
 from .noise import (
     FilterKernel,
     covariance_row,
@@ -112,57 +113,75 @@ class TrialRecord(NamedTuple):
     lattice_tie_count: int   # points tied at the lattice minimum; 0 likewise
 
 
+class ScalarDesign(NamedTuple):
+    """A run of a model with a :class:`~regtails.model.ScalarForm` f(tau) phi(t), as one value.
+
+    Least squares reads a path only through s = h w.(phi x) = c + u @ z, z the
+    trial's driver draws and u their weights (:func:`driver_weights`).  Q is
+    G (f(tau) - s/G)^2 plus a constant and f is strictly increasing, so the
+    estimate is f^-1(s/G) clipped to the box (``f_inv`` is -inf below the range
+    of f), and the law of every trial is the law of the one weighted sum u @ z.
+    """
+
+    u: np.ndarray   # the driver draws' weights in s
+    gram: float     # G = h w.phi^2
+    c: float        # h w.(phi a_true), s without noise
+    scale: float    # the norming entry
+    theta0: float   # theta_true
+    driver: str
+    model: RegressionModel
+
+    @classmethod
+    def build(cls, cfg: "_config.ExperimentConfig", grid: TimeGrid, model: RegressionModel,
+              kernel: FilterKernel | None) -> ScalarDesign:
+        """The design of ``cfg``, whose ``model`` has a scalar form, on ``grid`` with ``kernel``."""
+        phi = model.scalar.phi(grid.nodes)
+        hw_phi = grid.h * trapezoid_weights(grid) * phi
+        a_true = model.eval(grid.nodes, np.asarray(cfg.model.theta_true))
+        scale = float(_config.build_norming(cfg, model, grid)[0])
+        return cls(driver_weights(hw_phi, grid, kernel), float(hw_phi @ phi), float(hw_phi @ a_true),
+                   scale, float(cfg.model.theta_true[0]), cfg.noise.driver, model)
+
+    def record(self, index: int, seed: int, bits: np.random.PCG64) -> TrialRecord:
+        """Trial ``index`` from its draws on ``bits``, with one start and no lattice tie, as a
+        unimodal :func:`lse_fit` reports, and that fit's ``boundary`` rule."""
+        box = self.model.box
+        s = self.c + float(self.u @ sample_driver(self.driver, self.u.size, bits))
+        theta_hat = box.clip([self.model.scalar.f_inv(s / self.gram)])
+        # np.linalg.norm of one entry, bit for bit
+        deviation = abs(self.scale * (theta_hat[0] - self.theta0))
+        return TrialRecord(index, seed, tuple(theta_hat), deviation, True, _at_bound(theta_hat, box), 1, 1)
+
+
 def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
     """Run trials [start, stop); the frozen config pickles, so workers take it as is.
 
     Trial i draws the stream of ``default_rng(derive_seed(master, STREAM_TRIALS, i))``
     from the chunk's one bit generator (:func:`index_streams`), on either route.
-    A model with a scalar form f(tau) phi(t) is fitted from one number: the
-    path's s = h w.(phi x) is c + u @ z, with c = h w.(phi a_true), z the
-    trial's driver draws and u their weights (:func:`driver_weights`), so no
-    path is built, and :func:`fit_scalar` takes the estimate in closed form
-    (one start and no lattice tie per trial).  Any other model fits the path
-    :func:`noise_path` makes from the same draws with :func:`lse_fit`.
+    A model with a scalar form builds no path: its :class:`ScalarDesign` turns
+    the draws into the record.  Any other model fits the path :func:`noise_path`
+    makes from the same draws with :func:`lse_fit`.
     """
     grid = _config.build_grid(cfg)
     model = _config.build_model(cfg)
     kernel = _config.build_kernel(cfg)
-    driver = cfg.noise.driver
-    theta_true = np.asarray(cfg.model.theta_true)
-    a_true = model.eval(grid.nodes, theta_true)
-    norming = _config.build_norming(cfg, model, grid)
-    if model.scalar is None:
-        def fit(bits):
-            eps = noise_path(driver, grid, bits, kernel)
-            return lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
-
-        def deviation(theta_hat):
-            return normalized_deviation(theta_hat, theta_true, norming)
+    if model.scalar is not None:
+        record = ScalarDesign.build(cfg, grid, model, kernel).record
     else:
-        phi = model.scalar.phi(grid.nodes)
-        hw_phi = grid.h * trapezoid_weights(grid) * phi
-        u = driver_weights(hw_phi, grid, kernel)
-        gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
-        scale, theta0 = float(norming[0]), float(theta_true[0])
+        theta_true = np.asarray(cfg.model.theta_true)
+        a_true = model.eval(grid.nodes, theta_true)
+        norming = _config.build_norming(cfg, model, grid)
 
-        def fit(bits):
-            return fit_scalar(c + float(u @ sample_driver(driver, u.size, bits)), gram, model)
-
-        def deviation(theta_hat):
-            # np.linalg.norm of one entry, bit for bit
-            return abs(scale * (theta_hat[0] - theta0))
-    out = []
-    for i, seed, bits in index_streams(cfg.montecarlo.master_seed, STREAM_TRIALS, start, stop):
-        try:
-            res = fit(bits)
-            theta_hat, converged, boundary = res.theta_hat, True, res.boundary
-            n_starts, ties = res.n_starts, res.lattice_tie_count
-        except NonConvergenceError as err:
-            theta_hat, converged, boundary = err.best_point, False, False
-            n_starts = ties = 0
-        out.append(TrialRecord(i, seed, theta_hat, deviation(theta_hat), converged, boundary,
-                               n_starts, ties))
-    return out
+        def record(i, seed, bits):
+            x = a_true + noise_path(cfg.noise.driver, grid, bits, kernel)
+            try:
+                res = lse_fit(Observation(grid=grid, x_values=x), model)
+                theta, fit = res.theta_hat, (True, res.boundary, res.n_starts, res.lattice_tie_count)
+            except NonConvergenceError as err:
+                theta, fit = err.best_point, (False, False, 0, 0)
+            return TrialRecord(i, seed, theta, normalized_deviation(theta, theta_true, norming), *fit)
+    streams = index_streams(cfg.montecarlo.master_seed, STREAM_TRIALS, start, stop)
+    return [record(i, seed, bits) for i, seed, bits in streams]
 
 
 def run_trials(cfg: "_config.ExperimentConfig", workers: int = 1) -> list[TrialRecord]:

@@ -90,7 +90,7 @@ class ScalarForm(NamedTuple):
 
     Least squares reads a path x of such a model only through the one number
     s = integral of phi x, and its estimate is f^-1(s / integral of phi^2)
-    clipped to the box (``estimator.fit_scalar``); the pair sampler reads a pair
+    clipped to the box (``harness.ScalarDesign``); the pair sampler reads a pair
     only through f(tau_u) - f(tau_v).  ``f`` maps an array of tau, rounded as
     the model's ``eval`` rounds it.  ``f_inv`` takes a Python float and returns
     -inf below the range of f.
@@ -106,7 +106,8 @@ class RegressionModel:
     """Response surface with gradient: eval(t, tau) -> values, grad(t, tau) -> (q, len(t)).
 
     ``eval`` and ``grad`` must be pure functions of ``(t, tau)``: ``lse_fit``
-    memoizes both at the lattice points per model and grid.  ``scalar`` is the
+    memoizes the values of ``eval`` at the lattice points per model and grid,
+    and takes ``grad`` afresh at each refinement step.  ``scalar`` is the
     :class:`ScalarForm` of a built-in model whose mean is f(tau) * phi(t), and
     None for every other model.
     """

@@ -25,7 +25,7 @@ from regtails.config import (
     load_config,
 )
 from regtails.errors import ConfigError, ContractError, NonConvergenceError
-from regtails.estimator import fit_scalar
+from regtails.estimator import lse_fit
 from regtails.harness import STREAM_PATHS, STREAM_TRIALS, derive_seed, run_trials
 from regtails.noise import ito_nisio_path, noise_path
 
@@ -336,33 +336,40 @@ def test_tails_meta_run_diagnostics_identical_across_workers(tmp_path):
 
 
 def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
-    # one worker fits the trials in order, so the k-th fit is trial k - 1
-    cfg_path = _write_config(tmp_path, _linear_doc())
+    # exp_inner with cosine regressors at q = 2 has no scalar form, so its trials
+    # fit the path, where a fit can fail to converge and a lattice can hold
+    # several basins; one worker fits the trials in order, so the k-th fit is trial k - 1
+    doc = _linear_doc(norming="s_T")
+    doc["model"] = {"name": "exp_inner", "parameters": {"regressors": "cosine"},
+                    "box": {"lower": [-0.5, -0.5], "upper": [0.5, 0.5]},
+                    "theta_true": [0.1, -0.2]}
+    cfg_path = _write_config(tmp_path, doc)
     calls = []
 
-    def fit(s, gram, model):
+    def fit(obs, model):
         calls.append(None)
         if len(calls) in (4, 200):
-            raise NonConvergenceError("capped", best_point=(2.0,))
-        res = fit_scalar(s, gram, model)
-        if len(calls) in (10, 11, 12):
-            return dataclasses.replace(res, n_starts=2)
+            raise NonConvergenceError("capped", best_point=(0.1, -0.2))
+        res = lse_fit(obs, model)
         if len(calls) == 20:
             return dataclasses.replace(res, lattice_tie_count=3)
         return res
 
-    monkeypatch.setattr(harness, "fit_scalar", fit)
+    monkeypatch.setattr(harness, "lse_fit", fit)
     out = tmp_path / "o"
     assert cli.main(["tails", "--config", cfg_path, "--out", str(out)]) == 0
     meta = json.loads((out / "tails_meta.json").read_text())
     seed = load_config(cfg_path).montecarlo.master_seed
     assert meta["nonconverged"] == [[i, derive_seed(seed, STREAM_TRIALS, i)] for i in (3, 199)]
     assert meta["n_nonconverged"] == 2
-    assert meta["multi_basin_frac"] == 3 / 300 and meta["tie_frac"] == 1 / 300
-    # a fit that raised reports no starts and no ties
     calls.clear()
     records = run_trials(load_config(cfg_path))
+    assert len(calls) == 300
+    # a fit that raised reports no starts and no ties
     assert [(r.n_starts, r.lattice_tie_count) for r in records if not r.converged] == [(0, 0)] * 2
+    assert records[19].lattice_tie_count == 3
+    assert 0.0 < meta["multi_basin_frac"] == sum(r.n_starts > 1 for r in records) / 300
+    assert meta["tie_frac"] == sum(r.lattice_tie_count > 1 for r in records) / 300 == 1 / 300
 
 
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])

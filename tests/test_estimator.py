@@ -21,12 +21,11 @@ from regtails.estimator import (
     _gauss_newton,
     _q,
     _rank_lattice,
-    fit_scalar,
     lse_fit,
     normalized_deviation,
     objective,
 )
-from regtails.harness import run_trials
+from regtails.harness import ScalarDesign, run_trials
 from regtails.model import (
     ParameterBox,
     RegressionModel,
@@ -37,7 +36,7 @@ from regtails.model import (
     linear_model,
     norming_matrix,
 )
-from regtails.noise import FilterKernel, noise_path, white_noise_path
+from regtails.noise import FilterKernel, driver_weights, noise_path, sample_driver, white_noise_path
 from regtails.numerics import TimeGrid, trapezoid_weights
 
 
@@ -660,11 +659,13 @@ def _one_number(m, g, x) -> tuple[float, float]:
     return float(hw_phi @ x), float(hw_phi @ phi)
 
 
-def _assert_q_value(res, m, g, x):
-    # q_value leaves out the data-only term h x'wx of Q
-    full = res.q_value + g.h * float(trapezoid_weights(g) @ (x * x))
-    assert full == pytest.approx(objective(Observation(grid=g, x_values=x), m, res.theta_hat),
-                                 rel=1e-9, abs=1e-12)
+def _white_design(m, g, level, noise, theta0, scale) -> ScalarDesign:
+    """The design of the paths level + noise * white_noise_path("gaussian", g, bits)."""
+    phi = m.scalar.phi(g.nodes)
+    hw_phi = g.h * trapezoid_weights(g) * phi
+    return ScalarDesign(u=noise * driver_weights(hw_phi, g), gram=float(hw_phi @ phi),
+                        c=float(hw_phi @ level), scale=scale, theta0=theta0,
+                        driver="gaussian", model=m)
 
 
 @pytest.mark.parametrize("level, noise, bound", [(0.0, 0.0, -0.5), (-0.3, 0.1, -0.5),
@@ -677,11 +678,13 @@ def test_closed_form_clips_to_the_bound(level, noise, bound):
     x = level + noise * white_noise_path("gaussian", g, np.random.PCG64(4))
     s, gram = _one_number(m, g, x)
     assert s <= 0.0 if bound < 0 else s / gram > math.exp(0.5)
-    res = fit_scalar(s, gram, m)
-    assert res.theta_hat == (_exp_const_lse(x, g, -0.5, 0.5),) == (bound,)
-    assert res.boundary and (res.n_starts, res.lattice_tie_count) == (1, 1)
-    assert lse_fit(Observation(grid=g, x_values=x), m).theta_hat == res.theta_hat
-    _assert_q_value(res, m, g, x)
+    rec = _white_design(m, g, np.full(g.n_nodes, level), noise, 0.1, 2.0).record(
+        7, 4, np.random.PCG64(4))
+    assert rec.theta_hat == (_exp_const_lse(x, g, -0.5, 0.5),) == (bound,)
+    assert rec.boundary and rec.converged and (rec.n_starts, rec.lattice_tie_count) == (1, 1)
+    assert (rec.trial_index, rec.trial_seed) == (7, 4)
+    assert rec.deviation == 2.0 * abs(bound - 0.1)
+    assert lse_fit(Observation(grid=g, x_values=x), m).theta_hat == rec.theta_hat
 
 
 @pytest.mark.parametrize("build", [linear_model, constant_model], ids=["linear", "constant"])
@@ -689,16 +692,21 @@ def test_closed_form_interior_fit_is_s_over_g(build):
     # test_fit_equals_clipped_normal_equation's oracle: the trapezoid normal equation
     m = build(ParameterBox((0.0,), (5.0,)))
     g = TimeGrid(4.0, 400)
-    x = m.eval(g.nodes, np.array([2.1])) + 0.3 * white_noise_path("gaussian", g, np.random.PCG64(6))
+    level = m.eval(g.nodes, np.array([2.1]))
+    x = level + 0.3 * white_noise_path("gaussian", g, np.random.PCG64(6))
+    design = _white_design(m, g, level, 0.3, 2.1, 2.0)
+    rec = design.record(0, 6, np.random.PCG64(6))
+    z = sample_driver("gaussian", g.n_nodes, np.random.PCG64(6))
+    assert rec.theta_hat == ((design.c + float(design.u @ z)) / design.gram,)
     s, gram = _one_number(m, g, x)
-    res = fit_scalar(s, gram, m)
-    assert res.theta_hat == (s / gram,)
+    assert rec.theta_hat[0] == pytest.approx(s / gram, rel=1e-12)
     y = m.scalar.phi(g.nodes)
     wy = trapezoid_weights(g) * y
-    assert abs(res.theta_hat[0] - (wy @ x) / (wy @ y)) <= 1e-9 * 5.0
-    assert not res.boundary and (res.n_starts, res.lattice_tie_count) == (1, 1)
-    assert abs(lse_fit(Observation(grid=g, x_values=x), m).theta_hat[0] - res.theta_hat[0]) <= 1e-9 * 5.0
-    _assert_q_value(res, m, g, x)
+    assert abs(rec.theta_hat[0] - (wy @ x) / (wy @ y)) <= 1e-9 * 5.0
+    assert not rec.boundary and rec.converged and (rec.n_starts, rec.lattice_tie_count) == (1, 1)
+    # np.linalg.norm of one entry, bit for bit
+    assert rec.deviation == normalized_deviation(rec.theta_hat, (2.1,), (2.0,))
+    assert abs(lse_fit(Observation(grid=g, x_values=x), m).theta_hat[0] - rec.theta_hat[0]) <= 1e-9 * 5.0
 
 
 def test_wide_exp_box_runs_where_f_squared_overflows(tmp_path):

@@ -21,7 +21,7 @@ from regtails.config import (
     load_config,
 )
 from regtails.errors import ContractError
-from regtails.estimator import Observation, fit_scalar, lse_fit, normalized_deviation
+from regtails.estimator import Observation, lse_fit, normalized_deviation
 from regtails.harness import (
     MGF_BLOCK,
     STREAM_MGF,
@@ -109,10 +109,12 @@ def _reference_chunk(cfg, start, stop):
     sqrt_h = np.sqrt(grid.h)
     n_draws = grid.n_nodes if kernel is None else kernel.n_taps(grid.h) + grid.n_steps
     if model.scalar is not None:
+        # s = h w.(phi x) = c + u @ z, and the estimate is f^-1(s/G) clipped to the box
         phi = model.scalar.phi(grid.nodes)
         hw_phi = grid.h * trapezoid_weights(grid) * phi
         u = driver_weights(hw_phi, grid, kernel)
         gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
+        (lo,), (hi,) = model.box.lower, model.box.upper
     records = []
     for i in range(start, stop):
         seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
@@ -120,11 +122,18 @@ def _reference_chunk(cfg, start, stop):
         if model.scalar is None:
             eps = z / sqrt_h if kernel is None else apply_filter(kernel, sqrt_h * z, grid)
             fit = lse_fit(Observation(grid=grid, x_values=a_true + eps), model)
+            theta_hat, boundary = fit.theta_hat, fit.boundary
+            n_starts, ties = fit.n_starts, fit.lattice_tie_count
         else:
-            fit = fit_scalar(c + float(u @ z), gram, model)
+            y = (c + float(u @ z)) / gram
+            if cfg.model.name == "exp_inner":  # f = exp
+                y = math.log(y) if y > 0.0 else -math.inf
+            theta = lo if y <= lo else hi if y >= hi else y
+            theta_hat, n_starts, ties = (theta,), 1, 1
+            boundary = theta <= lo + 1e-8 * (hi - lo) or theta >= hi - 1e-8 * (hi - lo)
         records.append(TrialRecord(
-            i, seed, fit.theta_hat, normalized_deviation(fit.theta_hat, theta_true, norming),
-            True, fit.boundary, fit.n_starts, fit.lattice_tie_count))
+            i, seed, theta_hat, normalized_deviation(theta_hat, theta_true, norming),
+            True, boundary, n_starts, ties))
     return records
 
 
@@ -278,6 +287,48 @@ def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
     assert _counts(deviations(records)) == _counts(path_devs)
 
 
+def _shipped_design(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    grid, model = build_grid(cfg), build_model(cfg)
+    return harness.ScalarDesign.build(cfg, grid, model, build_kernel(cfg)), grid
+
+
+def test_shipped_designs_match_their_closed_forms():
+    # a dot product of n positive terms is within n eps relative of its value
+    eps = np.finfo(float).eps
+
+    # linear_white: phi(t) = t, theta0 = 2, white noise, d_T norming.  G = h w.t^2 is
+    # the trapezoid rule of t^2, whose error is h^2 T / 6; c = h w.(t 2t) = 2G; the
+    # norming entry is sqrt(h w.t^2) = sqrt(G); u = h w t / sqrt(h), so with w = 1/2
+    # at the two ends only and phi(0) = 0, ||u||^2 = h w^2.t^2 = G - h T^2 / 4
+    design, grid = _shipped_design("linear_white")
+    T, h, n = grid.T, grid.h, grid.n_nodes
+    assert design.gram == pytest.approx(T ** 3 / 3 + h * h * T / 6, rel=n * eps)
+    assert (design.c, design.theta0) == (2.0 * design.gram, 2.0)
+    assert design.scale == pytest.approx(math.sqrt(design.gram), rel=n * eps)
+    # scale, ||u|| and G each carry n eps, the square roots half of it, so 2n eps in all
+    ratio = design.scale * math.sqrt(float(design.u @ design.u)) / design.gram
+    assert ratio == pytest.approx(math.sqrt(1 - h * T * T / (4 * design.gram)), rel=(2 * n + 4) * eps)
+    assert round(ratio, 5) == 0.99985
+
+    # exp_filtered: e^theta with phi = 1, theta0 = 0, s_T norming, so G = h w.1 = T and
+    # c = G; s - c is the trapezoid integral of the noise over [0, T], whose variance
+    # for B(t) = e^-|t| / 2 is T - 1 + e^-T.  Euler-Maclaurin: the cell-average taps
+    # give the nodes the covariance (1 - h^2/12) B, and the trapezoid rule over B's
+    # kink at t = s adds (T - 2) h^2 / 12, so ||u||^2 = T - 1 + e^-T - h^2/12 + O(h^4).
+    # Cutting psi at H moves B by at most e^-H / 2, the double integral by T^2 e^-H / 2
+    design, grid = _shipped_design("exp_filtered")
+    T, h, n = grid.T, grid.h, grid.n_nodes
+    horizon = build_kernel(load_config(CONFIGS / "exp_filtered.json")).truncation_horizon
+    assert design.gram == pytest.approx(T, rel=n * eps)
+    assert (design.c, design.theta0, design.scale) == (design.gram, 0.0, math.sqrt(T))
+    norm_sq = float(design.u @ design.u)
+    tol = T * T * math.exp(-horizon) / 2 + h ** 4
+    assert abs(norm_sq - (T - 1 + math.exp(-T) - h * h / 12)) <= tol
+    assert math.sqrt(norm_sq) / design.gram == pytest.approx(
+        0.14, abs=(h * h / 12 + math.exp(-T) + tol) / (2 * math.sqrt(T - 1) * T) + n * eps)
+
+
 @pytest.mark.parametrize("name", ["exp_filtered", "linear_white"])
 def test_shipped_configs_build_no_path_and_call_no_path_fit(name, monkeypatch):
     def never(*args, **kwargs):
@@ -296,7 +347,14 @@ def test_cosine_regressors_keep_the_path_route(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a model without a scalar form took the one-number route")
 
-    monkeypatch.setattr(harness, "fit_scalar", never)
+    fits = []
+
+    def counted(*args):
+        fits.append(None)
+        return lse_fit(*args)
+
+    monkeypatch.setattr(harness.ScalarDesign, "build", never)
+    monkeypatch.setattr(harness, "lse_fit", counted)
     cfg = config_from_dict({
         "model": {"name": "exp_inner", "parameters": {"regressors": "cosine"},
                   "box": {"lower": [-0.5, -0.5], "upper": [0.5, 0.5]}, "theta_true": [0.1, -0.2]},
@@ -306,7 +364,7 @@ def test_cosine_regressors_keep_the_path_route(monkeypatch):
         "montecarlo": {"n_trials": 10, "master_seed": 7, "R_grid": [0.0, 1.0]},
     })
     assert build_model(cfg).scalar is None
-    assert len(run_trials(cfg)) == 10
+    assert len(run_trials(cfg)) == 10 == len(fits)
 
 
 def _exp_filtered_shaped(n_trials):
