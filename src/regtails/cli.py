@@ -285,7 +285,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             max_lag = min(5.0 * char_time, grid.T)
             n_lags = 6
             lag_steps = sorted({int(round(k * max_lag / ((n_lags - 1) * grid.h))) for k in range(n_lags)})
-            theory = [float(covariance_of_filter(kernel, k * grid.h)) for k in lag_steps]
+            theory = covariance_of_filter(kernel, np.array(lag_steps) * grid.h).tolist()
         pairs = [(0, k) for k in lag_steps]
         keys = [{"lag": float(k * grid.h)} for k in lag_steps]
 
@@ -342,12 +342,12 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             c0_hat >= c0_theory * 0.99 and c1_hat <= c1_theory * 1.01
         )
 
+    qf = quadratic_form_check(kernel, grid, consts.f0)
     if kernel is not None:
-        qf = quadratic_form_check(kernel, grid, consts.f0)
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
-        payload["quadratic_form"] = {"f0_sim": qf.f0_sim}
-        payload["verdicts"]["quadratic_form"] = qf.passed
+    payload["quadratic_form"] = {"f0_sim": qf.f0_sim}
+    payload["verdicts"]["quadratic_form"] = qf.passed
 
     # two weight probes: a flat weight exercises the integrated path, a unit-norm
     # node spike exercises a single margin (where a non-sub-Gaussian driver

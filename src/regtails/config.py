@@ -21,17 +21,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    NORMING_MODES,
+    REGRESSOR_REGISTRY,
     ParameterBox,
     RegressionModel,
     constant_model,
     exp_inner_model,
     linear_model,
-    make_regressors,
     norming_vector,
     tabulated_regressors,
-    NORMING_MODES,
 )
-from .noise import DRIVER_KINDS, BasisSpec, FilterKernel
+from .noise import DRIVER_KINDS, FilterKernel
 from .numerics import TimeGrid, default_n_steps
 
 MODEL_NAMES = ("linear", "constant", "exp_inner")
@@ -157,7 +157,7 @@ class BoxConfig:
 
 @dataclass(frozen=True)
 class ParametersConfig:
-    regressors: str | None = _key(_as_str, None)
+    regressors: str | None = _key(_one_of(tuple(REGRESSOR_REGISTRY)), None)
     regressor_file: str | None = _key(_as_str, None)
 
 
@@ -267,6 +267,9 @@ def _check(cfg: ExperimentConfig) -> None:
     if model.name == "exp_inner":
         if (params.regressors is None) == (params.regressor_file is None):
             _fail("model.parameters", "exp_inner needs exactly one of regressors and regressor_file")
+        if params.regressors == "constant" and len(box.lower) > 1:
+            _fail("model.parameters.regressors", "the constant family repeats one row, so at "
+                  "q >= 2 J_T is singular and the parameter is not identifiable")
     else:
         if len(box.lower) != 1:
             _fail("model.box", f"{model.name} model is scalar; box must be one-dimensional")
@@ -332,7 +335,7 @@ def build_regressors(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray
     params = cfg.model.parameters
     if params.regressor_file is not None:
         return tabulated_regressors(params.regressor_file)
-    return make_regressors(params.regressors, len(cfg.model.box.lower))
+    return REGRESSOR_REGISTRY[params.regressors](len(cfg.model.box.lower))
 
 
 def build_model(cfg: ExperimentConfig) -> RegressionModel:
@@ -353,9 +356,9 @@ def build_kernel(cfg: ExperimentConfig) -> FilterKernel | None:
     return FilterKernel.from_file(kernel.file)
 
 
-def build_basis(cfg: ExperimentConfig) -> BasisSpec | None:
-    basis = cfg.noise.basis
-    return None if basis is None else BasisSpec(n_terms=basis.n_terms, horizon=basis.horizon)
+def build_basis(cfg: ExperimentConfig) -> BasisConfig | None:
+    """The series construction's basis, which ``noise.ito_nisio_path`` reads as it is."""
+    return cfg.noise.basis
 
 
 def build_norming(cfg: ExperimentConfig, model: RegressionModel, grid: TimeGrid) -> np.ndarray:

@@ -22,7 +22,6 @@ they too are reproducible bit for bit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from .errors import ContractError, NonConvergenceError
 from .estimator import Observation, _at_bound, lse_fit, normalized_deviation
 from .model import RegressionModel
 from .noise import (
+    WHITE_NOISE_F0,
     FilterKernel,
     covariance_row,
     driver_log_mgf,
@@ -196,8 +196,10 @@ def run_trials(cfg: "_config.ExperimentConfig", workers: int = 1) -> list[TrialR
         chunk = max(1, math.ceil(n / (4 * workers)))
         starts = range(0, n, chunk)
         records = []
-        # the chunks follow ``workers``, so the bytes do not depend on the CPU count
-        # the package loads the process-pool module on this first access, not at import
+        # the chunks follow ``workers``, so the bytes do not depend on the CPU count;
+        # imported here, so that no serial run loads the pool (nor ``logging``)
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, os.cpu_count() or 1)) as pool:
             # map yields the chunks in submission order, so records stay in trial order
@@ -516,12 +518,13 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
 @dataclass(frozen=True)
 class QuadraticFormReport:
     f0_sim: float
-    b1: float
-    b2: float
+    b1: float | None
+    b2: float | None
     passed: bool
 
 
-def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, f0: float) -> QuadraticFormReport:
+def quadratic_form_check(kernel: FilterKernel | None, grid: TimeGrid,
+                         f0: float) -> QuadraticFormReport:
     """Verify <B delta, delta> <= d0 * ||delta||^2 for every weight delta at once, d0 being
     the quadratic-form constant of the spectral level ``f0`` (:class:`BoundConstants`).
 
@@ -532,14 +535,20 @@ def quadratic_form_check(kernel: FilterKernel, grid: TimeGrid, f0: float) -> Qua
     simulated process's spectral supremum (:func:`f0_sim`); weights near its
     peak frequency approach that bound (Grenander & Szegő, *Toeplitz Forms and
     Their Applications*, 1958).  The constant grows with the spectral level, so
-    the check passes when f0_sim <= f0 * (1 + 1e-3).  Also reports the two
-    classical integrability constants of the covariance,
-    b1 = sqrt(double integral of B^2) and b2 = sup_t integral of |B(t-s)| ds,
-    both on the truncated domain [0, T]^2.  B^2 and |B| are symmetric Toeplitz
-    like B, so each product is one :func:`toeplitz_product` of its first row.
+    the check passes when f0_sim <= f0 * (1 + 1e-3).  White noise
+    (``kernel=None``) has the one tap 1/h, so its f0_sim is exactly
+    1/(2*pi) (``WHITE_NOISE_F0``), and the same rule tests the run's f0.
+
+    With a kernel it also reports the two classical integrability constants
+    of the covariance, b1 = sqrt(double integral of B^2) and
+    b2 = sup_t integral of |B(t-s)| ds, both on the truncated domain [0, T]^2
+    (None for white noise).  B^2 and |B| are symmetric Toeplitz like B, so
+    each product is one :func:`toeplitz_product` of its first row.
     """
-    sim = f0_sim(kernel, grid.h)
-    cov = covariance_row(kernel, grid)
-    b1 = math.sqrt(quadratic_form(cov * cov, np.ones(grid.n_nodes), grid))
-    b2 = float((grid.h * toeplitz_product(np.abs(cov), trapezoid_weights(grid))).max())
+    sim, b1, b2 = WHITE_NOISE_F0, None, None
+    if kernel is not None:
+        sim = f0_sim(kernel, grid.h)
+        cov = covariance_row(kernel, grid)
+        b1 = math.sqrt(quadratic_form(cov * cov, np.ones(grid.n_nodes), grid))
+        b2 = float((grid.h * toeplitz_product(np.abs(cov), trapezoid_weights(grid))).max())
     return QuadraticFormReport(f0_sim=sim, b1=b1, b2=b2, passed=sim <= f0 * (1.0 + 1e-3))

@@ -10,12 +10,12 @@ The quadratic-equivalence constants (c0, c1) bounding
 
     c0 * ||u - v||^2  <=  Phi(u, v)  <=  c1 * ||u - v||^2
 
-are estimated by sampling pairs in the normed box image.  A model whose mean
-is f(tau) * phi(t) with f strictly increasing (its :class:`ScalarForm`) is
-fitted in closed form from one number per path, and has the one-number
-Phi(u, v) = (f(tau_u) - f(tau_v))^2 * integral of phi^2, so all its pairs
-take one array pass over f at the sampled points; any other model evaluates
-two model paths on the grid per pair.  For the exponential-of-inner-product
+are estimated by sampling pairs in the normed box image, one array pass for
+every model.  A model whose mean is f(tau) * phi(t) with f strictly
+increasing (its :class:`ScalarForm`) is fitted in closed form from one
+number per path, and has Phi(u, v) = (f(tau_u) - f(tau_v))^2 * integral of
+phi^2, one pass over f at the sampled points; any other model evaluates two
+model paths on the grid per pair.  For the exponential-of-inner-product
 model the constants also have computable theoretical values via the
 regressor Gram matrix.
 """
@@ -144,30 +144,27 @@ def _unit_row(t) -> np.ndarray:
     return np.ones((1, np.size(t)))
 
 
-def linear_model(box: ParameterBox) -> RegressionModel:
-    """a(t, tau) = tau * t, scalar parameter."""
+def _proportional_model(name: str, shape: Callable, box: ParameterBox) -> RegressionModel:
+    """a(t, tau) = tau * shape(t): ``eval``, ``grad`` and the ScalarForm read one ``shape``."""
     if box.q != 1:
-        raise ConfigError("linear model is scalar; box must be one-dimensional")
+        raise ConfigError(f"{name} model is scalar; box must be one-dimensional")
     return RegressionModel(
         box=box,
-        eval=lambda t, tau: tau[0] * t,
-        grad=lambda t, tau: np.asarray(t, dtype=float)[None, :].copy(),
-        name="linear",
-        scalar=ScalarForm(f=_identity, f_inv=_identity, phi=lambda t: np.asarray(t, dtype=float)),
+        eval=lambda t, tau: tau[0] * shape(t),
+        grad=lambda t, tau: np.array(shape(t), ndmin=2),
+        name=name,
+        scalar=ScalarForm(f=_identity, f_inv=_identity, phi=shape),
     )
+
+
+def linear_model(box: ParameterBox) -> RegressionModel:
+    """a(t, tau) = tau * t, scalar parameter."""
+    return _proportional_model("linear", _identity, box)
 
 
 def constant_model(box: ParameterBox) -> RegressionModel:
     """a(t, tau) = tau, scalar parameter."""
-    if box.q != 1:
-        raise ConfigError("constant model is scalar; box must be one-dimensional")
-    return RegressionModel(
-        box=box,
-        eval=lambda t, tau: np.full(np.shape(t), tau[0], dtype=float),
-        grad=lambda t, tau: np.ones((1, np.size(t))),
-        name="constant",
-        scalar=ScalarForm(f=_identity, f_inv=_identity, phi=_ones),
-    )
+    return _proportional_model("constant", _ones, box)
 
 
 def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
@@ -256,15 +253,6 @@ REGRESSOR_REGISTRY = {
 }
 
 
-def make_regressors(name: str, q: int) -> Callable[[np.ndarray], np.ndarray]:
-    try:
-        return REGRESSOR_REGISTRY[name](q)
-    except KeyError:
-        raise ConfigError(
-            f"unknown regressor family {name!r}; expected one of {sorted(REGRESSOR_REGISTRY)}"
-        ) from None
-
-
 # -- norming ---------------------------------------------------------------
 
 
@@ -296,25 +284,24 @@ def norming_vector(mode: str, model: RegressionModel, theta, grid: TimeGrid) -> 
     raise ConfigError(f"unknown norming mode {mode!r}; expected one of {NORMING_MODES}")
 
 
-def _outside_box(model, tau) -> np.ndarray:
-    """Where ``tau`` (any shape ending in q) leaves the box by more than 1e-12."""
-    return (tau < model.box.lower_arr - 1e-12) | (tau > model.box.upper_arr + 1e-12)
-
-
-def _box_exit(model, shifted, i, label) -> DomainError:
-    lo, hi = model.box.lower[i], model.box.upper[i]
-    return DomainError(
-        f"normalized shift {label} leaves the box at coordinate {i}: "
-        f"value {shifted[i]:.6g} outside [{lo:.6g}, {hi:.6g}]"
-    )
-
-
-def _shifted_parameter(model, theta, norming, u, label):
-    shifted = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float) / np.asarray(norming)
-    bad = np.flatnonzero(_outside_box(model, shifted))
+def _pair_parameters(model: RegressionModel, theta, norming, pairs) -> np.ndarray:
+    """tau = theta + N^{-1} u at each point u of ``pairs`` (k, 2, q), pair k being (u, v);
+    the first point in pair order more than 1e-12 outside the box is a DomainError."""
+    tau = np.asarray(theta, dtype=float) + pairs / np.asarray(norming, dtype=float)
+    box = model.box
+    bad = np.argwhere((tau < box.lower_arr - 1e-12) | (tau > box.upper_arr + 1e-12))
     if bad.size:
-        raise _box_exit(model, shifted, int(bad[0]), label)
-    return shifted
+        k, side, i = (int(j) for j in bad[0])
+        raise DomainError(
+            f"normalized shift {'uv'[side]} leaves the box at coordinate {i}: "
+            f"value {tau[k, side, i]:.6g} outside [{box.lower[i]:.6g}, {box.upper[i]:.6g}]"
+        )
+    return tau
+
+
+def _path_phi(model: RegressionModel, grid: TimeGrid, tau_u, tau_v) -> float:
+    diff = model.eval(grid.nodes, tau_u) - model.eval(grid.nodes, tau_v)
+    return integrate(diff * diff, grid)
 
 
 def phi(model: RegressionModel, theta, grid: TimeGrid, norming, u, v) -> float:
@@ -324,34 +311,8 @@ def phi(model: RegressionModel, theta, grid: TimeGrid, norming, u, v) -> float:
 
     Nonnegative, symmetric, and zero at u = v.
     """
-    tau_u = _shifted_parameter(model, theta, norming, u, "u")
-    tau_v = _shifted_parameter(model, theta, norming, v, "v")
-    diff = model.eval(grid.nodes, tau_u) - model.eval(grid.nodes, tau_v)
-    return integrate(diff * diff, grid)
-
-
-def _scalar_pair_ratios(model: RegressionModel, theta, grid: TimeGrid, norming,
-                        pairs: np.ndarray) -> np.ndarray:
-    """Phi(u, v) / ||u - v||^2 of the non-degenerate pairs (u, v) = ``pairs[k]``, for a
-    model with a :class:`ScalarForm`: Phi(u, v) = (f(tau_u) - f(tau_v))^2 G with
-    G = integral of phi^2, so no pair evaluates the model on the grid.
-
-    Raises :func:`phi`'s errors for the first pair, in order, that it would raise them for.
-    """
-    d = pairs[:, 0, 0] - pairs[:, 1, 0]
-    gap = d * d
-    keep = ~(gap <= 1e-18)
-    tau = theta + pairs[keep] / norming
-    bad = np.argwhere(_outside_box(model, tau))
-    if bad.size:
-        k, side, i = (int(j) for j in bad[0])
-        raise _box_exit(model, tau[k, side], i, "uv"[side])
-    f = model.scalar.f(tau[:, :, 0])
-    df2 = (f[:, 0] - f[:, 1]) ** 2
-    if not np.all(np.isfinite(df2)):
-        raise ContractError("integrand contains non-finite entries")
-    gram = integrate(model.scalar.phi(grid.nodes) ** 2, grid)
-    return df2 * gram / gap[keep]
+    tau_u, tau_v = _pair_parameters(model, theta, norming, np.asarray([[u, v]], dtype=float))[0]
+    return _path_phi(model, grid, tau_u, tau_v)
 
 
 def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid, norming,
@@ -360,11 +321,10 @@ def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid
 
     Samples pairs u, v uniformly over the normed box image N * (box - theta) and
     returns the min and max of Phi(u, v) / ||u - v||^2 over non-degenerate pairs.
-
-    A model with a :class:`ScalarForm` f(tau) phi(t) has Phi(u, v) =
-    (f(tau_u) - f(tau_v))^2 G, with G = integral of phi^2 taken once per call, so
-    all pairs cost one array pass over the 2 n_pairs points and no grid work.
-    Every other model evaluates :func:`phi`, two model paths, per pair.
+    One array pass drops the degenerate pairs and forms and box-checks the rest
+    as :func:`phi` does.  A :class:`ScalarForm` f(tau) phi(t) then gives
+    Phi(u, v) = (f(tau_u) - f(tau_v))^2 G, G = integral of phi^2 taken once, and
+    every other model evaluates two model paths per pair.
     """
     if n_pairs < 100:
         raise ContractError(f"n_pairs must be >= 100, got {n_pairs}")
@@ -372,18 +332,22 @@ def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid
     norming = np.asarray(norming, dtype=float)
     rng = np.random.default_rng(seed)
     pairs = ((model.box.sample(rng, 2 * n_pairs) - theta) * norming).reshape(n_pairs, 2, -1)
-    if model.scalar is not None:
-        ratios = _scalar_pair_ratios(model, theta, grid, norming, pairs).tolist()
-    else:
-        ratios = []
-        for u, v in pairs:
-            gap = float(np.dot(u - v, u - v))
-            if gap <= 1e-18:
-                continue
-            ratios.append(phi(model, theta, grid, norming, u, v) / gap)
-    if not ratios:
+    d = pairs[:, 0] - pairs[:, 1]
+    gap = np.vecdot(d, d)  # row by row the dot product np.dot(d_k, d_k) takes, bit for bit
+    keep = ~(gap <= 1e-18)
+    if not keep.any():
         raise ContractError("all sampled pairs were degenerate (coincident points)")
-    return min(ratios), max(ratios)
+    tau = _pair_parameters(model, theta, norming, pairs[keep])
+    if model.scalar is None:
+        phis = np.array([_path_phi(model, grid, tau_u, tau_v) for tau_u, tau_v in tau])
+    else:
+        f = model.scalar.f(tau[:, :, 0])
+        phis = (f[:, 0] - f[:, 1]) ** 2
+        if not np.all(np.isfinite(phis)):
+            raise ContractError("integrand contains non-finite entries")
+        phis = phis * integrate(model.scalar.phi(grid.nodes) ** 2, grid)
+    ratios = phis / gap[keep]
+    return float(ratios.min()), float(ratios.max())
 
 
 # -- exponential-model theory ---------------------------------------------

@@ -409,22 +409,23 @@ def driver_weights(w: np.ndarray, grid: TimeGrid, kernel: FilterKernel | None = 
 # -- second-order theory of the filtered process -------------------------
 
 
-def covariance_of_filter(kernel: FilterKernel, t) -> float | np.ndarray:
-    """Stationary covariance B(t) = integral of psi(t+u) psi(u) du, t >= 0.
+def covariance_of_filter(kernel: FilterKernel, lags: np.ndarray) -> np.ndarray:
+    """Stationary covariance B(t) = integral of psi(t+u) psi(u) du at each lag t >= 0 of an array.
 
     Quadrature runs over u in [0, truncation_horizon].  psi vanishes past the
     horizon H, so for a lag t > H every psi(t+u) with u >= 0 is zero and B(t)
     is exactly 0.0; only lags up to H are integrated.
     """
-    scalar = np.isscalar(t)
-    lags = np.atleast_1d(np.asarray(t, dtype=float))
+    lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 1:
+        raise ContractError(f"covariance lags must be a 1-d array, got shape {lags.shape}")
     if np.any(lags < 0):
         raise ContractError("covariance lag must be >= 0 (B is even)")
     u, base, step = _fine_table(kernel)
     out = np.zeros(lags.shape)
     for i in np.flatnonzero(lags <= kernel.truncation_horizon):
         out[i] = np.trapezoid(kernel.psi(lags[i] + u) * base, dx=step)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _power(samples: np.ndarray, step: float, lam) -> np.ndarray:
@@ -491,20 +492,6 @@ def f0_sup(kernel: FilterKernel) -> float:
 # -- series construction of an orthogonal-increment process ---------------
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Haar basis on [0, horizon) for the series construction, first n_terms functions."""
-
-    n_terms: int
-    horizon: float
-
-    def __post_init__(self):
-        if self.n_terms < 1:
-            raise ContractError(f"n_terms must be >= 1, got {self.n_terms}")
-        if self.horizon <= 0:
-            raise ContractError(f"basis horizon must be positive, got {self.horizon}")
-
-
 def _haar_running_integrals(n_terms: int, horizon: float, times: np.ndarray) -> np.ndarray:
     """Rows k of integral_0^t phi_k(u) du for the first n_terms Haar functions.
 
@@ -533,11 +520,12 @@ def _haar_running_integrals(n_terms: int, horizon: float, times: np.ndarray) -> 
     return out
 
 
-def ito_nisio_path(kind: str, basis: BasisSpec, grid: TimeGrid,
-                   bits: np.random.PCG64) -> np.ndarray:
+def ito_nisio_path(kind: str, basis, grid: TimeGrid, bits: np.random.PCG64) -> np.ndarray:
     """Partial sum xi(t_j) = sum_k z_k * integral_0^{t_j} phi_k, z_k i.i.d. driver draws.
 
-    With a gaussian driver this is a truncated expansion of a standard Wiener
+    ``basis`` is the config's ``noise.basis`` (``regtails.config.BasisConfig``):
+    phi_k are the first ``n_terms`` Haar functions on [0, ``horizon``).  With a
+    gaussian driver this is a truncated expansion of a standard Wiener
     process; with any unit-variance sub-Gaussian driver the limit has the same
     covariance min(s, t) but is non-Gaussian.
     """

@@ -13,7 +13,7 @@ import pytest
 
 import regtails.cli as cli
 from regtails.bounds import BoundConstants, calibrate_prefactor
-from regtails.config import config_from_dict
+from regtails.config import BasisConfig, config_from_dict
 from regtails.errors import ContractError
 from regtails.estimator import Observation, lse_fit
 from regtails.harness import (
@@ -36,7 +36,6 @@ from regtails.model import (
     norming_vector,
 )
 from regtails.noise import (
-    BasisSpec,
     FilterKernel,
     covariance_of_filter,
     f0_sup,
@@ -193,11 +192,12 @@ def test_criterion_06_spectral_covariance_closed_forms():
     for a in (0.5, 1.0, 2.0):
         k = FilterKernel.exponential(a)
         f0_exact = 1.0 / (2 * math.pi * a * a)
+        b0, b1 = covariance_of_filter(k, np.array([0.0, 1.0]))
         checks = {
             "f(0)": (spectral_density(k, 0.0), f0_exact),
             "f0_sup": (f0_sup(k), f0_exact),
-            "B(0)": (covariance_of_filter(k, 0.0), 1.0 / (2 * a)),
-            "B(1)": (covariance_of_filter(k, 1.0), math.exp(-a) / (2 * a)),
+            "B(0)": (b0, 1.0 / (2 * a)),
+            "B(1)": (b1, math.exp(-a) / (2 * a)),
         }
         for name, (got, want) in checks.items():
             rel = abs(got - want) / abs(want)
@@ -242,7 +242,7 @@ def test_criterion_08_series_construction_covariance():
     pairs = [(2, 4), (2, 6), (2, 8), (4, 6), (4, 8), (6, 8)]  # node indices, t = idx/8
 
     def covariances(n_terms):
-        basis = BasisSpec(n_terms=n_terms, horizon=2.0)
+        basis = BasisConfig(n_terms=n_terms, horizon=2.0)
         xs = np.array([ito_nisio_path("gaussian", basis, grid, np.random.PCG64(8000 + i))
                        for i in range(n_seeds)])
         out = []

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -110,6 +111,13 @@ _REJECTED = [
      "model.parameters"),
     (lambda d: d["noise"].update(kernel=None, basis={"n_terms": 8, "horizon": 4.0}),
      "noise.basis.horizon"),
+    # a regressor family the registry does not name, and one whose q rows coincide
+    (lambda d: d["model"].update(name="exp_inner", box={"lower": [-0.5], "upper": [0.5]},
+                                 theta_true=[0.0], parameters={"regressors": "fourier"}),
+     "model.parameters.regressors"),
+    (lambda d: d["model"].update(name="exp_inner", box={"lower": [-0.5, -0.5], "upper": [0.5, 0.5]},
+                                 theta_true=[0.0, 0.0], parameters={"regressors": "constant"}),
+     "model.parameters.regressors"),
 ]
 
 
@@ -462,7 +470,7 @@ def test_run_trials_starts_at_most_cpu_count_processes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = config_from_dict(_linear_doc(montecarlo={"n_trials": 40, "master_seed": 11,
                                                    "R_grid": [0.0, 1.0]}))
@@ -525,6 +533,22 @@ def test_check_verifies_the_configured_f0(tmp_path, capsys):
     assert report["verdicts"]["quadratic_form"] is False
     assert report["verdicts"]["mgf_filtered"] is False
     assert report["verdicts"]["mgf_raw"] is True
+
+
+@pytest.mark.parametrize("f0,passes", [(0.01, False), ("auto", True)])
+def test_check_verifies_the_configured_f0_on_white_noise(tmp_path, f0, passes):
+    # the white nodes' spectral supremum is exactly 1/(2 pi): a config f0 below
+    # it fails the quadratic_form verdict, and no kernel-only entry appears
+    doc = json.loads((CONFIGS / "linear_white.json").read_text())
+    doc["grid"] = {"T": 5.0, "n_steps": 500}
+    doc["bounds"]["f0"] = f0
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["quadratic_form"] == {"f0_sim": 1 / (2 * math.pi)}
+    assert report["verdicts"] == {"mgf_raw": True, "quadratic_form": passes}
+    assert set(report) == {"version", "config", "verdicts", "c0_hat", "c1_hat", "f0", "d0",
+                           "quadratic_form", "mgf_raw", "mgf_raw_margin"}
 
 
 @pytest.mark.parametrize("name,f0", [("exp_filtered", "auto"), ("linear_white", "auto"),
@@ -694,6 +718,18 @@ def test_cli_import_leaves_out_numpy_random():
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_leaves_out_the_process_pool_and_logging():
+    # only run_trials' workers > 1 branch imports concurrent.futures, which
+    # imports logging; a serial command loads neither
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regtails.cli; "
+         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_cli_subcommands_run_without_scipy(tmp_path):

@@ -11,6 +11,7 @@ from regtails import model as model_module
 from regtails.config import load_config
 from regtails.errors import ConfigError, ContractError, DegenerateModelError, DomainError
 from regtails.model import (
+    REGRESSOR_REGISTRY,
     ParameterBox,
     RegressionModel,
     constant_model,
@@ -20,7 +21,6 @@ from regtails.model import (
     exp_inner_model,
     exp_model_constants,
     linear_model,
-    make_regressors,
     norming_matrix,
     norming_vector,
     phi,
@@ -329,7 +329,13 @@ def test_scalar_pairs_exact_on_linear_model(mode):
             assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 15) * exact
 
 
-@pytest.mark.parametrize("name,model,theta", _SCALAR_MODELS, ids=[m[0] for m in _SCALAR_MODELS])
+# the path route on the same cases: cosine regressors at q = 2 have no ScalarForm
+_PATH_MODEL = ("cosine_q2", exp_inner_model(cosine_regressors(2),
+                                            ParameterBox((-0.5, -0.5), (0.5, 0.5))), (0.0, 0.0))
+_ROUTE_MODELS = [*_SCALAR_MODELS, _PATH_MODEL]
+
+
+@pytest.mark.parametrize("name,model,theta", _ROUTE_MODELS, ids=[m[0] for m in _ROUTE_MODELS])
 def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
     grid = TimeGrid(3.0, 30)
     norming = norming_vector("s_T", model, theta, grid)
@@ -337,8 +343,10 @@ def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
         estimate_equivalence_constants(model, theta, grid, norming, 99, seed=0)
 
     def sampled(points):
+        # each point is (x, theta[1:]): only the first coordinate varies
+        rows = [[x, *theta[1:]] for x in points]
         monkeypatch.setattr(ParameterBox, "sample",
-                            lambda box, rng, n: np.array(points, dtype=float).reshape(n, 1))
+                            lambda box, rng, n: np.array(rows, dtype=float).reshape(n, box.q))
 
     # every pair coincident
     sampled([theta[0]] * 200)
@@ -355,19 +363,32 @@ def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
         with pytest.raises(DomainError) as err:
             route(model, theta, grid, norming, 100, seed=0)
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    # phi raises it from the same helper
+    u, v = ((np.array([x, *theta[1:]]) - theta) * norming for x in (lo, outside))
+    with pytest.raises(DomainError) as err:
+        phi(model, theta, grid, norming, u, v)
+    messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
     assert messages[0].startswith("normalized shift v leaves the box at coordinate 0: value ")
 
 
-def test_scalar_pairs_reject_a_non_finite_phi():
+_OVERFLOWING = [
+    ("exp_inner", exp_inner_model(constant_regressors(1), ParameterBox((700.0,), (720.0,))),
+     (705.0,)),
+    ("cosine_q2", exp_inner_model(cosine_regressors(2), ParameterBox((700.0, -1.0), (720.0, 1.0))),
+     (705.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("name,model,theta", _OVERFLOWING, ids=[m[0] for m in _OVERFLOWING])
+def test_scalar_pairs_reject_a_non_finite_phi(name, model, theta):
     # e^tau overflows inside this box (numpy warns), and phi's integrand check says so
-    model = exp_inner_model(constant_regressors(1), ParameterBox((700.0,), (720.0,)))
     grid = TimeGrid(3.0, 30)
-    norming = norming_vector("s_T", model, (705.0,), grid)
+    norming = norming_vector("s_T", model, theta, grid)
     for route in (estimate_equivalence_constants, _reference_equivalence_constants):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="integrand contains non-finite entries"):
-            route(model, (705.0,), grid, norming, 100, seed=0)
+            route(model, theta, grid, norming, 100, seed=0)
 
 
 def _counted(calls, fn, key):
@@ -396,20 +417,53 @@ def test_shipped_constants_evaluate_no_model_path(monkeypatch):
     assert extras["c0_source"] == "pair_sampling" and consts.c0 == extras["c0_hat"] > 0
 
 
-def test_pairs_without_scalar_form_call_phi_per_pair(monkeypatch):
-    box = ParameterBox((-0.5, -0.5), (0.5, 0.5))
-    model = exp_inner_model(cosine_regressors(2), box)
-    assert model.scalar is None
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("mode", ["s_T", "d_T"])
+def test_path_pairs_equal_the_phi_loop(q, mode):
+    # no ScalarForm: each kept pair takes two eval calls and the per-pair
+    # np.dot gap, so (c0_hat, c1_hat) equal the phi loop bit for bit
+    box = ParameterBox((-0.5,) * q, (0.5,) * q)
+    built = exp_inner_model(cosine_regressors(q), box)
+    assert built.scalar is None
+    theta = (0.1, -0.2, 0.0)[:q]
     grid = TimeGrid(3.0, 30)
-    norming = norming_vector("s_T", model, (0.0, 0.0), grid)
-    calls = {"phi": 0}
-    monkeypatch.setattr(model_module, "phi", _counted(calls, phi, "phi"))
-    got = estimate_equivalence_constants(model, (0.0, 0.0), grid, norming, 150, seed=4)
-    u_all = (box.sample(np.random.default_rng(4), 300) - 0.0) * norming
-    d = u_all[0::2] - u_all[1::2]
-    assert calls["phi"] == int(((d * d).sum(axis=1) > 1e-18).sum()) == 150
-    monkeypatch.setattr(model_module, "phi", phi)
-    assert got == _reference_equivalence_constants(model, (0.0, 0.0), grid, norming, 150, seed=4)
+    norming = norming_vector(mode, built, theta, grid)
+    for seed in range(4):
+        calls = {"eval": 0}
+        model = dataclasses.replace(built, eval=_counted(calls, built.eval, "eval"))
+        got = estimate_equivalence_constants(model, theta, grid, norming, 150, seed)
+        u_all = (box.sample(np.random.default_rng(seed), 300) - theta) * norming
+        d = u_all[0::2] - u_all[1::2]
+        assert calls["eval"] == 2 * int(((d * d).sum(axis=1) > 1e-18).sum()) == 300
+        assert got == _reference_equivalence_constants(built, theta, grid, norming, 150, seed)
+
+
+def test_pair_gaps_are_the_per_pair_dot_products():
+    # np.vecdot takes each row with the dot product np.dot takes; a sum of the
+    # squares rounds differently in about a sixth of the rows at q = 2
+    d = np.random.default_rng(0).uniform(-1.0, 1.0, (20_000, 3))
+    for q in (1, 2, 3):
+        rows = d[:, :q]
+        assert np.vecdot(rows, rows).tolist() == [float(np.dot(x, x)) for x in rows]
+
+
+@pytest.mark.parametrize("build,shape", [(linear_model, lambda t: t),
+                                         (constant_model, np.ones_like)],
+                         ids=["linear", "constant"])
+def test_proportional_models_read_one_shape(build, shape):
+    # eval, grad and the ScalarForm of tau * phi(t) all read the one phi, and
+    # give what tau * t, the constant tau and their gradients give
+    model = build(ParameterBox((-1.0,), (5.0,)))
+    t = TimeGrid(3.0, 30).nodes
+    for tau in (-0.7, 0.0, -0.0, 2.3):
+        assert np.array_equal(model.eval(t, (tau,)), tau * shape(t))
+        assert np.array_equal(model.eval(t, (tau,)), model.scalar.f(tau) * model.scalar.phi(t))
+        grad = model.grad(t, (tau,))
+        assert grad.shape == (1, t.size) and grad.flags.writeable
+        assert np.array_equal(grad[0], model.scalar.phi(t))
+    assert np.array_equal(model.scalar.phi(t), shape(t))
+    with pytest.raises(ConfigError, match=f"{model.name} model is scalar"):
+        build(ParameterBox((0.0, 0.0), (1.0, 1.0)))
 
 
 def test_exp_model_constants_unit_regressor():
@@ -441,10 +495,11 @@ def test_exp_model_constants_degenerate():
 
 
 def test_regressor_registry_and_files(tmp_path):
-    y = make_regressors("constant", 2)
+    # an unknown family is a config error naming model.parameters.regressors
+    # (tests/test_config_cli.py); the registry maps the names the config reads
+    assert sorted(REGRESSOR_REGISTRY) == ["constant", "cosine"]
+    y = REGRESSOR_REGISTRY["constant"](2)
     assert y(np.zeros(3)).shape == (2, 3)
-    with pytest.raises(ConfigError):
-        make_regressors("fourier", 1)
     path = tmp_path / "reg.txt"
     t = np.linspace(0, 10, 101)
     np.savetxt(path, np.column_stack([t, np.sin(t)]))

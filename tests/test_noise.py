@@ -10,10 +10,10 @@ from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.signal import fftconvolve
 
 from regtails import noise, numerics
+from regtails.config import BasisConfig
 from regtails.errors import ConfigError, ContractError
 from regtails.harness import STREAM_TRIALS, derive_seed
 from regtails.noise import (
-    BasisSpec,
     FilterKernel,
     apply_filter,
     covariance_of_filter,
@@ -332,8 +332,8 @@ def test_ensemble_covariance_matches_theory():
         eps = conv[:, n_pre - 1: n_pre + g.n_steps]
         for j, k in enumerate(lags_steps):
             prods[start:start + batch, j] = eps[:, 0] * eps[:, k]
-    for j, k in enumerate(lags_steps):
-        theory = covariance_of_filter(kernel, k * g.h)
+    theories = covariance_of_filter(kernel, np.array(lags_steps) * g.h)
+    for j, (k, theory) in enumerate(zip(lags_steps, theories)):
         emp = prods[:, j].mean()
         se = prods[:, j].std(ddof=1) / math.sqrt(n_paths)
         assert abs(emp - theory) <= 4.0 * se, f"lag {k * g.h}: {emp} vs {theory} (se {se})"
@@ -344,9 +344,17 @@ def test_ensemble_covariance_matches_theory():
 
 def test_covariance_closed_forms():
     k = FilterKernel.exponential(1.0)
-    assert covariance_of_filter(k, 0.0) == pytest.approx(0.5, abs=1e-6)
-    assert covariance_of_filter(k, 1.0) == pytest.approx(math.exp(-1) / 2, abs=1e-6)
-    assert covariance_of_filter(k, 2 * k.truncation_horizon + 1.0) == 0.0
+    b0, b1, past = covariance_of_filter(k, np.array([0.0, 1.0, 2 * k.truncation_horizon + 1.0]))
+    assert b0 == pytest.approx(0.5, abs=1e-6)
+    assert b1 == pytest.approx(math.exp(-1) / 2, abs=1e-6)
+    assert past == 0.0
+
+
+@pytest.mark.parametrize("lags", [0.5, np.array(0.5), np.array([[0.5]])],
+                         ids=["float", "0-d", "2-d"])
+def test_covariance_takes_a_1d_array_of_lags(lags):
+    with pytest.raises(ContractError, match="1-d array"):
+        covariance_of_filter(FilterKernel.exponential(1.0), lags)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -363,7 +371,7 @@ def test_covariance_zero_past_horizon(kernel):
     direct = [np.trapezoid(kernel.psi(lag + u) * kernel.psi(u), dx=step) for lag in lags]
     out = covariance_of_filter(kernel, lags)
     assert list(out) == direct
-    assert [covariance_of_filter(kernel, float(lag)) for lag in lags] == direct
+    assert [covariance_of_filter(kernel, lags[i:i + 1])[0] for i in range(lags.size)] == direct
     assert out[1] > 0.0
     assert np.all(out[2:] == 0.0)
 
@@ -372,7 +380,7 @@ def test_kernel_truncation_invariant():
     # H is derived: 20/rate leaves an L2 tail of e^-40 of the mass, and a
     # table's last time is where its support ends
     assert FilterKernel.exponential(2.0).truncation_horizon == 10.0
-    assert covariance_of_filter(FilterKernel.exponential(1.0), 0.0) == pytest.approx(0.5, rel=1e-6)
+    assert covariance_of_filter(FilterKernel.exponential(1.0), np.zeros(1))[0] == pytest.approx(0.5, rel=1e-6)
     assert FilterKernel.tabulated([0.0, 0.4, 1.1], [1.0, 0.5, 0.0]).truncation_horizon == 1.1
     with pytest.raises(TypeError):
         FilterKernel("exponential", rate=1.0, truncation_horizon=2.0)
@@ -547,7 +555,7 @@ def test_simulated_spectrum_matches_the_kernel(rate, h):
     f0 = f0_sup(kernel)
     assert f0 * (1 - 1e-6) <= f0_sim(kernel, h) <= f0 * (1 + 1e-9)
     row = covariance_row(kernel, TimeGrid(40.0, int(round(40.0 / h))))
-    assert row[0] == pytest.approx(covariance_of_filter(kernel, 0.0), rel=1e-3)
+    assert row[0] == pytest.approx(covariance_of_filter(kernel, np.zeros(1))[0], rel=1e-3)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -627,7 +635,7 @@ def test_tabulated_kernel_from_file(tmp_path):
     np.savetxt(path, np.column_stack([t, np.exp(-t)]))
     k = FilterKernel.from_file(path)
     assert k.form == "tabulated"
-    assert covariance_of_filter(k, 0.0) == pytest.approx(0.5, rel=1e-4)
+    assert covariance_of_filter(k, np.zeros(1))[0] == pytest.approx(0.5, rel=1e-4)
     bad = tmp_path / "bad.txt"
     np.savetxt(bad, np.column_stack([t[::-1], np.exp(-t)]))
     with pytest.raises(ContractError):
@@ -638,7 +646,7 @@ def test_tabulated_kernel_from_file(tmp_path):
 
 
 def test_series_path_starts_at_zero():
-    basis = BasisSpec(n_terms=64, horizon=2.0)
+    basis = BasisConfig(n_terms=64, horizon=2.0)
     g = TimeGrid(1.0, 8)
     for seed in range(5):
         xi = ito_nisio_path("gaussian", basis, g, np.random.PCG64(seed))
@@ -658,7 +666,7 @@ def test_haar_basis_orthonormal():
 
 
 def test_series_variance_matches_time():
-    basis = BasisSpec(n_terms=1024, horizon=2.0)
+    basis = BasisConfig(n_terms=1024, horizon=2.0)
     g = TimeGrid(1.0, 8)
     n_seeds = 10_000
     xs = np.array([ito_nisio_path("gaussian", basis, g, np.random.PCG64(5000 + i))
@@ -669,7 +677,7 @@ def test_series_variance_matches_time():
 
 
 def test_series_covariance_is_min():
-    basis = BasisSpec(n_terms=256, horizon=2.0)
+    basis = BasisConfig(n_terms=256, horizon=2.0)
     g = TimeGrid(1.0, 4)
     xs = np.array([ito_nisio_path("rademacher", basis, g, np.random.PCG64(100 + i))
                    for i in range(4000)])
@@ -679,7 +687,7 @@ def test_series_covariance_is_min():
 
 
 def test_series_horizon_guard():
-    basis = BasisSpec(n_terms=16, horizon=0.5)
+    basis = BasisConfig(n_terms=16, horizon=0.5)
     with pytest.raises(ConfigError):
         ito_nisio_path("gaussian", basis, TimeGrid(1.0, 4), np.random.PCG64(0))
 
