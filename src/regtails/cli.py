@@ -130,7 +130,8 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
 
     The one place that decides f0, d0 and c0 for ``constants``, ``tails`` and
     ``check``.  ``extras`` says where each came from, with the sampled c0_hat
-    and c1_hat.
+    and c1_hat, and with a kernel its ``f0_sim``: the spectral supremum of the
+    simulated process on this grid, which no constant uses.
     """
     extras: dict = {}
     if cfg.bounds.f0 != "auto":
@@ -142,6 +143,8 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     else:
         f0 = f0_sup(kernel)
         extras["f0_source"] = "kernel_spectrum"
+    if kernel is not None:
+        extras["f0_sim"] = f0_sim(kernel, grid.h)
     if cfg.bounds.c0 != "estimate":
         c0 = cfg.bounds.c0
         extras["c0_source"] = "config"
@@ -153,19 +156,6 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     return BoundConstants(model.q, c0, f0, beta, cfg.bounds.B_cal.value), extras
 
 
-def _reported_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[BoundConstants, dict]:
-    """:func:`resolve_constants`, with a kernel's ``f0_sim`` in ``extras``: the spectral
-    supremum of the simulated process on this grid, which no constant uses.
-
-    ``check`` reports it through ``quadratic_form_check`` instead, so it is
-    computed once there.
-    """
-    consts, extras = resolve_constants(cfg, model, grid, kernel)
-    if kernel is not None:
-        extras["f0_sim"] = f0_sim(kernel, grid.h)
-    return consts, extras
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -173,7 +163,7 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
-    consts, extras = _reported_constants(cfg, model, grid, kernel)
+    consts, extras = resolve_constants(cfg, model, grid, kernel)
     payload = {
         "constants": _constants_dict(consts),
         "extras": extras,
@@ -203,7 +193,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
-    consts, extras = _reported_constants(cfg, model, grid, kernel)
+    consts, extras = resolve_constants(cfg, model, grid, kernel)
 
     records = run_trials(cfg, workers=workers)
     r_grid = np.asarray(cfg.montecarlo.R_grid)
@@ -315,7 +305,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
     master = cfg.montecarlo.master_seed
-    # the run's own f0 and d0 are the ones under test; pairs are sampled once per process
+    # the run's own f0, d0 and a config c0 are under test; pairs are sampled once per process
     consts, extras = resolve_constants(cfg, model, grid, kernel)
     if "c0_hat" in extras:
         c0_hat, c1_hat = extras["c0_hat"], extras["c1_hat"]
@@ -341,6 +331,13 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         payload["verdicts"]["equivalence_bracket"] = bool(
             c0_hat >= c0_theory * 0.99 and c1_hat <= c1_theory * 1.01
         )
+        c0_lower = c0_theory
+    else:
+        # linear and constant: every pair's ratio Phi / ||u - v||^2 is G / d^2,
+        # so the sampled minimum is the infimum
+        c0_lower = c0_hat
+    if cfg.bounds.c0 != "estimate":
+        payload["verdicts"]["c0_config"] = bool(consts.c0 <= c0_lower * (1.0 + 1e-9))
 
     qf = quadratic_form_check(kernel, grid, consts.f0)
     if kernel is not None:

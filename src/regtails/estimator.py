@@ -24,7 +24,6 @@ regressors and custom models.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,21 +89,16 @@ def objective(obs: Observation, model: RegressionModel, tau) -> float:
     return _q(r, trapezoid_weights(obs.grid), obs.grid.h, tau)
 
 
-def _lattice_points(box, per_dim: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in zip(box.lower, box.upper)]
-    return np.array(list(itertools.product(*axes)))
-
-
 def _rank_lattice(v: list[float], per_dim: int, q: int) -> tuple[list[int], int]:
     """The refinement starts and the number of lattice points tied at the minimum.
 
     A start is a point that no axis neighbour strictly undercuts; the starts
     are taken in the order of (value, point), at most
     ``FitOptions.n_refine_starts`` of them, so the lowest point is the first.
-    The values ``v`` are in ``itertools.product`` order, the last axis varying fastest:
-    the neighbours of point i along an axis of stride s are i - s and i + s, and
-    the order of increasing axes is lexicographic, so a stable sort by value
-    breaks ties by point.
+    The values ``v`` are in :meth:`~regtails.model.ParameterBox.lattice` order,
+    the last axis varying fastest: the neighbours of point i along an axis of
+    stride s are i - s and i + s, and the order of increasing axes is
+    lexicographic, so a stable sort by value breaks ties by point.
     """
     q_min = min(v)
     tie = q_min + FitOptions.tie_tol * max(1.0, abs(q_min))
@@ -137,8 +131,7 @@ def _gauss_newton(obs, model, start, r, q_start, w) -> tuple[np.ndarray, float, 
     ``start`` is a parameter array and ``r`` the residual there.  Each candidate
     is clipped to the box by ``np.clip`` on the bound arrays, so a tie with a
     bound takes the bound, signed zero included, and Q needs no box check.  An
-    accepted candidate carries its residual forward; its gradient is taken
-    right after its ``eval``.
+    accepted candidate carries its residual forward.
     """
     grid = obs.grid
     nodes, h = grid.nodes, grid.h
@@ -190,7 +183,7 @@ def _lattice_tables(model: RegressionModel, grid: TimeGrid, per_dim: int) -> tup
     the store), the trapezoid weights w, and e_p = h sum w a_p^2, the data-free
     term of Q(p) = h x'(w x) - 2h a_p'(w x) + e_p.
     """
-    points = _lattice_points(model.box, per_dim)
+    points = model.box.lattice(per_dim)
     a = np.array([model.eval(grid.nodes, p) for p in points], dtype=float)
     w = trapezoid_weights(grid)
     return points, a, w, grid.h * ((a * a) @ w)

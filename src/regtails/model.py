@@ -77,9 +77,12 @@ class ParameterBox:
         return [lo if t <= lo else hi if t >= hi else t
                 for t, lo, hi in zip(theta, self.lower, self.upper)]
 
-    def corners(self) -> np.ndarray:
-        cols = [(lo, hi) for lo, hi in zip(self.lower, self.upper)]
-        return np.array(list(itertools.product(*cols)))
+    def lattice(self, per_dim: int) -> np.ndarray:
+        """The per_dim^q points of the ``np.linspace`` axes, in ``itertools.product``
+        order (the last axis fastest); ``lattice(2)`` is the corners, since
+        ``np.linspace(lo, hi, 2)`` is ``[lo, hi]`` exactly."""
+        axes = [np.linspace(lo, hi, per_dim) for lo, hi in zip(self.lower, self.upper)]
+        return np.array(list(itertools.product(*axes)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lower_arr, self.upper_arr, size=(n, self.q))
@@ -107,7 +110,9 @@ class RegressionModel:
 
     ``eval`` and ``grad`` must be pure functions of ``(t, tau)``: ``lse_fit``
     memoizes the values of ``eval`` at the lattice points per model and grid,
-    and takes ``grad`` afresh at each refinement step.  ``scalar`` is the
+    and takes ``grad`` afresh at each refinement step.  What a model caches
+    must depend on ``t`` alone, as :func:`exp_inner_model` keeps the regressor
+    rows of a read-only node array.  ``scalar`` is the
     :class:`ScalarForm` of a built-in model whose mean is f(tau) * phi(t), and
     None for every other model.
     """
@@ -171,41 +176,29 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
                     box: ParameterBox) -> RegressionModel:
     """a(t, tau) = exp(<tau, y(t)>) with bounded regressors y: R+ -> R^q.
 
-    The rows y(t) of a read-only node array (a grid's ``nodes``) are built once
-    and reused while calls pass that same array; a writable ``t`` is rebuilt on
-    every call.  On those nodes ``grad`` reuses the value of the last ``eval``
-    when ``tau`` is bit-equal, as after each accepted Gauss-Newton step, so the
-    gradient y * a costs no second ``exp``.  With ``constant_regressors(1)``
+    The one cache is the rows y(t) of a read-only node array (a grid's
+    ``nodes``): built once and reused while calls pass that same array; a
+    writable ``t`` is rebuilt on every call.  With ``constant_regressors(1)``
     or ``cosine_regressors(1)`` the mean is e^tau * 1, which is its scalar form.
     """
-    nodes = rows = tau_key = value = None
+    nodes = rows = None
 
     def _rows(t):
-        nonlocal nodes, rows, tau_key, value
+        nonlocal nodes, rows
         if t is nodes:
-            return rows, True
+            return rows
         y = np.atleast_2d(regressors(np.asarray(t, dtype=float)))
         if isinstance(t, np.ndarray) and not t.flags.writeable:
             # holding the array keeps its id from being reused while it is cached
-            nodes, rows, tau_key, value = t, y, None, None
-            return y, True
-        return y, False
+            nodes, rows = t, y
+        return y
 
     def _eval(t, tau):
-        nonlocal tau_key, value
-        y, cached = _rows(t)
-        tau = np.asarray(tau, dtype=float)
-        a = np.exp(tau @ y)
-        if cached:
-            tau_key, value = (tau.shape, tau.tobytes()), a.copy()
-        return a
+        return np.exp(np.asarray(tau, dtype=float) @ _rows(t))
 
     def _grad(t, tau):
-        y, cached = _rows(t)
-        tau = np.asarray(tau, dtype=float)
-        if cached and tau_key == (tau.shape, tau.tobytes()):
-            return y * value[None, :]
-        return y * np.exp(tau @ y)[None, :]
+        y = _rows(t)
+        return y * np.exp(np.asarray(tau, dtype=float) @ y)[None, :]
 
     scalar = None
     if regressors is _unit_row and box.q == 1:
@@ -389,7 +382,7 @@ def exp_model_constants(regressors: Callable[[np.ndarray], np.ndarray], box: Par
         raise DegenerateModelError(
             f"regressor Gram matrix is near-singular (min eigenvalue {lam_min:.3e})"
         )
-    inner = box.corners() @ y
+    inner = box.lattice(2) @ y
     H = float(np.exp(inner.max()))
     L = float(np.exp(inner.min()))
     return ExpModelConstants(

@@ -546,9 +546,27 @@ def test_check_verifies_the_configured_f0_on_white_noise(tmp_path, f0, passes):
     assert cli.main(["check", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     report = json.loads((out / "check_report.json").read_text())
     assert report["quadratic_form"] == {"f0_sim": 1 / (2 * math.pi)}
-    assert report["verdicts"] == {"mgf_raw": True, "quadratic_form": passes}
+    assert report["verdicts"] == {"mgf_raw": True, "quadratic_form": passes, "c0_config": True}
     assert set(report) == {"version", "config", "verdicts", "c0_hat", "c1_hat", "f0", "d0",
                            "quadratic_form", "mgf_raw", "mgf_raw_margin"}
+
+
+@pytest.mark.parametrize("name,c0,passes", [
+    ("linear_white", 50, False), ("linear_white", 1.0, True),
+    ("exp_filtered", 0.3, True), ("exp_filtered", 0.4, False), ("exp_filtered", 0.5, False),
+    ("exp_filtered", "estimate", None),
+], ids=["linear_50", "linear_shipped", "exp_0.3", "exp_0.4", "exp_0.5", "exp_estimate"])
+def test_check_verifies_a_configured_c0(tmp_path, name, c0, passes):
+    # linear under d_T: every pair's ratio is 1, so c0_hat is the infimum; exp_inner
+    # with the constant regressor on [-0.5, 0.5]: c0_theory = L^2 lambda_min = e^-1,
+    # and 0.4 lies between it and the sampled minimum (0.424 on these pairs)
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["grid"] = {"T": 5.0, "n_steps": 500}
+    doc["bounds"].update(c0=c0, equivalence_pairs=300)
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    verdicts = json.loads((out / "check_report.json").read_text())["verdicts"]
+    assert verdicts.get("c0_config") is passes
 
 
 @pytest.mark.parametrize("name,f0", [("exp_filtered", "auto"), ("linear_white", "auto"),
@@ -568,6 +586,13 @@ def test_constants_tails_and_check_use_the_same_constants(tmp_path, capsys, name
     report = json.loads((tmp_path / "c" / "check_report.json").read_text())
     for constants in (printed["constants"], meta["constants"]):
         assert (constants["f0"], constants["d0"]) == (report["f0"], report["d0"])
+    # a kernel's simulated spectral supremum is reported next to the constants;
+    # white noise has none
+    f0_sims = {extras.get("f0_sim") for extras in (printed["extras"], meta["extras"])}
+    if name == "exp_filtered":
+        assert f0_sims == {report["quadratic_form"]["f0_sim"]}
+    else:
+        assert f0_sims == {None}
     sampled = printed["extras"]["c0_source"] == "pair_sampling"
     assert sampled == (name == "exp_filtered")
     if sampled:

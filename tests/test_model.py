@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +45,22 @@ def test_box_validation():
     assert box.q == 2
     assert box.contains((0.5, 0.0))
     assert not box.contains((2.0, 0.0))
-    assert box.corners().shape == (4, 2)
+
+
+def test_box_lattice_runs_the_last_axis_fastest():
+    box = ParameterBox((0.0, -1.0, 2.0), (1.0, 1.0, 3.5))
+    pts = box.lattice(3)
+    assert pts.shape == (27, 3)
+    axes = [np.linspace(lo, hi, 3) for lo, hi in zip(box.lower, box.upper)]
+    for i, p in enumerate(pts):
+        assert p.tolist() == [axes[0][i // 9], axes[1][i // 3 % 3], axes[2][i % 3]]
+    # lattice(2) is the corner set bit for bit: np.linspace(lo, hi, 2) is [lo, hi]
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lo = rng.uniform(-10.0, 10.0, 3)
+        hi = lo + rng.uniform(1e-6, 10.0, 3)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        assert ParameterBox(lo, hi).lattice(2).tobytes() == corners.tobytes()
 
 
 def test_box_arrays_built_once():
@@ -108,9 +124,9 @@ def test_gradients_match_finite_differences(exp1):
 
 
 def test_exp_inner_caches_never_go_stale():
-    # eval and grad interleaved over a read-only grid (whose rows and last value
-    # the model keeps) and a writable array that changes between calls; even a
-    # returned value changed in place must not leak into a later gradient
+    # eval and grad interleaved over a read-only grid (whose rows the model keeps)
+    # and a writable array that changes between calls; even a returned value
+    # changed in place must not leak into a later gradient
     y_of = cosine_regressors(2)
     m = exp_inner_model(y_of, ParameterBox((-1.0, -1.0), (1.0, 1.0)))
     fixed = TimeGrid(3.0, 40).nodes
