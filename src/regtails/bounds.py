@@ -73,8 +73,11 @@ class BoundConstants:
     """Everything needed to evaluate the tail envelopes, built from the spectral level f0.
 
     The constructor derives d0 = 2*pi*f0, the slack beta when none is given
-    (:func:`default_beta`) and the rate b.  ``dataclasses.replace`` keeps the
-    resolved beta, so a copy with another ``b_cal`` has the same d0 and b.
+    (:func:`default_beta`) and the rate b.  A run always takes that default
+    slack and B_cal = 1, which a ``B_cal: "calibrate"`` config then refits
+    (:func:`calibrate_prefactor`); only tests pass another ``beta``.
+    ``dataclasses.replace`` keeps the resolved beta, so a copy with another
+    ``b_cal`` has the same d0 and b.
     """
 
     q: int

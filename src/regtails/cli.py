@@ -65,6 +65,8 @@ from .noise import (
 )
 
 MGF_DEFAULT_REPS = 10_000
+#: share of the trials that a ``B_cal: "calibrate"`` run fits the prefactor to
+CALIBRATION_SHARE = 0.1
 
 
 # -- deterministic serialization helpers -------------------------------------
@@ -122,7 +124,7 @@ def _sample_pairs(cfg: ExperimentConfig, model, grid) -> tuple[float, float]:
     """c0_hat and c1_hat from the config's random parameter pairs, seeded by its master seed."""
     return estimate_equivalence_constants(
         model, cfg.model.theta_true, grid, build_norming(cfg, model, grid),
-        cfg.bounds.equivalence_pairs, derive_seed(cfg.montecarlo.master_seed, STREAM_PAIRS, 0))
+        derive_seed(cfg.montecarlo.master_seed, STREAM_PAIRS, 0))
 
 
 def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[BoundConstants, dict]:
@@ -131,7 +133,7 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
     The one place that decides f0, d0 and c0 for ``constants``, ``tails`` and
     ``check``.  ``extras`` says where each came from, with the sampled c0_hat
     and c1_hat, and with a kernel its ``f0_sim``: the spectral supremum of the
-    simulated process on this grid, which no constant uses.
+    simulated process on this grid, which no constant uses and ``check`` tests.
     """
     extras: dict = {}
     if cfg.bounds.f0 != "auto":
@@ -152,8 +154,7 @@ def resolve_constants(cfg: ExperimentConfig, model, grid, kernel) -> tuple[Bound
         c0_hat, c1_hat = _sample_pairs(cfg, model, grid)
         c0 = c0_hat
         extras.update(c0_source="pair_sampling", c0_hat=c0_hat, c1_hat=c1_hat)
-    beta = None if cfg.bounds.beta == "auto" else cfg.bounds.beta
-    return BoundConstants(model.q, c0, f0, beta, cfg.bounds.B_cal.value), extras
+    return BoundConstants(model.q, c0, f0), extras
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -183,8 +184,8 @@ def _constants_dict(consts: BoundConstants) -> dict:
 def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     n = cfg.montecarlo.n_trials
     n_train = 0
-    if cfg.bounds.B_cal.mode == "calibrate":
-        n_train = max(1, round(cfg.bounds.B_cal.fraction * n))
+    if cfg.bounds.B_cal == "calibrate":
+        n_train = max(1, round(CALIBRATION_SHARE * n))
     if n - n_train < MIN_TAIL_TRIALS:
         raise ConfigError(
             f"montecarlo.n_trials: {n} trials leave {n - n_train} for tail estimation "
@@ -339,11 +340,13 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if cfg.bounds.c0 != "estimate":
         payload["verdicts"]["c0_config"] = bool(consts.c0 <= c0_lower * (1.0 + 1e-9))
 
-    qf = quadratic_form_check(kernel, grid, consts.f0)
+    # white nodes' simulated spectral supremum is exactly WHITE_NOISE_F0
+    sim = extras.get("f0_sim", WHITE_NOISE_F0)
+    qf = quadratic_form_check(kernel, grid, consts.f0, sim)
     if kernel is not None:
         payload["b1"] = qf.b1
         payload["b2"] = qf.b2
-    payload["quadratic_form"] = {"f0_sim": qf.f0_sim}
+    payload["quadratic_form"] = {"f0_sim": sim}
     payload["verdicts"]["quadratic_form"] = qf.passed
 
     # two weight probes: a flat weight exercises the integrated path, a unit-norm

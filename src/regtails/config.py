@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    EQUIVALENCE_PAIRS,
     NORMING_MODES,
     REGRESSOR_REGISTRY,
     ParameterBox,
@@ -37,7 +38,11 @@ from .numerics import TimeGrid, default_n_steps
 MODEL_NAMES = ("linear", "constant", "exp_inner")
 
 # keys that are no longer settings, with the reason a config that sets one is rejected
-_REMOVED = {"noise.prehistory": "not a setting: the filter prehistory is derived from the kernel"}
+_REMOVED = {
+    "noise.prehistory": "not a setting: the filter prehistory is derived from the kernel",
+    "bounds.beta": "not a setting: the slack is a thousandth of the rate before slack",
+    "bounds.equivalence_pairs": f"not a setting: c0 is estimated from {EQUIVALENCE_PAIRS} pairs",
+}
 
 
 def _fail(field: str, message: str):
@@ -90,13 +95,6 @@ def _as_levels(value, field: str) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         _fail(field, "levels must be strictly increasing")
     return levels
-
-
-def _as_fraction(value, field: str) -> float:
-    out = _as_float(value, field)
-    if not 0.0 < out < 1.0:
-        _fail(field, f"must lie in (0, 1), got {out}")
-    return out
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -221,18 +219,10 @@ class MonteCarloConfig:
 
 
 @dataclass(frozen=True)
-class BCalConfig:
-    mode: str = _key(_one_of(("fixed", "calibrate")), "fixed")
-    value: float = _key(_positive, 1.0)
-    fraction: float = _key(_as_fraction, 0.1)
-
-
-@dataclass(frozen=True)
 class BoundsConfig:
-    beta: float | str = _key(_positive, "auto")         # "auto": proportional default
-    B_cal: BCalConfig = _key(BCalConfig, BCalConfig())
+    # "fixed": B = 1; "calibrate": fitted to the first trials (cli.CALIBRATION_SHARE)
+    B_cal: str = _key(_one_of(("fixed", "calibrate")), "fixed")
     c0: float | str = _key(_positive, "estimate")       # "estimate": from pair sampling
-    equivalence_pairs: int = _key(partial(_as_int, minimum=100), 2000)
     f0: float | str = _key(_positive, "auto")           # "auto": from the kernel spectrum
 
 

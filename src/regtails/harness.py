@@ -35,12 +35,10 @@ from .errors import ContractError, NonConvergenceError
 from .estimator import Observation, _at_bound, lse_fit, normalized_deviation
 from .model import RegressionModel
 from .noise import (
-    WHITE_NOISE_F0,
     FilterKernel,
     covariance_row,
     driver_log_mgf,
     driver_weights,
-    f0_sim,
     noise_path,
     pcg64_states,
     quadratic_form,
@@ -517,27 +515,27 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
 
 @dataclass(frozen=True)
 class QuadraticFormReport:
-    f0_sim: float
     b1: float | None
     b2: float | None
     passed: bool
 
 
-def quadratic_form_check(kernel: FilterKernel | None, grid: TimeGrid,
-                         f0: float) -> QuadraticFormReport:
+def quadratic_form_check(kernel: FilterKernel | None, grid: TimeGrid, f0: float,
+                         sim: float) -> QuadraticFormReport:
     """Verify <B delta, delta> <= d0 * ||delta||^2 for every weight delta at once, d0 being
     the quadratic-form constant of the spectral level ``f0`` (:class:`BoundConstants`).
 
     B is the covariance of the simulated nodes (:func:`covariance_row`), a
     moving average of the driver draws with the kernel's taps, so
     <B delta, delta> = h^3 sum_m (sum_j w_j delta_j taps_{j-m})^2 <= d0_sim * ||delta||^2,
-    with trapezoid weights w_j <= 1 and d0_sim the constant of ``f0_sim``, the
-    simulated process's spectral supremum (:func:`f0_sim`); weights near its
-    peak frequency approach that bound (Grenander & Szegő, *Toeplitz Forms and
-    Their Applications*, 1958).  The constant grows with the spectral level, so
-    the check passes when f0_sim <= f0 * (1 + 1e-3).  White noise
-    (``kernel=None``) has the one tap 1/h, so its f0_sim is exactly
-    1/(2*pi) (``WHITE_NOISE_F0``), and the same rule tests the run's f0.
+    with trapezoid weights w_j <= 1 and d0_sim the constant of ``sim``, the
+    simulated process's spectral supremum (:func:`f0_sim` at the grid's step,
+    which the caller has already computed); weights near its peak frequency
+    approach that bound (Grenander & Szegő, *Toeplitz Forms and Their
+    Applications*, 1958).  The constant grows with the spectral level, so the
+    check passes when sim <= f0 * (1 + 1e-3).  White noise (``kernel=None``)
+    has the one tap 1/h, so its ``sim`` is exactly 1/(2*pi)
+    (``WHITE_NOISE_F0``), and the same rule tests the run's f0.
 
     With a kernel it also reports the two classical integrability constants
     of the covariance, b1 = sqrt(double integral of B^2) and
@@ -545,10 +543,9 @@ def quadratic_form_check(kernel: FilterKernel | None, grid: TimeGrid,
     (None for white noise).  B^2 and |B| are symmetric Toeplitz like B, so
     each product is one :func:`toeplitz_product` of its first row.
     """
-    sim, b1, b2 = WHITE_NOISE_F0, None, None
+    b1, b2 = None, None
     if kernel is not None:
-        sim = f0_sim(kernel, grid.h)
         cov = covariance_row(kernel, grid)
         b1 = math.sqrt(quadratic_form(cov * cov, np.ones(grid.n_nodes), grid))
         b2 = float((grid.h * toeplitz_product(np.abs(cov), trapezoid_weights(grid))).max())
-    return QuadraticFormReport(f0_sim=sim, b1=b1, b2=b2, passed=sim <= f0 * (1.0 + 1e-3))
+    return QuadraticFormReport(b1=b1, b2=b2, passed=sim <= f0 * (1.0 + 1e-3))

@@ -308,19 +308,23 @@ def phi(model: RegressionModel, theta, grid: TimeGrid, norming, u, v) -> float:
     return _path_phi(model, grid, tau_u, tau_v)
 
 
+#: parameter pairs behind each sampled (c0_hat, c1_hat)
+EQUIVALENCE_PAIRS = 2000
+
+
 def estimate_equivalence_constants(model: RegressionModel, theta, grid: TimeGrid, norming,
-                                   n_pairs: int, seed) -> tuple[float, float]:
+                                   seed) -> tuple[float, float]:
     """Empirical two-sided quadratic-equivalence constants (c0_hat, c1_hat).
 
-    Samples pairs u, v uniformly over the normed box image N * (box - theta) and
-    returns the min and max of Phi(u, v) / ||u - v||^2 over non-degenerate pairs.
+    Samples :data:`EQUIVALENCE_PAIRS` (2,000) pairs u, v uniformly over the
+    normed box image N * (box - theta), the pairs behind every ``c0: "estimate"``,
+    and returns the min and max of Phi(u, v) / ||u - v||^2 over non-degenerate pairs.
     One array pass drops the degenerate pairs and forms and box-checks the rest
     as :func:`phi` does.  A :class:`ScalarForm` f(tau) phi(t) then gives
     Phi(u, v) = (f(tau_u) - f(tau_v))^2 G, G = integral of phi^2 taken once, and
     every other model evaluates two model paths per pair.
     """
-    if n_pairs < 100:
-        raise ContractError(f"n_pairs must be >= 100, got {n_pairs}")
+    n_pairs = EQUIVALENCE_PAIRS
     theta = np.asarray(theta, dtype=float)
     norming = np.asarray(norming, dtype=float)
     rng = np.random.default_rng(seed)

@@ -38,6 +38,7 @@ from regtails.model import (
 from regtails.noise import (
     FilterKernel,
     covariance_of_filter,
+    f0_sim,
     f0_sup,
     ito_nisio_path,
     spectral_density,
@@ -140,8 +141,8 @@ def test_criterion_04_envelope_domination(driver):
     f0 = f0_sup(kernel)
     assert f0 == pytest.approx(1.0 / (2 * math.pi), rel=1e-5)
     norming = cli.build_norming(cfg, model, grid)
-    c0_hat, _ = estimate_equivalence_constants(model, (0.0,), grid, norming, 2000,
-                                      derive_seed(cfg.montecarlo.master_seed, 4, 0))
+    c0_hat, _ = estimate_equivalence_constants(model, (0.0,), grid, norming,
+                                               derive_seed(cfg.montecarlo.master_seed, 4, 0))
     consts = BoundConstants(q=1, c0=c0_hat, f0=f0)
 
     records = run_trials(cfg)
@@ -175,7 +176,7 @@ def test_criterion_05_example_constants():
         and abs(consts.L - math.exp(-0.5)) <= 1e-6
     )
     norming = norming_vector("s_T", model, (0.0,), grid)
-    c0_hat, c1_hat = estimate_equivalence_constants(model, (0.0,), grid, norming, 10_000, seed=55)
+    c0_hat, c1_hat = estimate_equivalence_constants(model, (0.0,), grid, norming, seed=55)
     lo = consts.L ** 2 * (consts.lambda_min - 0.01)
     hi = consts.H ** 2 * (float(np.trace(consts.J_T)) + 0.01)
     bracket_ok = lo <= c0_hat <= c1_hat <= hi
@@ -202,9 +203,10 @@ def test_criterion_06_spectral_covariance_closed_forms():
         for name, (got, want) in checks.items():
             rel = abs(got - want) / abs(want)
             ok = ok and rel <= 1e-5
-        qf = quadratic_form_check(k, TimeGrid(30.0, 600), f0_exact)
-        ok = ok and qf.passed
-        details.append(f"a={a}: closed forms ok, qf f0_sim/f0={qf.f0_sim / f0_exact:.9f}")
+        grid = TimeGrid(30.0, 600)
+        sim = f0_sim(k, grid.h)
+        ok = ok and quadratic_form_check(k, grid, f0_exact, sim).passed
+        details.append(f"a={a}: closed forms ok, qf f0_sim/f0={sim / f0_exact:.9f}")
     elapsed = time.perf_counter() - t0
     _report(6, ok, elapsed, 60.0, "; ".join(details))
 
@@ -304,8 +306,7 @@ def test_criterion_10_byte_identical_reproducibility(tmp_path):
         "norming": "d_T",
         "montecarlo": {"n_trials": 2000, "master_seed": 424242,
                        "R_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
-        "bounds": {"beta": "auto", "B_cal": {"mode": "calibrate", "fraction": 0.1},
-                   "c0": "estimate", "equivalence_pairs": 1000},
+        "bounds": {"B_cal": "calibrate", "c0": "estimate"},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))

@@ -22,7 +22,7 @@ from regtails import harness
 from regtails.config import build_grid, build_kernel, build_model, load_config
 from regtails.estimator import FitOptions, LseResult
 from regtails.harness import MgfReport
-from regtails.model import ParameterBox, linear_model
+from regtails.model import EQUIVALENCE_PAIRS, ParameterBox, linear_model
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -57,6 +57,8 @@ def test_names_the_benchmark_reads():
     assert isinstance(FitOptions().coarse_grid_per_dim, int)
     assert isinstance(cli.MGF_DEFAULT_REPS, int)
     assert harness.STREAM_PAIRS == 4  # bench/run.py restates it as a literal
+    # and this as the default of bounds.get("equivalence_pairs", 2000)
+    assert EQUIVALENCE_PAIRS == 2000
     # the tracer swaps a built model's eval/grad with dataclasses.replace
     model = linear_model(ParameterBox((0.0,), (1.0,)))
     swapped = dataclasses.replace(model, eval=model.eval, grad=model.grad)

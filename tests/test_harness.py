@@ -373,7 +373,6 @@ def _exp_filtered_shaped(n_trials):
     doc = json.loads((CONFIGS / "exp_filtered.json").read_text())
     doc["grid"] = {"T": 10.0, "n_steps": 1000}
     doc["montecarlo"]["n_trials"] = n_trials
-    doc["bounds"]["equivalence_pairs"] = 200
     return doc
 
 
@@ -780,7 +779,6 @@ def test_check_draws_mgf_replications_in_blocks(tmp_path, monkeypatch):
         "grid": {"T": 1.0, "n_steps": 100},
         "norming": "d_T",
         "montecarlo": {"n_trials": 200, "master_seed": 3, "R_grid": [0.0, 1.0]},
-        "bounds": {"equivalence_pairs": 300},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -804,13 +802,14 @@ def test_quadratic_form_check_exponential_kernel():
     k = FilterKernel.exponential(1.0)
     g = TimeGrid(30.0, 600)
     f0 = f0_sup(k)
-    rep = quadratic_form_check(k, g, f0)
+    # the verdict is the simulated spectrum's supremum against the kernel's
+    sim = f0_sim(k, g.h)
+    assert sim <= f0 * (1 + 1e-3)
+    rep = quadratic_form_check(k, g, f0, sim)
     assert rep.passed
+    assert not quadratic_form_check(k, g, sim / (1 + 2e-3), sim).passed
     # sup_t integral of |B(t-s)| ds over a long window approaches integral of B = 1
     assert rep.b2 == pytest.approx(1.0, abs=1e-3)
-    # the verdict is the simulated spectrum's supremum against the kernel's
-    assert rep.f0_sim == f0_sim(k, g.h)
-    assert rep.f0_sim <= f0 * (1 + 1e-3)
 
     # the matrix-free products against the dense N x N covariance matrix
     cov = covariance_row(k, g)
@@ -833,9 +832,9 @@ def test_quadratic_form_check_fails_where_the_simulated_spectrum_overshoots():
     k = FilterKernel.tabulated([0.0, 0.228, 1.023, 1.339], [-1.935, -1.097, 1.187, -1.597])
     g = TimeGrid(30.0, 100)
     f0 = f0_sup(k)
-    rep = quadratic_form_check(k, g, f0)
-    assert not rep.passed
-    assert rep.f0_sim / f0 == pytest.approx(1.050, abs=1e-3)
+    sim = f0_sim(k, g.h)
+    assert not quadratic_form_check(k, g, f0, sim).passed
+    assert sim / f0 == pytest.approx(1.050, abs=1e-3)
     taps = k.taps(g.h)
     lam = np.linspace(0.0, math.pi / g.h, 20_001)
     power = np.abs(np.exp(-1j * g.h * np.outer(lam, np.arange(taps.size))) @ taps) ** 2

@@ -247,7 +247,7 @@ def test_equivalence_constants_linear_unity():
     lin = linear_model(ParameterBox((0.0,), (5.0,)))
     g = TimeGrid(3.0, 300)
     N = norming_matrix(lin, (2.0,), g)
-    c0, c1 = estimate_equivalence_constants(lin, (2.0,), g, N, 200, seed=1)
+    c0, c1 = estimate_equivalence_constants(lin, (2.0,), g, N, seed=1)
     assert c0 == pytest.approx(1.0, abs=1e-9)
     assert c1 == pytest.approx(1.0, abs=1e-9)
 
@@ -256,7 +256,7 @@ def test_equivalence_constants_constant_model():
     con = constant_model(ParameterBox((-1.0,), (1.0,)))
     g = TimeGrid(4.0, 100)
     N = norming_vector("s_T", con, (0.0,), g)
-    c0, c1 = estimate_equivalence_constants(con, (0.0,), g, N, 150, seed=2)
+    c0, c1 = estimate_equivalence_constants(con, (0.0,), g, N, seed=2)
     assert c0 == pytest.approx(1.0, abs=1e-10)
     assert c1 == pytest.approx(1.0, abs=1e-10)
 
@@ -264,22 +264,16 @@ def test_equivalence_constants_constant_model():
 def test_equivalence_constants_exponential_bracket(exp1):
     g = TimeGrid(1.0, 100)
     N = norming_vector("s_T", exp1, (0.0,), g)
-    c0, c1 = estimate_equivalence_constants(exp1, (0.0,), g, N, 2000, seed=3)
+    c0, c1 = estimate_equivalence_constants(exp1, (0.0,), g, N, seed=3)
     assert c0 <= c1
     # mean-value oracle: every ratio equals e^{2 xi} with xi in (-1/2, 1/2) shifted
     assert math.exp(-1) - 1e-9 <= c0 <= math.exp(-1) * 1.1
     assert math.exp(1) * 0.9 <= c1 <= math.exp(1) + 1e-9
 
 
-def test_equivalence_needs_enough_pairs(exp1):
-    g = TimeGrid(1.0, 10)
-    N = norming_vector("s_T", exp1, (0.0,), g)
-    with pytest.raises(ContractError):
-        estimate_equivalence_constants(exp1, (0.0,), g, N, 50, seed=0)
-
-
-def _reference_equivalence_constants(model, theta, grid, norming, n_pairs, seed):
+def _reference_equivalence_constants(model, theta, grid, norming, seed):
     """The pair sampler as it was before the one-number route: :func:`phi` per pair."""
+    n_pairs = model_module.EQUIVALENCE_PAIRS
     theta = np.asarray(theta, dtype=float)
     norming = np.asarray(norming, dtype=float)
     rng = np.random.default_rng(seed)
@@ -307,7 +301,7 @@ _SCALAR_MODELS = [
 
 @pytest.mark.parametrize("name,model,theta", _SCALAR_MODELS, ids=[m[0] for m in _SCALAR_MODELS])
 @pytest.mark.parametrize("mode", ["s_T", "d_T"])
-def test_scalar_pairs_match_the_phi_loop(name, model, theta, mode):
+def test_scalar_pairs_match_the_phi_loop(monkeypatch, name, model, theta, mode):
     # the one-number route against phi per pair.  Today's loop forms
     # tau_u t - tau_v t node by node, which cancels on the linear model's
     # close pairs (2.0e-13 relative at N = 300); the exact test below pins
@@ -318,8 +312,9 @@ def test_scalar_pairs_match_the_phi_loop(name, model, theta, mode):
     tol = 1e-12 if name == "linear" else 1e-13
     for seed in range(5):
         for n_pairs in (100, 2000):
-            got = estimate_equivalence_constants(model, theta, grid, norming, n_pairs, seed)
-            want = _reference_equivalence_constants(model, theta, grid, norming, n_pairs, seed)
+            monkeypatch.setattr(model_module, "EQUIVALENCE_PAIRS", n_pairs)
+            got = estimate_equivalence_constants(model, theta, grid, norming, seed)
+            want = _reference_equivalence_constants(model, theta, grid, norming, seed)
             assert got[0] == pytest.approx(want[0], rel=tol, abs=0)
             assert got[1] == pytest.approx(want[1], rel=tol, abs=0)
 
@@ -340,7 +335,7 @@ def test_scalar_pairs_exact_on_linear_model(mode):
         gap = ((u_all[0::2] - u_all[1::2])[:, 0] ** 2).tolist()
         ratios = [(Fraction(tau[2 * k]) - Fraction(tau[2 * k + 1])) ** 2 * gram / Fraction(gap[k])
                   for k in range(2000)]
-        got = estimate_equivalence_constants(lin, theta, grid, norming, 2000, seed)
+        got = estimate_equivalence_constants(lin, theta, grid, norming, seed)
         for value, exact in zip(got, (min(ratios), max(ratios))):
             assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 15) * exact
 
@@ -355,8 +350,7 @@ _ROUTE_MODELS = [*_SCALAR_MODELS, _PATH_MODEL]
 def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
     grid = TimeGrid(3.0, 30)
     norming = norming_vector("s_T", model, theta, grid)
-    with pytest.raises(ContractError, match="n_pairs must be >= 100, got 99"):
-        estimate_equivalence_constants(model, theta, grid, norming, 99, seed=0)
+    monkeypatch.setattr(model_module, "EQUIVALENCE_PAIRS", 100)
 
     def sampled(points):
         # each point is (x, theta[1:]): only the first coordinate varies
@@ -368,7 +362,7 @@ def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
     sampled([theta[0]] * 200)
     for route in (estimate_equivalence_constants, _reference_equivalence_constants):
         with pytest.raises(ContractError, match="all sampled pairs were degenerate"):
-            route(model, theta, grid, norming, 100, seed=0)
+            route(model, theta, grid, norming, seed=0)
 
     # a coincident pair outside the box is skipped; the first kept pair leaves it through v
     lo, hi = model.box.lower[0], model.box.upper[0]
@@ -377,7 +371,7 @@ def test_scalar_pairs_keep_the_error_contracts(monkeypatch, name, model, theta):
     messages = []
     for route in (estimate_equivalence_constants, _reference_equivalence_constants):
         with pytest.raises(DomainError) as err:
-            route(model, theta, grid, norming, 100, seed=0)
+            route(model, theta, grid, norming, seed=0)
         messages.append(str(err.value))
     # phi raises it from the same helper
     u, v = ((np.array([x, *theta[1:]]) - theta) * norming for x in (lo, outside))
@@ -397,14 +391,15 @@ _OVERFLOWING = [
 
 
 @pytest.mark.parametrize("name,model,theta", _OVERFLOWING, ids=[m[0] for m in _OVERFLOWING])
-def test_scalar_pairs_reject_a_non_finite_phi(name, model, theta):
+def test_scalar_pairs_reject_a_non_finite_phi(monkeypatch, name, model, theta):
     # e^tau overflows inside this box (numpy warns), and phi's integrand check says so
     grid = TimeGrid(3.0, 30)
     norming = norming_vector("s_T", model, theta, grid)
+    monkeypatch.setattr(model_module, "EQUIVALENCE_PAIRS", 100)
     for route in (estimate_equivalence_constants, _reference_equivalence_constants):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="integrand contains non-finite entries"):
-            route(model, theta, grid, norming, 100, seed=0)
+            route(model, theta, grid, norming, seed=0)
 
 
 def _counted(calls, fn, key):
@@ -447,11 +442,11 @@ def test_path_pairs_equal_the_phi_loop(q, mode):
     for seed in range(4):
         calls = {"eval": 0}
         model = dataclasses.replace(built, eval=_counted(calls, built.eval, "eval"))
-        got = estimate_equivalence_constants(model, theta, grid, norming, 150, seed)
-        u_all = (box.sample(np.random.default_rng(seed), 300) - theta) * norming
+        got = estimate_equivalence_constants(model, theta, grid, norming, seed)
+        u_all = (box.sample(np.random.default_rng(seed), 4000) - theta) * norming
         d = u_all[0::2] - u_all[1::2]
-        assert calls["eval"] == 2 * int(((d * d).sum(axis=1) > 1e-18).sum()) == 300
-        assert got == _reference_equivalence_constants(built, theta, grid, norming, 150, seed)
+        assert calls["eval"] == 2 * int(((d * d).sum(axis=1) > 1e-18).sum()) == 4000
+        assert got == _reference_equivalence_constants(built, theta, grid, norming, seed)
 
 
 def test_pair_gaps_are_the_per_pair_dot_products():
