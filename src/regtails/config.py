@@ -322,10 +322,10 @@ def build_grid(cfg: ExperimentConfig) -> TimeGrid:
 
 def build_regressors(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Regressor functions y(t) of the exp_inner model: from a file, else a named family."""
-    params = cfg.model.parameters
+    params, q = cfg.model.parameters, len(cfg.model.box.lower)
     if params.regressor_file is not None:
-        return tabulated_regressors(params.regressor_file)
-    return REGRESSOR_REGISTRY[params.regressors](len(cfg.model.box.lower))
+        return tabulated_regressors(params.regressor_file, q)
+    return REGRESSOR_REGISTRY[params.regressors](q)
 
 
 def build_model(cfg: ExperimentConfig) -> RegressionModel:

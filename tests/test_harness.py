@@ -24,6 +24,7 @@ from regtails.errors import ContractError
 from regtails.estimator import Observation, lse_fit, normalized_deviation
 from regtails.harness import (
     MGF_BLOCK,
+    MGF_DEFAULT_REPS,
     STREAM_MGF,
     STREAM_PATHS,
     STREAM_TRIALS,
@@ -558,9 +559,16 @@ def test_compare_with_envelope_adversarial_fails():
 # -- MGF checker ---------------------------------------------------------------
 
 
+def _spike(grid):
+    # check's unit-norm node spike: one nonzero driver coefficient
+    spike = np.zeros(grid.n_nodes)
+    spike[grid.n_nodes // 2] = 1.0 / math.sqrt(grid.h)
+    return spike
+
+
 def test_mgf_at_zero_is_exactly_one():
     g = TimeGrid(1.0, 50)
-    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, np.array([0.0]), 10_000, 5)
+    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, np.array([0.0]), 5)
     assert rep.empirical_mean[0] == 1.0
     assert rep.overall_pass
 
@@ -569,7 +577,7 @@ def test_mgf_gaussian_white_matches_exact_mgf():
     # I ~ N(0, h * sum w^2) with trapezoid weights w, so E exp(lam I) = exp(lam^2 (T - h/2) / 2)
     g = TimeGrid(1.0, 100)
     lam = np.array([0.5, 1.0, 1.5])
-    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 10_000, 6)
+    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 6)
     np.testing.assert_allclose(rep.exact_mean, np.exp(0.5 * lam ** 2 * (1.0 - g.h / 2)),
                                rtol=1e-12)
     np.testing.assert_allclose(rep.envelope, np.exp(0.5 * lam ** 2 * 1.0), rtol=1e-12)
@@ -583,13 +591,13 @@ def test_mgf_sampler_estimates_the_exact_mgf(driver):
     # exact from the MGF at 2 lam (finite here for every driver: 2 lam u = 0.2)
     g = TimeGrid(1.0, 100)
     lam = np.array([0.5, 1.0])
-    n_rep = 10_000
-    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, n_rep, 31)
+    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, 31)
     u = trapezoid_weights(g) * math.sqrt(g.h)
     for j, x in enumerate(lam):
         exact = math.exp(driver_log_mgf(driver, x * u).sum())
         assert rep.exact_mean[j] == pytest.approx(exact, rel=1e-12)
-        se = math.sqrt((math.exp(driver_log_mgf(driver, 2 * x * u).sum()) - exact ** 2) / n_rep)
+        second = math.exp(driver_log_mgf(driver, 2 * x * u).sum())
+        se = math.sqrt((second - exact ** 2) / MGF_DEFAULT_REPS)
         assert abs(rep.empirical_mean[j] - exact) <= 4 * se, (driver, x)
 
 
@@ -598,15 +606,13 @@ def test_mgf_random_weights_pass_for_gaussian():
     rng = np.random.default_rng(10)
     delta = rng.standard_normal(g.n_nodes)
     lam_max = math.sqrt(8.0 / max(np.trapezoid(delta ** 2, dx=g.h), 1e-9))
-    rep = mgf_check("gaussian", delta, g, 1.0, np.array([0.3, 0.9]) * lam_max, 10_000, 11)
+    rep = mgf_check("gaussian", delta, g, 1.0, np.array([0.3, 0.9]) * lam_max, 11)
     assert rep.overall_pass
 
 
 def test_mgf_negative_control_fails_on_margin():
     g = TimeGrid(1.0, 100)
-    spike = np.zeros(g.n_nodes)
-    spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)
-    rep = mgf_check("centered_exponential", spike, g, 1.0, np.array([0.5, 1.5, 2.0]), 10_000, 12)
+    rep = mgf_check("centered_exponential", _spike(g), g, 1.0, np.array([0.5, 1.5, 2.0]), 12)
     assert not rep.overall_pass
     assert not rep.per_lambda_pass[-1]
 
@@ -619,8 +625,7 @@ def test_mgf_negative_control_fails_on_flat_weight(kernel):
     g = TimeGrid(50.0, 2500)
     d0 = 1.0 if kernel is None else 2 * math.pi * f0_sup(kernel)
     lam = np.array([0.0, 0.3, 0.6, 0.95]) * math.sqrt(8.0 / (d0 * g.T))
-    rep = mgf_check("centered_exponential", np.ones(g.n_nodes), g, d0, lam, 10_000, 13,
-                    kernel=kernel)
+    rep = mgf_check("centered_exponential", np.ones(g.n_nodes), g, d0, lam, 13, kernel=kernel)
     assert math.log(rep.envelope[-1]) == pytest.approx(3.61, rel=1e-12)
     assert math.log(rep.exact_mean[-1]) == pytest.approx(3.744 if kernel is None else 3.668,
                                                          abs=5e-4)
@@ -635,10 +640,8 @@ def test_drivers_are_strictly_sub_gaussian_on_check_weights(driver):
     # weights (check-filtered grid) and lambda * max|u| = +-1e-3 .. +-30; the
     # centered exponential, check's negative control, breaks it
     g = TimeGrid(50.0, 2500)
-    spike = np.zeros(g.n_nodes)
-    spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)
     worst = 0.0
-    for delta, kernel in ((np.ones(g.n_nodes), None), (spike, None),
+    for delta, kernel in ((np.ones(g.n_nodes), None), (_spike(g), None),
                           (np.ones(g.n_nodes), FilterKernel.exponential(1.0))):
         u = driver_weights(trapezoid_weights(g) * g.h * delta, g, kernel)
         u = u[u != 0.0]
@@ -657,17 +660,18 @@ def test_mgf_verdict_stays_exact_past_float_range():
     # the verdict, taken on the logarithms, still passes with no warning
     g = TimeGrid(4.0, 100)
     lam = np.array([3.0, 40.0])
-    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 10_000, 0)
+    rep = mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, lam, 0)
     assert rep.overall_pass
     assert rep.envelope[0] == pytest.approx(math.exp(18.0), rel=1e-12)
     assert rep.envelope[1] == math.inf and rep.exact_mean[1] == math.inf
     assert np.all(np.isfinite(rep.empirical_mean))
 
 
-def test_mgf_rep_count_contract():
-    g = TimeGrid(1.0, 10)
-    with pytest.raises(ContractError):
-        mgf_check("gaussian", np.ones(g.n_nodes), g, 1.0, np.array([0.1]), 100, 0)
+def test_mgf_replications_are_whole_even_blocks():
+    # an even block continues the Rademacher words' stream, and whole blocks
+    # leave no short last one
+    assert MGF_BLOCK % 2 == 0 and MGF_DEFAULT_REPS % MGF_BLOCK == 0
+    assert cli.MGF_DEFAULT_REPS is MGF_DEFAULT_REPS
 
 
 @pytest.mark.parametrize("kernel", [None, FilterKernel.exponential(1.0)])
@@ -679,8 +683,7 @@ def test_mgf_zero_weight_is_a_contract_error(kernel, monkeypatch):
 
     monkeypatch.setattr(harness, "sample_driver", no_draws)
     with pytest.raises(ContractError, match="weight delta"):
-        mgf_check("gaussian", np.zeros(g.n_nodes), g, 1.0, np.array([0.1]), 10_000, 0,
-                  kernel=kernel)
+        mgf_check("gaussian", np.zeros(g.n_nodes), g, 1.0, np.array([0.1]), 0, kernel=kernel)
 
 
 @pytest.mark.parametrize("driver", DRIVER_KINDS)
@@ -690,25 +693,23 @@ def test_mgf_replications_are_rows_of_one_stream(driver):
     # Generator method on default_rng at the check's stream seed
     g = TimeGrid(1.0, 100)
     lam = np.array([0.5, 1.0])
-    n_rep, seed = 10_000, 21
-    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, n_rep, seed)
-    rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
-    z = REFERENCE_DRAWS[driver](rng, n_rep * g.n_nodes).reshape(n_rep, g.n_nodes)
+    rep = mgf_check(driver, np.ones(g.n_nodes), g, 1.0, lam, 21)
+    rng = np.random.default_rng(derive_seed(21, STREAM_MGF, 0))
+    z = REFERENCE_DRAWS[driver](rng, MGF_DEFAULT_REPS * g.n_nodes).reshape(-1, g.n_nodes)
     samples = z @ (trapezoid_weights(g) * np.sqrt(g.h))
     expected = np.exp(np.outer(lam, samples)).mean(axis=1)
     np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)
 
 
-def _rademacher_mgf_means_by_integers(delta, grid, lam, n_rep, seed, kernel):
-    # mgf_check's block loop with Rademacher values drawn through integers
+def _mgf_means_in_blocks(driver, delta, grid, lam, seed, kernel=None):
+    # mgf_check's replications MGF_BLOCK rows at a time, each block drawn by the
+    # law's Generator method (Rademacher values through integers)
     u = driver_weights(trapezoid_weights(grid) * grid.h * delta, grid, kernel)
     u = u[u != 0.0]
     rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
-    samples = np.empty(n_rep)
-    for start in range(0, n_rep, MGF_BLOCK):
-        rows = min(MGF_BLOCK, n_rep - start)
-        z = rng.integers(0, 2, rows * u.size) * 2.0 - 1.0
-        samples[start:start + rows] = z.reshape(rows, u.size) @ u
+    samples = np.concatenate([
+        REFERENCE_DRAWS[driver](rng, MGF_BLOCK * u.size).reshape(MGF_BLOCK, u.size) @ u
+        for _ in range(MGF_DEFAULT_REPS // MGF_BLOCK)])
     means = np.empty(lam.size)
     with np.errstate(over="ignore"):
         for j, x in enumerate(lam):
@@ -718,20 +719,32 @@ def _rademacher_mgf_means_by_integers(delta, grid, lam, n_rep, seed, kernel):
 
 
 @pytest.mark.parametrize("weight", ["flat", "spike", "filtered"])
-@pytest.mark.parametrize("n_rep", [10_000, 10_001])
-def test_mgf_rademacher_replications_match_integers_bit_for_bit(weight, n_rep):
-    # 101 nodes: the flat and filtered rows have odd counts, and 10,001
-    # replications end on a one-row block of an odd count
+def test_mgf_rademacher_replications_match_integers_bit_for_bit(weight):
+    # 101 nodes: the flat and filtered rows have odd counts
     g = TimeGrid(1.0, 100)
-    delta = np.ones(g.n_nodes)
-    if weight == "spike":
-        delta = np.zeros(g.n_nodes)
-        delta[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)
+    delta = _spike(g) if weight == "spike" else np.ones(g.n_nodes)
     kernel = FilterKernel.exponential(1.0) if weight == "filtered" else None
     lam = np.array([0.5, 1.5, 2.0])
-    rep = mgf_check("rademacher", delta, g, 1.0, lam, n_rep, 17, kernel=kernel)
-    expected = _rademacher_mgf_means_by_integers(delta, g, lam, n_rep, 17, kernel)
-    assert np.all(rep.empirical_mean == expected)
+    rep = mgf_check("rademacher", delta, g, 1.0, lam, 17, kernel=kernel)
+    assert np.all(rep.empirical_mean == _mgf_means_in_blocks("rademacher", delta, g, lam, 17, kernel))
+
+
+@pytest.mark.parametrize("driver", DRIVER_KINDS)
+def test_mgf_spike_replications_match_8_row_blocks_bit_for_bit(driver, monkeypatch):
+    # a one-coefficient weight draws its replications in one call; each is the
+    # one product z * u_0, so the sums equal the 8-row blocks' to the bit
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_driver(*args)
+
+    monkeypatch.setattr(harness, "sample_driver", counting)
+    g = TimeGrid(1.0, 100)
+    lam = np.array([0.5, 1.5, 2.0])
+    rep = mgf_check(driver, _spike(g), g, 1.0, lam, 19)
+    assert [count for _, count, _ in calls] == [MGF_DEFAULT_REPS]
+    assert np.all(rep.empirical_mean == _mgf_means_in_blocks(driver, _spike(g), g, lam, 19))
 
 
 def test_mgf_filtered_peak_memory_stays_below_a_megabyte():
@@ -740,7 +753,7 @@ def test_mgf_filtered_peak_memory_stays_below_a_megabyte():
     kernel = FilterKernel.exponential(1.0)
     grid = TimeGrid(50.0, 2500)
     lam = np.array([0.0, 0.3, 0.6, 0.95]) * math.sqrt(8.0 / grid.T)
-    args = ("rademacher", np.ones(grid.n_nodes), grid, 1.0, lam, cli.MGF_DEFAULT_REPS, 5)
+    args = ("rademacher", np.ones(grid.n_nodes), grid, 1.0, lam, 5)
     mgf_check(*args, kernel=kernel)  # builds the taps
     tracemalloc.start()
     try:
@@ -755,9 +768,8 @@ def test_mgf_spike_draws_only_its_support():
     lam = np.array([0.5, 1.5, 2.0])
     reports = []
     for g in (TimeGrid(1.0, 100), TimeGrid(2.0, 200)):
-        spike = np.zeros(g.n_nodes)
-        spike[g.n_nodes // 2] = 1.0 / math.sqrt(g.h)  # node 50, then node 100
-        reports.append(mgf_check("rademacher", spike, g, 1.0, lam, 10_000, 4))
+        # the spike sits on node 50, then node 100
+        reports.append(mgf_check("rademacher", _spike(g), g, 1.0, lam, 4))
     short, long = reports
     for name in ("lambda_grid", "empirical_mean", "exact_mean", "envelope", "per_lambda_pass"):
         assert np.array_equal(getattr(short, name), getattr(long, name)), name
@@ -786,7 +798,8 @@ def test_check_draws_mgf_replications_in_blocks(tmp_path, monkeypatch):
     assert cli.main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "check_report.json").read_text())
     assert {"mgf_raw", "mgf_raw_margin", "mgf_filtered"} <= report.keys()
-    assert 0 < len(calls) <= 3 * math.ceil(cli.MGF_DEFAULT_REPS / MGF_BLOCK)
+    # 1,250 blocks for each flat weight, raw and filtered, and one call for the spike
+    assert len(calls) == 2_501
 
 
 # -- quadratic form ---------------------------------------------------------------

@@ -514,14 +514,14 @@ def test_regressor_registry_and_files(tmp_path):
     path = tmp_path / "reg.txt"
     t = np.linspace(0, 10, 101)
     np.savetxt(path, np.column_stack([t, np.sin(t)]))
-    y_tab = tabulated_regressors(path)
+    y_tab = tabulated_regressors(path, 1)
     np.testing.assert_allclose(y_tab(t[:5])[0], np.sin(t[:5]), atol=1e-12)
 
 
 def test_tabulated_regressors_interpolate_and_reject_bad_tables(tmp_path):
     path = tmp_path / "reg.txt"
     path.write_text("0 1 0\n1 3 -2\n3 4 2\n")
-    y = tabulated_regressors(path)
+    y = tabulated_regressors(path, 2)
     np.testing.assert_array_equal(y(np.array([0.0, 0.5, 2.0, 3.0])),
                                   [[1.0, 2.0, 3.5, 4.0], [0.0, -1.0, 0.0, 2.0]])
     # a one-column file is three times and no regressor, not one time and two regressors
@@ -531,5 +531,22 @@ def test_tabulated_regressors_interpolate_and_reject_bad_tables(tmp_path):
                           ("", "is empty"), ("# time y1\n\n", "is empty")):
         path.write_text(text)
         with pytest.raises(ConfigError, match=message) as err:
-            tabulated_regressors(path)
+            tabulated_regressors(path, 1)
         assert f"regressor file {path}" in str(err.value)
+    # the box's dimension counts the value columns
+    path.write_text("0 1 0\n1 3 -2\n")
+    for q in (1, 3):
+        with pytest.raises(ConfigError, match=f"has 2 value columns, but the box has {q} "):
+            tabulated_regressors(path, q)
+
+
+def test_a_regressor_file_of_ones_is_the_unit_row(tmp_path):
+    # ones interpolate to exactly 1, so the file is the built-in row, and its
+    # exp_inner model has the scalar form; any other value keeps the table
+    path = tmp_path / "ones.txt"
+    path.write_text("0 1\n0.5 1\n2 1\n")
+    assert tabulated_regressors(path, 1) is model_module._unit_row
+    box = ParameterBox((-0.5,), (0.5,))
+    assert exp_inner_model(tabulated_regressors(path, 1), box).scalar is not None
+    path.write_text("0 1\n0.5 1\n2 1.5\n")
+    assert exp_inner_model(tabulated_regressors(path, 1), box).scalar is None
