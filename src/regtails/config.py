@@ -324,7 +324,10 @@ def build_regressors(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray
     """Regressor functions y(t) of the exp_inner model: from a file, else a named family."""
     params, q = cfg.model.parameters, len(cfg.model.box.lower)
     if params.regressor_file is not None:
-        return tabulated_regressors(params.regressor_file, q)
+        try:
+            return tabulated_regressors(params.regressor_file, q)
+        except ConfigError as err:
+            _fail("model.parameters.regressor_file", str(err))
     return REGRESSOR_REGISTRY[params.regressors](q)
 
 

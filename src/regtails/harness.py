@@ -472,7 +472,7 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
     estimate, +inf at a lambda where a replication overflows: MGF_DEFAULT_REPS
     replications from one PCG64 seeded by (seed, STREAM_MGF, 0), replication r
     the r-th run of u.size draws, MGF_BLOCK of them summed by one matrix
-    product, or all at once when u has one entry (each is then z * u_0 exactly).
+    product.
     """
     delta_vals = np.asarray(delta, dtype=float)
     norm_sq = integrate(delta_vals * delta_vals, grid)
@@ -487,11 +487,10 @@ def mgf_check(driver: str, delta, grid: TimeGrid, d0: float, lambda_grid,
     passed = log_mgf <= exponents * (1.0 + 1e-12)
 
     bits = np.random.PCG64(derive_seed(seed, STREAM_MGF, 0))
-    rows = MGF_DEFAULT_REPS if u.size == 1 else MGF_BLOCK
     samples = np.empty(MGF_DEFAULT_REPS)
-    for start in range(0, MGF_DEFAULT_REPS, rows):
-        samples[start:start + rows] = (
-            sample_driver(driver, rows * u.size, bits).reshape(rows, u.size) @ u)
+    for start in range(0, MGF_DEFAULT_REPS, MGF_BLOCK):
+        samples[start:start + MGF_BLOCK] = (
+            sample_driver(driver, MGF_BLOCK * u.size, bits).reshape(MGF_BLOCK, u.size) @ u)
     means = np.empty(lambda_grid.size)
     with np.errstate(over="ignore"):  # an overflow is reported as +inf
         for j, lam in enumerate(lambda_grid):

@@ -145,8 +145,7 @@ def _log(y: float) -> float:
 
 
 def _unit_row(t) -> np.ndarray:
-    """The one row y(t) = 1 of ``constant_regressors(1)``, ``cosine_regressors(1)`` and a
-    regressor file of ones."""
+    """The one row y(t) = 1 of ``constant_regressors(1)`` and ``cosine_regressors(1)``."""
     return np.ones((1, np.size(t)))
 
 
@@ -179,8 +178,8 @@ def exp_inner_model(regressors: Callable[[np.ndarray], np.ndarray],
 
     The one cache is the rows y(t) of a read-only node array (a grid's
     ``nodes``): built once and reused while calls pass that same array; a
-    writable ``t`` is rebuilt on every call.  With the unit row (``_unit_row``)
-    the mean is e^tau * 1, which is its scalar form.
+    writable ``t`` is rebuilt on every call.  With ``constant_regressors(1)``
+    or ``cosine_regressors(1)`` the mean is e^tau * 1, which is its scalar form.
     """
     nodes = rows = None
 
@@ -225,23 +224,17 @@ def cosine_regressors(q: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def tabulated_regressors(path, q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Columns after the first of a text file are the q regressor components of t.
-
-    A file of one column of ones interpolates to exactly the unit row, so it is
-    ``_unit_row``, and its model takes the scalar route.
-    """
+    """Columns after the first of a text file are the q regressor components of t."""
     data = load_table(path, "regressor file")
     if data.shape[1] < 2:
         raise ConfigError(f"regressor file {path} needs a time column plus at least one value column")
     if data.shape[1] - 1 != q:
-        raise ConfigError(f"model.parameters.regressor_file: regressor file {path} has "
-                          f"{data.shape[1] - 1} value columns, but the box has {q} coordinates")
+        raise ConfigError(f"regressor file {path} has {data.shape[1] - 1} value columns, "
+                          f"but the box has {q} coordinates")
     t_tab = data[:, 0]
     if not np.all(np.diff(t_tab) > 0):
         raise ConfigError(f"regressor file {path} must have strictly increasing times")
     comps = data[:, 1:].T
-    if q == 1 and np.all(comps == 1.0):
-        return _unit_row
 
     def y(t):
         t = np.asarray(t, dtype=float)

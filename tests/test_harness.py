@@ -701,14 +701,13 @@ def test_mgf_replications_are_rows_of_one_stream(driver):
     np.testing.assert_allclose(rep.empirical_mean, expected, rtol=1e-12, atol=0.0)
 
 
-def _mgf_means_in_blocks(driver, delta, grid, lam, seed, kernel=None):
-    # mgf_check's replications MGF_BLOCK rows at a time, each block drawn by the
-    # law's Generator method (Rademacher values through integers)
+def _rademacher_mgf_means_by_integers(delta, grid, lam, seed, kernel):
+    # mgf_check's block loop with Rademacher values drawn through integers
     u = driver_weights(trapezoid_weights(grid) * grid.h * delta, grid, kernel)
     u = u[u != 0.0]
     rng = np.random.default_rng(derive_seed(seed, STREAM_MGF, 0))
     samples = np.concatenate([
-        REFERENCE_DRAWS[driver](rng, MGF_BLOCK * u.size).reshape(MGF_BLOCK, u.size) @ u
+        REFERENCE_DRAWS["rademacher"](rng, MGF_BLOCK * u.size).reshape(MGF_BLOCK, u.size) @ u
         for _ in range(MGF_DEFAULT_REPS // MGF_BLOCK)])
     means = np.empty(lam.size)
     with np.errstate(over="ignore"):
@@ -726,25 +725,7 @@ def test_mgf_rademacher_replications_match_integers_bit_for_bit(weight):
     kernel = FilterKernel.exponential(1.0) if weight == "filtered" else None
     lam = np.array([0.5, 1.5, 2.0])
     rep = mgf_check("rademacher", delta, g, 1.0, lam, 17, kernel=kernel)
-    assert np.all(rep.empirical_mean == _mgf_means_in_blocks("rademacher", delta, g, lam, 17, kernel))
-
-
-@pytest.mark.parametrize("driver", DRIVER_KINDS)
-def test_mgf_spike_replications_match_8_row_blocks_bit_for_bit(driver, monkeypatch):
-    # a one-coefficient weight draws its replications in one call; each is the
-    # one product z * u_0, so the sums equal the 8-row blocks' to the bit
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return sample_driver(*args)
-
-    monkeypatch.setattr(harness, "sample_driver", counting)
-    g = TimeGrid(1.0, 100)
-    lam = np.array([0.5, 1.5, 2.0])
-    rep = mgf_check(driver, _spike(g), g, 1.0, lam, 19)
-    assert [count for _, count, _ in calls] == [MGF_DEFAULT_REPS]
-    assert np.all(rep.empirical_mean == _mgf_means_in_blocks(driver, _spike(g), g, lam, 19))
+    assert np.all(rep.empirical_mean == _rademacher_mgf_means_by_integers(delta, g, lam, 17, kernel))
 
 
 def test_mgf_filtered_peak_memory_stays_below_a_megabyte():
@@ -798,8 +779,8 @@ def test_check_draws_mgf_replications_in_blocks(tmp_path, monkeypatch):
     assert cli.main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "check_report.json").read_text())
     assert {"mgf_raw", "mgf_raw_margin", "mgf_filtered"} <= report.keys()
-    # 1,250 blocks for each flat weight, raw and filtered, and one call for the spike
-    assert len(calls) == 2_501
+    # 1,250 blocks for each of the three weights: raw flat, spike and filtered flat
+    assert len(calls) == 3_750
 
 
 # -- quadratic form ---------------------------------------------------------------

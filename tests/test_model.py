@@ -538,15 +538,3 @@ def test_tabulated_regressors_interpolate_and_reject_bad_tables(tmp_path):
     for q in (1, 3):
         with pytest.raises(ConfigError, match=f"has 2 value columns, but the box has {q} "):
             tabulated_regressors(path, q)
-
-
-def test_a_regressor_file_of_ones_is_the_unit_row(tmp_path):
-    # ones interpolate to exactly 1, so the file is the built-in row, and its
-    # exp_inner model has the scalar form; any other value keeps the table
-    path = tmp_path / "ones.txt"
-    path.write_text("0 1\n0.5 1\n2 1\n")
-    assert tabulated_regressors(path, 1) is model_module._unit_row
-    box = ParameterBox((-0.5,), (0.5,))
-    assert exp_inner_model(tabulated_regressors(path, 1), box).scalar is not None
-    path.write_text("0 1\n0.5 1\n2 1.5\n")
-    assert exp_inner_model(tabulated_regressors(path, 1), box).scalar is None
