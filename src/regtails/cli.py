@@ -35,7 +35,6 @@ from .config import (
     build_kernel,
     build_model,
     build_norming,
-    build_regressors,
     config_to_dict,
     load_config,
 )
@@ -261,7 +260,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         mode, column = "series_construction", "xi"
         path = partial(ito_nisio_path, cfg.noise.driver, basis, grid)
         quarter = max(1, grid.n_steps // 4)
-        pairs = [(quarter, 2 * quarter), (quarter, grid.n_steps), (2 * quarter, grid.n_steps)]
+        half = min(2 * quarter, grid.n_steps)  # one step has no node 2
+        pairs = [(quarter, half), (quarter, grid.n_steps), (half, grid.n_steps)]
         keys = [{"s": float(grid.nodes[a]), "t": float(grid.nodes[b])} for a, b in pairs]
         theory = [float(min(grid.nodes[a], grid.nodes[b])) for a, b in pairs]
     else:
@@ -316,7 +316,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
                      "f0": consts.f0, "d0": consts.d0}
 
     if model.name == "exp_inner":
-        theory = exp_model_constants(build_regressors(cfg), model.box, grid)
+        # the gradient of exp(<tau, y(t)>) at tau = 0 is the regressor rows y(t):
+        # the model's own, so a regressor file is read once
+        theory = exp_model_constants(lambda t: model.grad(t, np.zeros(model.q)), model.box, grid)
         c0_theory, c1_theory = theory.c0_theory, theory.c1_theory
         if cfg.norming != "s_T":
             # the closed forms bound Phi / (T ||tau - tau'||^2); a norming d has

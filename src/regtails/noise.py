@@ -31,13 +31,17 @@ causal kernel psi,
 
 the cell-average discretization of the moving-average integral: for Gaussian
 xi it is the conditional mean of the exact integral given the increments.
-Its node covariance is h * sum_k taps_k taps_{k+m} at lag m*h
-(:func:`covariance_row`), and the supremum of its spectrum (:func:`f0_sim`)
-keeps the continuous kernel's f0 = sup f(lambda): 1 - 2e-8 of it for the
-exponential kernel at h = 0.02, where left-point samples psi(k*h) overshoot
-by 2%.  The increments start one step per tap before t = 0, as far back as
-the taps reach: the prehistory is derived from the kernel.  With a fixed seed
-the pipeline is reproducible bit for bit.
+The cell averages are the one discretization of psi.  At the grid step h
+they give the nodes' covariance h * sum_k taps_k taps_{k+m} at lag m*h
+(:func:`covariance_row`) and spectral supremum (:func:`f0_sim`); at the
+kernel's fine step H / 2^16 the same expressions give the continuous
+kernel's B(t), spectral density and f0 = sup f(lambda) (:func:`f0_sup`).
+A nonnegative kernel's supremum is (integral psi)^2 / 2*pi at every step,
+so f0_sim is f0 up to rounding, where left-point samples psi(k*h) of the
+exponential kernel overshoot it by 2% at h = 0.02.  The increments start
+one step per tap before t = 0, as far back as the taps reach: the
+prehistory is derived from the kernel.  With a fixed seed the pipeline is
+reproducible bit for bit.
 
 White-increment mode (``kernel=None``) represents the generalized derivative
 of xi: node values are increments divided by the step, so that quadrature
@@ -65,8 +69,8 @@ _SQRT3 = math.sqrt(3.0)
 #: flat spectral level of the idealized white-increment noise
 WHITE_NOISE_F0 = 1.0 / (2.0 * math.pi)
 
-# resolution of the internal quadrature used for kernel integrals
-_KERNEL_QUAD_INTERVALS = 1 << 16
+# cells per truncation horizon H of the fine taps that stand for the continuous kernel
+_FINE_CELLS = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)  # apply_filter asks once per trial for the same length
@@ -319,8 +323,9 @@ class FilterKernel:
         """Cell averages (1/h) * integral of psi over [k*h, (k+1)*h], the upper edge clipped at H.
 
         Exact for both forms: closed form for the exponential kernel, and for a
-        table the cumulative trapezoid of its linear interpolant over the table
-        times together with the cell edges.  The array is read-only and built
+        table the trapezoid areas of its linear interpolant between the table
+        times and the cell edges, summed per cell (a running sum differenced
+        would lose accuracy at a fine step).  The array is read-only and built
         once per (kernel, h).
         """
         def build():
@@ -331,17 +336,10 @@ class FilterKernel:
             knots = np.union1d(self.times, edges)
             values = np.interp(knots, self.times, self.samples)
             areas = 0.5 * (values[1:] + values[:-1]) * np.diff(knots)
-            running = np.concatenate(([0.0], np.cumsum(areas)))
-            return np.diff(running[np.searchsorted(knots, edges)]) / h
+            # a cell of zero width at H starts past the last area and sums the appended 0
+            return np.add.reduceat(np.append(areas, 0.0), np.searchsorted(knots, edges[:-1])) / h
 
         return memo(("cell taps", self, h), build)
-
-
-def _fine_table(kernel: FilterKernel) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes u of the kernel's quadrature grid on [0, H], psi(u) (built once per kernel) and the step."""
-    step = kernel.truncation_horizon / _KERNEL_QUAD_INTERVALS
-    u = np.arange(_KERNEL_QUAD_INTERVALS + 1) * step
-    return u, memo(("fine psi", kernel), lambda: kernel.psi(u)), step
 
 
 def apply_filter(kernel: FilterKernel, increments: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -409,41 +407,62 @@ def driver_weights(w: np.ndarray, grid: TimeGrid, kernel: FilterKernel | None = 
 # -- second-order theory of the filtered process -------------------------
 
 
+def _fine_taps(kernel: FilterKernel) -> tuple[np.ndarray, float]:
+    """The kernel's cell-average taps at its fine step H / 2^16, and that step."""
+    step = kernel.truncation_horizon / _FINE_CELLS
+    return kernel.taps(step), step
+
+
+def _lag_products(taps: np.ndarray, step: float, count: int) -> np.ndarray:
+    """step * sum_k taps_k taps_{k+m} for lags m < count: one rFFT of the taps, |X|^2, irfft."""
+    n_fft = next_fast_len(2 * taps.size)
+    spectrum = rfft(taps, n_fft)
+    return step * irfft(spectrum.real ** 2 + spectrum.imag ** 2, n_fft)[:count]
+
+
+def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
+    """Covariance of the simulated nodes at the grid lags 0, h, ..., T.
+
+    The filtered path (:func:`filtered_noise_path`) has covariance
+    h * sum_k taps_k taps_{k+m} at lag m*h for any unit-variance driver
+    (:func:`_lag_products`).  Lags at or past the tap count are 0.
+    """
+    taps = kernel.taps(grid.h)
+    count = min(taps.size, grid.n_nodes)
+    row = np.zeros(grid.n_nodes)
+    row[:count] = _lag_products(taps, grid.h, count)
+    return row
+
+
 def covariance_of_filter(kernel: FilterKernel, lags: np.ndarray) -> np.ndarray:
     """Stationary covariance B(t) = integral of psi(t+u) psi(u) du at each lag t >= 0 of an array.
 
-    Quadrature runs over u in [0, truncation_horizon].  psi vanishes past the
-    horizon H, so for a lag t > H every psi(t+u) with u >= 0 is zero and B(t)
-    is exactly 0.0; only lags up to H are integrated.
+    psi is the step function of its taps at the fine step delta = H / 2^16,
+    whose B is exact: delta * sum_k taps_k taps_{k+m} at t = m*delta
+    (:func:`_lag_products`), linear in between, 0 past H.  For the exponential
+    kernel it is 1e-8 relative off the closed form up to H/2, 3e-7 at H - H/1000.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1:
         raise ContractError(f"covariance lags must be a 1-d array, got shape {lags.shape}")
     if np.any(lags < 0):
         raise ContractError("covariance lag must be >= 0 (B is even)")
-    u, base, step = _fine_table(kernel)
-    out = np.zeros(lags.shape)
-    for i in np.flatnonzero(lags <= kernel.truncation_horizon):
-        out[i] = np.trapezoid(kernel.psi(lags[i] + u) * base, dx=step)
-    return out
+    taps, step = _fine_taps(kernel)
+    return np.interp(lags / step, np.arange(taps.size), _lag_products(taps, step, taps.size),
+                     right=0.0)
 
 
 def _power(samples: np.ndarray, step: float, lam) -> np.ndarray:
     """step^2 |sum_k samples_k e^{-i k lambda step}|^2 / 2*pi, elementwise in lambda."""
     phases = np.exp(-1j * step * np.multiply.outer(lam, np.arange(samples.size)))
-    transform = (phases * samples).sum(axis=-1)  # pairwise, as np.trapezoid sums
+    transform = (phases * samples).sum(axis=-1)  # pairwise
     return step * step * np.abs(transform) ** 2 / (2.0 * math.pi)
 
 
-def _weighted_table(kernel: FilterKernel) -> tuple[np.ndarray, float]:
-    """psi on the kernel's fine grid, halved at both ends (built once per kernel), and the step."""
-    _, psi_u, step = _fine_table(kernel)
-    return memo(("weighted", kernel), lambda: np.r_[psi_u[0] / 2, psi_u[1:-1], psi_u[-1] / 2]), step
-
-
 def spectral_density(kernel: FilterKernel, lam) -> float | np.ndarray:
-    """f(lambda) = |(2*pi)^{-1/2} * integral psi(t) exp(-i*lambda*t) dt|^2, by fine trapezoid."""
-    return _power(*_weighted_table(kernel), lam)
+    """f(lambda) = |(2*pi)^{-1/2} * integral psi(t) exp(-i*lambda*t) dt|^2: :func:`_power` of the
+    fine taps, exact at lambda = 0, where it is (integral psi)^2 / 2*pi."""
+    return _power(*_fine_taps(kernel), lam)
 
 
 def _sup_power(samples: np.ndarray, step: float) -> float:
@@ -480,13 +499,18 @@ def _sup_power(samples: np.ndarray, step: float) -> float:
     return float(_power(samples, step, np.array([k * bin_width, 0.5 * (lo + hi)])).max())
 
 
-def f0_sup(kernel: FilterKernel) -> float:
-    """Supremum of the spectral density over frequency.
+def f0_sim(kernel: FilterKernel, h: float) -> float:
+    """Spectral supremum of the simulated process: :func:`_sup_power` of the taps.
 
-    :func:`_sup_power` of the trapezoid-weighted fine table, whose power is
-    :func:`spectral_density`; a nonnegative kernel's is its power at lambda = 0.
+    Their power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi (:func:`_power`).
     """
-    return _sup_power(*_weighted_table(kernel))
+    return _sup_power(kernel.taps(h), h)
+
+
+def f0_sup(kernel: FilterKernel) -> float:
+    """Supremum of :func:`spectral_density`, :func:`f0_sim` at the kernel's fine step; for a
+    nonnegative kernel (integral psi)^2 / 2*pi, exact up to rounding."""
+    return f0_sim(kernel, kernel.truncation_horizon / _FINE_CELLS)
 
 
 # -- series construction of an orthogonal-increment process ---------------
@@ -536,31 +560,6 @@ def ito_nisio_path(kind: str, basis, grid: TimeGrid, bits: np.random.PCG64) -> n
     coeffs = sample_driver(kind, basis.n_terms, bits)
     return coeffs @ memo(("haar", basis, grid),
                          lambda: _haar_running_integrals(basis.n_terms, basis.horizon, grid.nodes))
-
-
-def covariance_row(kernel: FilterKernel, grid: TimeGrid) -> np.ndarray:
-    """Covariance of the simulated nodes at the grid lags 0, h, ..., T.
-
-    The filtered path (:func:`filtered_noise_path`) has covariance
-    h * sum_k taps_k taps_{k+m} at lag m*h for any unit-variance driver: one
-    rFFT of the taps, |X|^2, then irfft.  Lags at or past the tap count are 0.
-    The continuous kernel's B(t) is :func:`covariance_of_filter`.
-    """
-    taps = kernel.taps(grid.h)
-    n_fft = next_fast_len(2 * taps.size)
-    spectrum = rfft(taps, n_fft)
-    lags = irfft(spectrum.real ** 2 + spectrum.imag ** 2, n_fft)[:min(taps.size, grid.n_nodes)]
-    row = np.zeros(grid.n_nodes)
-    row[:lags.size] = grid.h * lags
-    return row
-
-
-def f0_sim(kernel: FilterKernel, h: float) -> float:
-    """Spectral supremum of the simulated process: :func:`_sup_power` of the taps.
-
-    Their power is h^2 |sum_k taps_k e^{-i k lambda h}|^2 / 2*pi (:func:`_power`).
-    """
-    return _sup_power(kernel.taps(h), h)
 
 
 def toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:

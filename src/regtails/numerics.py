@@ -3,9 +3,9 @@
 Every integral over the time grid [0, T] goes through this module, so one
 quadrature rule (composite trapezoid on a uniform grid) covers them all.  The
 kernel integrals of :mod:`regtails.noise` are the exception: they use the
-kernel's own fine grid over [0, truncation_horizon], which is independent of
-the time grid; the covariance runs ``np.trapezoid`` on it, and the spectral
-density is a dot product with the trapezoid-weighted table.
+kernel's cell averages at its own fine step truncation_horizon / 2^16,
+which is independent of the time grid: the covariance is their lag products,
+and the spectral density the power of their transform.
 It also holds ``memo``, the one bounded store for arrays that depend only on
 the grid, kernel or model, so that per-trial work does not rebuild them; an
 entry is one array or a tuple of them, and it keeps the 16 entries used last;
@@ -109,11 +109,15 @@ def inner_product(f, g, grid: TimeGrid) -> float:
 
 def load_table(path, what: str) -> np.ndarray:
     """A text table as a 2-d array, also of one row or one column; a config error names
-    an unreadable, empty or non-numeric file as ``what`` (say, "kernel file")."""
+    an unreadable, empty, non-numeric or non-finite file as ``what`` (say, "kernel file")."""
     try:
         lines = Path(path).read_text().splitlines()
-        if any(line.split("#", 1)[0].strip() for line in lines):
-            return np.loadtxt(lines, dtype=float, ndmin=2)
+        has_data = any(line.split("#", 1)[0].strip() for line in lines)
+        table = np.loadtxt(lines, dtype=float, ndmin=2) if has_data else None
     except (OSError, ValueError) as err:
         raise ConfigError(f"{what} {path}: {err}") from None
-    raise ConfigError(f"{what} {path} is empty: it has no data row")
+    if table is None:
+        raise ConfigError(f"{what} {path} is empty: it has no data row")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"{what} {path} has a value that is not finite (nan or inf)")
+    return table

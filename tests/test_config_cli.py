@@ -31,6 +31,7 @@ from regtails.errors import ConfigError, ContractError, NonConvergenceError
 from regtails.estimator import lse_fit
 from regtails.harness import STREAM_PATHS, STREAM_TRIALS, derive_seed, run_trials
 from regtails.noise import FilterKernel, ito_nisio_path, noise_path
+from regtails.numerics import load_table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -991,3 +992,63 @@ def test_bad_table_file_exits_2_naming_it(tmp_path, capsys, what, text, problem)
         doc = _exp_inner_doc({"regressor_file": str(table)})
     assert cli.main(["constants", "--config", _write_config(tmp_path, doc)]) == 2
     assert f"{what} file {table}{problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("what", ["kernel", "regressor"])
+@pytest.mark.parametrize("command", ["constants", "tails", "check"])
+def test_a_non_finite_table_value_exits_2_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                          command, what, value):
+    # NumPy parses nan and inf as floats; the file is rejected as it is read
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the table was checked")
+
+    for name in ("estimate_equivalence_constants", "run_trials", "f0_sup", "f0_sim",
+                 "exp_model_constants", "quadratic_form_check", "mgf_check"):
+        monkeypatch.setattr(cli, name, computed)
+    table = tmp_path / "table.txt"
+    table.write_text(f"0 1\n1 {value}\n2 1\n")
+    if what == "kernel":
+        doc = _exp_inner_doc({"regressors": "constant"}, {"form": "tabulated", "file": str(table)})
+    else:
+        doc = _exp_inner_doc({"regressor_file": str(table)}, {"form": "exponential", "rate": 1.0})
+    doc["bounds"]["c0"] = 0.5
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert f"{what} file {table} has a value that is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_reads_a_regressor_file_once(tmp_path, monkeypatch):
+    # exp_model_constants takes the regressor rows from the built model, not from a second read
+    reads = []
+
+    def counted(path, what):
+        reads.append(str(path))
+        return load_table(path, what)
+
+    table = tmp_path / "ones.txt"
+    table.write_text("0 1\n0.5 1\n2 1\n")
+    reports = []
+    for parameters in ({"regressors": "constant"}, {"regressor_file": str(table)}):
+        monkeypatch.setattr(model_module, "load_table", counted)
+        doc = _exp_inner_doc(parameters, {"form": "exponential", "rate": 1.0})
+        out = tmp_path / "chk"
+        assert cli.main(["check", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "check_report.json").read_text()))
+    assert reads == [str(table)]
+    # a file of ones gives the constant family's regressor rows, so the same closed forms
+    for key in ("c0_theory", "c1_theory", "H", "L", "lambda_min"):
+        assert reports[0][key] == reports[1][key]
+
+
+def test_simulate_series_mode_takes_one_step(tmp_path):
+    # one step has nodes 0 and T only: every pair is (T, T), whose covariance is T
+    doc = _linear_doc()
+    doc["noise"] = {"driver": "gaussian", "kernel": None,
+                    "basis": {"n_terms": 64, "horizon": 2.0}}
+    doc["grid"] = {"T": 1.0, "n_steps": 1}
+    out = tmp_path / "ser"
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert [(e["s"], e["t"], e["theory"]) for e in summary["covariance"]] == [(1.0, 1.0, 1.0)] * 3

@@ -34,8 +34,6 @@ from regtails.noise import (
     spectral_density,
     toeplitz_product,
     white_noise_path,
-    _fine_table,
-    _weighted_table,
 )
 from regtails.numerics import TimeGrid, inner_product, integrate, trapezoid_weights
 
@@ -342,12 +340,22 @@ def test_ensemble_covariance_matches_theory():
 # -- covariance / spectrum -------------------------------------------------------
 
 
-def test_covariance_closed_forms():
-    k = FilterKernel.exponential(1.0)
-    b0, b1, past = covariance_of_filter(k, np.array([0.0, 1.0, 2 * k.truncation_horizon + 1.0]))
-    assert b0 == pytest.approx(0.5, abs=1e-6)
-    assert b1 == pytest.approx(math.exp(-1) / 2, abs=1e-6)
-    assert past == 0.0
+def _fine_taps(kernel):
+    """The kernel's taps at its fine step H / 2^16, and that step: the continuous-kernel table."""
+    step = kernel.truncation_horizon / 2 ** 16
+    return kernel.taps(step), step
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 4.0])
+def test_covariance_closed_forms(rate):
+    # B(t) = e^{-a t} (1 - e^{-2a(H - t)}) / (2a) on [0, H]; the fine step function is
+    # O(step^2) off it, 3e-7 relative at H - H/1000, where B is 4e-11 / a
+    kernel = FilterKernel.exponential(rate)
+    H = kernel.truncation_horizon
+    lags = np.array([0.0, 0.1 / rate, 1.0 / rate, H / 2, H - H / 100, H - H / 1000])
+    closed = np.exp(-rate * lags) * -np.expm1(-2 * rate * (H - lags)) / (2 * rate)
+    np.testing.assert_allclose(covariance_of_filter(kernel, lags), closed, rtol=1e-6, atol=0)
+    assert covariance_of_filter(kernel, np.array([2 * H + 1.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("lags", [0.5, np.array(0.5), np.array([[0.5]])],
@@ -362,17 +370,25 @@ def test_covariance_takes_a_1d_array_of_lags(lags):
     FilterKernel.tabulated([0.0, 0.4, 1.1, 2.5], [1.0, -0.7, 0.3, 0.2]),
 ], ids=["exponential", "tabulated"])
 def test_covariance_zero_past_horizon(kernel):
-    # psi(t + u) = 0 for every u >= 0 once t > H, so B is exactly zero there
+    # B of the fine taps' step function: the lag products step * sum_k taps_k taps_{k+m}
+    # at t = m*step, linear in between.  The last fine cell [H, H] is empty, so B(H) is 0
+    # up to the FFT's absolute round-off, and psi(t + u) = 0 for every u >= 0 past H
+    taps, step = _fine_taps(kernel)
+    assert taps.size == 2 ** 16 + 1 and taps[-1] == 0.0
+    m = np.array([0, 1, 7, 30_000, 2 ** 16 - 1])
+    products = np.array([step * taps[:taps.size - k] @ taps[k:] for k in m])
+    round_off = 1e-14 * products[0]  # a few ulps of B(0) per lag, from FFT rounding
+    np.testing.assert_allclose(covariance_of_filter(kernel, m * step), products, rtol=0, atol=round_off)
+    np.testing.assert_allclose(covariance_of_filter(kernel, (m[:-1] + 0.5) * step),
+                               [covariance_of_filter(kernel, np.array([k, k + 1]) * step).mean()
+                                for k in m[:-1]], rtol=1e-12, atol=round_off)
     H = kernel.truncation_horizon
     h = H / 1000
     lags = np.array([H - h, H, H + h, 1.5 * H, 2 * H])
-    u, psi_u, step = _fine_table(kernel)
-    assert np.array_equal(psi_u, kernel.psi(u))
-    direct = [np.trapezoid(kernel.psi(lag + u) * kernel.psi(u), dx=step) for lag in lags]
     out = covariance_of_filter(kernel, lags)
-    assert list(out) == direct
-    assert [covariance_of_filter(kernel, lags[i:i + 1])[0] for i in range(lags.size)] == direct
-    assert out[1] > 0.0
+    assert [covariance_of_filter(kernel, lags[i:i + 1])[0] for i in range(lags.size)] == list(out)
+    assert out[0] > 0.0
+    assert abs(out[1]) <= round_off
     assert np.all(out[2:] == 0.0)
 
 
@@ -397,11 +413,15 @@ def test_spectral_density_closed_form():
 
 
 def test_spectral_density_sums_its_table_pairwise():
-    # the constant kernel -0.1 on [0, 2] has f(0) = 0.2^2 / 2 pi; a sequential sum
-    # of its 65,537-term table drifts by 1.2e-13 relative, a pairwise one by ulps
+    # the constant kernel -0.1 on [0, 2] has f(0) = 0.2^2 / 2 pi.  Its fine taps are
+    # -0.1 but for the empty last cell when each cell sums its own areas (differencing
+    # a running sum put f(0) 14,134 ulps off), and a pairwise sum of them keeps ulps
     kernel = FilterKernel.tabulated([0.0, 2.0], [-0.1, -0.1])
+    taps, _ = _fine_taps(kernel)
+    assert np.all(taps[:-1] == -0.1) and taps[-1] == 0.0
     want = 0.04 / (2 * math.pi)
     assert abs(spectral_density(kernel, 0.0) - want) <= 4 * math.ulp(want)
+    assert abs(f0_sup(kernel) - want) <= 4 * math.ulp(want)
 
 
 def test_spectrum_even():
@@ -443,19 +463,26 @@ def test_f0_sup_is_supremum(kernel, lams, h):
     taps = kernel.taps(h)
     transform = np.exp(-1j * h * np.outer(lams, np.arange(taps.size))) @ taps
     assert np.all(h * h * np.abs(transform) ** 2 / (2 * math.pi) <= f0_sim(kernel, h) * (1 + 1e-9))
-    # the density is the trapezoid quadrature of psi's Fourier transform on the fine grid,
-    # up to the rounding of two 65,537-term pairwise sums that differ in where the end
-    # nodes are halved (at most 7.8e-14 relative over 300 kernels, near the density's zeros)
-    u, psi_u, step = _fine_table(kernel)
-    phase = np.exp(-1j * np.outer(lams, u))
-    direct = np.abs(np.trapezoid(phase * psi_u, dx=step, axis=1)) ** 2 / (2 * math.pi)
+    # the density is the power of the fine taps, step * taps_k at u_k = k * step, up to
+    # the rounding of a 65,537-term dot product against a pairwise sum
+    taps, step = _fine_taps(kernel)
+    phase = np.exp(-1j * np.outer(lams, np.arange(taps.size) * step))
+    direct = np.abs(step * (phase @ taps)) ** 2 / (2 * math.pi)
     np.testing.assert_allclose(spectral_density(kernel, np.array(lams)), direct, rtol=1e-12, atol=0)
-    # |Fourier transform| <= integral of |psi|, on the same fine grid
-    l1 = np.trapezoid(np.abs(psi_u), dx=step)
-    assert f0 <= l1 ** 2 / (2 * math.pi) * (1 + 1e-12)
-    if np.all(psi_u >= 0):
+    # |sum_k taps_k e^{-i k lambda step}| <= sum_k |taps_k| at every frequency
+    assert f0 <= (step * np.abs(taps).sum()) ** 2 / (2 * math.pi) * (1 + 1e-12)
+    if np.all(taps >= 0):
         # a nonnegative kernel peaks at lambda = 0, where f = (integral psi)^2 / 2pi
         assert f0 == pytest.approx(spectral_density(kernel, 0.0), rel=1e-12, abs=0.0)
+    assert f0 == f0_sim(kernel, step)
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 4.0])
+def test_f0_sup_of_the_exponential_kernel_is_exact(rate):
+    # the fine taps are the exact cell averages, so f0 = (integral_0^H e^{-a t} dt)^2 / 2 pi
+    kernel = FilterKernel.exponential(rate)
+    want = math.expm1(-rate * kernel.truncation_horizon) ** 2 / (2 * math.pi * rate ** 2)
+    assert abs(f0_sup(kernel) - want) <= 2 * math.ulp(want)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -473,8 +500,8 @@ def test_nonnegative_suprema_need_no_scan(kernel, h, monkeypatch):
         raise AssertionError("a nonnegative table needs no frequency scan")
 
     monkeypatch.setattr(noise, "rfft", no_scan)
-    table, step = _weighted_table(kernel)
-    assert f0_sup(kernel) == (step * table.sum()) ** 2 / (2 * math.pi)
+    taps, step = _fine_taps(kernel)
+    assert f0_sup(kernel) == (step * taps.sum()) ** 2 / (2 * math.pi)
     assert f0_sim(kernel, h) == (h * kernel.taps(h).sum()) ** 2 / (2 * math.pi)
 
 
