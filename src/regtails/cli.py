@@ -45,9 +45,9 @@ from .harness import (
     STREAM_MGF,
     STREAM_PATHS,
     STREAM_PAIRS,
+    STREAM_TRIALS,
     compare_with_envelope,
     derive_seed,
-    deviations,
     estimate_tail,
     index_streams,
     mgf_check,
@@ -195,13 +195,13 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     kernel = build_kernel(cfg)
     consts, extras = resolve_constants(cfg, model, grid, kernel)
 
-    records = run_trials(cfg, workers=workers)
+    trials = run_trials(cfg, workers=workers)
+    devs = trials["deviation"]
     r_grid = np.asarray(cfg.montecarlo.R_grid)
     if n_train:
-        train_devs = deviations(records[:n_train])
-        p_train = np.array([(train_devs >= r).mean() for r in r_grid])
+        p_train = np.array([(devs[:n_train] >= r).mean() for r in r_grid])
         consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_grid, consts.b))
-    tail = estimate_tail(deviations(records[n_train:]), r_grid)
+    tail = estimate_tail(devs[n_train:], r_grid)
     cmp = compare_with_envelope(tail, consts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,6 +218,7 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     plot_rows = [[float(r) ** 2, float(-np.log(p))]
                  for r, p in zip(tail.r_grid, tail.p_hat) if p > 0]
     _write_rows(out_dir / "tails_plot.tsv", cfg, ["R_squared", "neg_log_p"], plot_rows, sep="\t")
+    failed = np.flatnonzero(trials["n_starts"] == 0).tolist()
     _write_json(out_dir / "tails_meta.json", cfg, {
         "constants": _constants_dict(consts),
         "extras": extras,
@@ -230,11 +231,12 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         "n_trials": n,
         "n_train": n_train,
         "n_eval": tail.n_trials,
-        "n_nonconverged": sum(1 for r in records if not r.converged),
-        "nonconverged": [[r.trial_index, r.trial_seed] for r in records if not r.converged],
-        "boundary_frac": sum(1 for r in records if r.boundary) / n,
-        "multi_basin_frac": sum(1 for r in records if r.n_starts > 1) / n,
-        "tie_frac": sum(1 for r in records if r.lattice_tie_count > 1) / n,
+        "n_nonconverged": len(failed),
+        "nonconverged": [[i, derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)]
+                         for i in failed],
+        "boundary_frac": np.count_nonzero(trials["boundary"]) / n,
+        "multi_basin_frac": np.count_nonzero(trials["n_starts"] > 1) / n,
+        "tie_frac": np.count_nonzero(trials["lattice_tie_count"] > 1) / n,
         "notes": {"consistency_envelope": CONSISTENCY_EXPONENT_NOTE},
     })
     return 0
@@ -281,7 +283,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         keys = [{"lag": float(k * grid.h)} for k in lag_steps]
 
     prods = np.zeros((n_paths, len(pairs)))
-    for i, _, bits in index_streams(master, STREAM_PATHS, 0, n_paths):
+    for i, bits in enumerate(index_streams(master, STREAM_PATHS, 0, n_paths)):
         x = path(bits)
         if i < n_files:
             _write_rows(out_dir / f"path_{i:05d}.tsv", cfg, ["t", column],

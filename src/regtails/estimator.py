@@ -119,19 +119,26 @@ def _rank_lattice(v: list[float], per_dim: int, q: int) -> tuple[list[int], int]
     return starts, tie_count
 
 
-def _at_bound(tau: list[float], box) -> bool:
-    """Whether some coordinate of ``tau`` lies within 1e-8 of its width from a bound."""
-    return any(t <= lo + 1e-8 * (hi - lo) or t >= hi - 1e-8 * (hi - lo)
-               for t, lo, hi in zip(tau, box.lower, box.upper))
+def _clip(theta: np.ndarray, box) -> np.ndarray:
+    """``theta``, a point or rows of points, clipped to the box; a tie takes the bound, signed zero
+    included, which ``np.clip`` does not do against bounds broadcast over rows."""
+    lo, hi = box.lower_arr, box.upper_arr
+    return np.where(theta <= lo, lo, np.where(theta >= hi, hi, theta))
+
+
+def _at_bound(theta: np.ndarray, box) -> np.ndarray:
+    """Per point of ``theta`` (a point or rows of points): a coordinate within 1e-8 of its width from a bound."""
+    lo, hi = box.lower_arr, box.upper_arr
+    return ((theta <= lo + 1e-8 * (hi - lo)) | (theta >= hi - 1e-8 * (hi - lo))).any(axis=-1)
 
 
 def _gauss_newton(obs, model, start, r, q_start, w) -> tuple[np.ndarray, float, bool]:
     """Projected Gauss-Newton with step halving; monotone in Q by construction.
 
     ``start`` is a parameter array and ``r`` the residual there.  Each candidate
-    is clipped to the box by ``np.clip`` on the bound arrays, so a tie with a
-    bound takes the bound, signed zero included, and Q needs no box check.  An
-    accepted candidate carries its residual forward.
+    is clipped to the box by :func:`_clip`, so a tie with a bound takes the
+    bound, signed zero included, and Q needs no box check.  An accepted
+    candidate carries its residual forward.
     """
     grid = obs.grid
     nodes, h = grid.nodes, grid.h
@@ -156,7 +163,7 @@ def _gauss_newton(obs, model, start, r, q_start, w) -> tuple[np.ndarray, float, 
         alpha = 1.0
         accepted = None
         for _ in range(FitOptions.max_halvings):
-            cand = np.clip(tau + alpha * step, box.lower_arr, box.upper_arr)
+            cand = _clip(tau + alpha * step, box)
             r_new = obs.x_values - model.eval(nodes, cand)
             q_new = _q(r_new, w, h, cand)
             if q_new < q_cur:
@@ -245,7 +252,7 @@ def lse_fit(obs: Observation, model: RegressionModel) -> LseResult:
     return LseResult(
         theta_hat=best_tau,
         q_value=best_q,
-        boundary=_at_bound(best_tau, model.box),
+        boundary=bool(_at_bound(np.array(best_tau), model.box)),
         lattice_tie_count=tie_count,
         n_starts=len(starts),
     )

@@ -7,7 +7,7 @@ number of worker processes, and any trial replays from its index alone.  A
 chunk of trials takes its seeds and PCG64 states in one array pass
 (:func:`index_streams`) and draws every trial from one bit generator reset to
 that trial's state, building no generator per trial.  Aggregation (tail
-counts, interval fitting) is a pure function of the record set and therefore
+counts, interval fitting) is a pure function of the trials' rows and therefore
 order-independent.
 
 The sub-Gaussianity checker tests one-sided domination of the moment
@@ -32,7 +32,7 @@ import numpy as np
 from . import config as _config
 from .bounds import BoundConstants, tail_envelope
 from .errors import ContractError, NonConvergenceError
-from .estimator import Observation, _at_bound, lse_fit, normalized_deviation
+from .estimator import Observation, _at_bound, _clip, lse_fit, normalized_deviation
 from .model import RegressionModel
 from .noise import (
     FilterKernel,
@@ -83,32 +83,21 @@ def derive_seed(master_seed: int, stream: int, index):
 
 
 def index_streams(master_seed: int, stream: int, start: int, stop: int):
-    """Yield (index, seed, bits) for each index in [start, stop), seed = derive_seed(...).
-
-    ``bits`` is one PCG64, reset for each index to ``default_rng(seed)``'s
-    fresh state (:func:`pcg64_states`), so :func:`sample_driver` draws from it
-    what ``default_rng(seed)`` would; it is valid until the next index.  The
-    seeds and states are taken SEED_BLOCK indices at a time, each block in
-    one array pass.
-    """
+    """Yield for each index in [start, stop) one PCG64 in the fresh state of
+    ``default_rng(derive_seed(master_seed, stream, index))`` (:func:`pcg64_states`), valid until
+    the next index.  The seeds and states are taken SEED_BLOCK indices at a time, in one array pass."""
     bits = np.random.PCG64(0)
     for low in range(start, stop, SEED_BLOCK):
-        high = min(low + SEED_BLOCK, stop)
-        seeds = derive_seed(master_seed, stream, np.arange(low, high, dtype=np.uint64))
-        for index, seed, state in zip(range(low, high), seeds.tolist(), pcg64_states(seeds)):
+        indices = np.arange(low, min(low + SEED_BLOCK, stop), dtype=np.uint64)
+        for state in pcg64_states(derive_seed(master_seed, stream, indices)):
             bits.state = state
-            yield index, seed, bits
+            yield bits
 
 
-class TrialRecord(NamedTuple):
-    trial_index: int
-    trial_seed: int
-    theta_hat: tuple[float, ...]
-    deviation: float
-    converged: bool
-    boundary: bool
-    n_starts: int            # refinement starts; 0 when the fit did not converge
-    lattice_tie_count: int   # points tied at the lattice minimum; 0 likewise
+def _trial_dtype(q: int) -> np.dtype:
+    """One trial's row; ``n_starts`` and ``lattice_tie_count`` are 0 for a fit that did not converge."""
+    return np.dtype([("deviation", float), ("theta_hat", float, (q,)), ("boundary", bool),
+                     ("n_starts", np.int8), ("lattice_tie_count", np.int32)])
 
 
 class ScalarDesign(NamedTuple):
@@ -140,80 +129,81 @@ class ScalarDesign(NamedTuple):
         return cls(driver_weights(hw_phi, grid, kernel), float(hw_phi @ phi), float(hw_phi @ a_true),
                    scale, float(cfg.model.theta_true[0]), cfg.noise.driver, model)
 
-    def record(self, index: int, seed: int, bits: np.random.PCG64) -> TrialRecord:
-        """Trial ``index`` from its draws on ``bits``, with one start and no lattice tie, as a
-        unimodal :func:`lse_fit` reports, and that fit's ``boundary`` rule."""
-        box = self.model.box
-        s = self.c + float(self.u @ sample_driver(self.driver, self.u.size, bits))
-        theta_hat = box.clip([self.model.scalar.f_inv(s / self.gram)])
+    def fill(self, trials: np.ndarray, streams) -> None:
+        """Fill ``trials``, row k from the draws on the k-th PCG64 of ``streams``, by ``lse_fit``'s
+        clip and boundary rule, with one start and no lattice tie, as a unimodal fit reports.
+        f^-1 takes one Python float at a time: ``np.log`` of the column may differ in the last bit."""
+        f_inv, box = self.model.scalar.f_inv, self.model.box
+        y = np.fromiter((f_inv((self.c + float(self.u @ sample_driver(self.driver, self.u.size, bits)))
+                               / self.gram) for bits in streams), float, count=trials.size)
+        trials["theta_hat"] = theta = _clip(y[:, None], box)
         # np.linalg.norm of one entry, bit for bit
-        deviation = abs(self.scale * (theta_hat[0] - self.theta0))
-        return TrialRecord(index, seed, tuple(theta_hat), deviation, True, _at_bound(theta_hat, box), 1, 1)
+        trials["deviation"] = np.abs(self.scale * (theta[:, 0] - self.theta0))
+        trials["boundary"] = _at_bound(theta, box)
+        trials["n_starts"] = trials["lattice_tie_count"] = 1
 
 
-def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> list[TrialRecord]:
-    """Run trials [start, stop); the frozen config pickles, so workers take it as is.
+def _run_chunk(cfg: "_config.ExperimentConfig", start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of :func:`run_trials`; the frozen config pickles, so workers take it as is.
 
     Trial i draws the stream of ``default_rng(derive_seed(master, STREAM_TRIALS, i))``
     from the chunk's one bit generator (:func:`index_streams`), on either route.
-    A model with a scalar form builds no path: its :class:`ScalarDesign` turns
-    the draws into the record.  Any other model fits the path :func:`noise_path`
-    makes from the same draws with :func:`lse_fit`.
+    A model with a scalar form builds no path: its :class:`ScalarDesign` fills
+    the rows from the draws.  Any other model fits the path :func:`noise_path`
+    makes from the same draws with :func:`lse_fit`, one row per fit.
     """
     grid = _config.build_grid(cfg)
     model = _config.build_model(cfg)
     kernel = _config.build_kernel(cfg)
-    if model.scalar is not None:
-        record = ScalarDesign.build(cfg, grid, model, kernel).record
-    else:
-        theta_true = np.asarray(cfg.model.theta_true)
-        a_true = model.eval(grid.nodes, theta_true)
-        norming = _config.build_norming(cfg, model, grid)
-
-        def record(i, seed, bits):
-            x = a_true + noise_path(cfg.noise.driver, grid, bits, kernel)
-            try:
-                res = lse_fit(Observation(grid=grid, x_values=x), model)
-                theta, fit = res.theta_hat, (True, res.boundary, res.n_starts, res.lattice_tie_count)
-            except NonConvergenceError as err:
-                theta, fit = err.best_point, (False, False, 0, 0)
-            return TrialRecord(i, seed, theta, normalized_deviation(theta, theta_true, norming), *fit)
+    trials = np.zeros(stop - start, _trial_dtype(model.q))
     streams = index_streams(cfg.montecarlo.master_seed, STREAM_TRIALS, start, stop)
-    return [record(i, seed, bits) for i, seed, bits in streams]
+    if model.scalar is not None:
+        ScalarDesign.build(cfg, grid, model, kernel).fill(trials, streams)
+        return trials
+    theta_true = np.asarray(cfg.model.theta_true)
+    a_true = model.eval(grid.nodes, theta_true)
+    norming = _config.build_norming(cfg, model, grid)
+    for k, bits in enumerate(streams):
+        x = a_true + noise_path(cfg.noise.driver, grid, bits, kernel)
+        try:
+            res = lse_fit(Observation(grid=grid, x_values=x), model)
+            theta, fit = res.theta_hat, (res.boundary, res.n_starts, res.lattice_tie_count)
+        except NonConvergenceError as err:
+            theta, fit = err.best_point, (False, 0, 0)
+        trials[k] = (normalized_deviation(theta, theta_true, norming), theta, *fit)
+    return trials
 
 
-def run_trials(cfg: "_config.ExperimentConfig", workers: int = 1) -> list[TrialRecord]:
-    """Simulate, fit, and record every trial of the configured experiment.
+def run_trials(cfg: "_config.ExperimentConfig", workers: int = 1) -> np.ndarray:
+    """Simulate and fit every trial: one structured-array row per trial, in trial order.
 
-    Raises NonConvergenceError if more than 1% of trials fail to converge.
+    The fields are ``deviation``, ``theta_hat`` (q entries), ``boundary``, ``n_starts`` (0 for a
+    fit that did not converge) and ``lattice_tie_count``.  Row i is trial i at any ``workers``,
+    and ``_run_chunk(cfg, i, i + 1)`` replays it.  Raises NonConvergenceError if more than 1% of
+    trials fail to converge, naming the first five with their seeds.
     """
     n = cfg.montecarlo.n_trials
     if workers <= 1:
-        records = _run_chunk(cfg, 0, n)
+        trials = _run_chunk(cfg, 0, n)
     else:
         chunk = max(1, math.ceil(n / (4 * workers)))
         starts = range(0, n, chunk)
-        records = []
         # the chunks follow ``workers``, so the bytes do not depend on the CPU count;
         # imported here, so that no serial run loads the pool (nor ``logging``)
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            # map yields the chunks in submission order, so records stay in trial order
-            for part in pool.map(_run_chunk, [cfg] * len(starts), starts,
-                                 [min(s + chunk, n) for s in starts]):
-                records.extend(part)
-    n_bad = sum(1 for r in records if not r.converged)
-    if n_bad > 0.01 * n:
-        raise NonConvergenceError(
-            f"{n_bad} of {n} trials failed to converge (> 1%); check the model/box setup"
-        )
-    return records
-
-
-def deviations(records) -> np.ndarray:
-    return np.array([r.deviation for r in records])
+            # map yields the chunks in submission order, so the rows stay in trial order
+            trials = np.concatenate(list(pool.map(_run_chunk, [cfg] * len(starts), starts,
+                                                  [min(s + chunk, n) for s in starts])))
+    failed = np.flatnonzero(trials["n_starts"] == 0)
+    if failed.size > 0.01 * n:
+        first = ", ".join(f"{i} (seed {derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)})"
+                          for i in failed[:5].tolist())
+        raise NonConvergenceError(f"{failed.size} of {n} trials failed to converge (> 1%); check the "
+                                  f"model/box setup; first failed trials: {first}")
+    return trials
 
 
 # -- tail estimation -------------------------------------------------------

@@ -72,11 +72,6 @@ class ParameterBox:
         theta = np.asarray(theta, dtype=float)
         return bool(np.all(theta >= self.lower_arr - 1e-12) and np.all(theta <= self.upper_arr + 1e-12))
 
-    def clip(self, theta: list[float]) -> list[float]:
-        """Each coordinate clipped to its bounds; a tie takes the bound, signed zero included."""
-        return [lo if t <= lo else hi if t >= hi else t
-                for t, lo, hi in zip(theta, self.lower, self.upper)]
-
     def lattice(self, per_dim: int) -> np.ndarray:
         """The per_dim^q points of the ``np.linspace`` axes, in ``itertools.product``
         order (the last axis fastest); ``lattice(2)`` is the corners, since

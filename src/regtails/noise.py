@@ -329,10 +329,15 @@ class FilterKernel:
         once per (kernel, h).
         """
         def build():
-            edges = np.minimum(np.arange(self.n_taps(h) + 1) * h, self.truncation_horizon)
+            edges = np.arange(self.n_taps(h) + 1, dtype=float)
+            np.minimum(np.multiply(edges, h, out=edges), self.truncation_horizon, out=edges)
             if self.form == "exponential":
+                # e^(-a x_k) (1 - e^(-a (x_(k+1) - x_k))) / (a h), in place beside the edges
                 a = self.rate
-                return np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / (a * h)
+                taps = np.diff(edges)
+                np.expm1(np.multiply(taps, -a, out=taps), out=taps)
+                taps *= np.exp(np.multiply(edges, -a, out=edges), out=edges)[:-1]
+                return np.divide(taps, -(a * h), out=taps)
             knots = np.union1d(self.times, edges)
             values = np.interp(knots, self.times, self.samples)
             areas = 0.5 * (values[1:] + values[:-1]) * np.diff(knots)

@@ -20,7 +20,6 @@ from regtails.harness import (
     STREAM_TRIALS,
     compare_with_envelope,
     derive_seed,
-    deviations,
     estimate_tail,
     mgf_check,
     quadratic_form_check,
@@ -110,8 +109,7 @@ def test_criterion_03_exact_tail_cross_check():
                        "R_grid": [0.5, 1.0, 1.5, 2.0, 2.5]},
         "bounds": {"c0": 1.0},
     })
-    records = run_trials(cfg)
-    tail = estimate_tail(deviations(records), np.asarray(cfg.montecarlo.R_grid))
+    tail = estimate_tail(run_trials(cfg)["deviation"], np.asarray(cfg.montecarlo.R_grid))
     details = []
     ok = True
     for i, r in enumerate(tail.r_grid):
@@ -145,14 +143,13 @@ def test_criterion_04_envelope_domination(driver):
                                                derive_seed(cfg.montecarlo.master_seed, 4, 0))
     consts = BoundConstants(q=1, c0=c0_hat, f0=f0)
 
-    records = run_trials(cfg)
-    n_train = len(records) // 10
+    devs = run_trials(cfg)["deviation"]
+    n_train = devs.size // 10
     r_arr = np.asarray(r_grid)
-    train_devs = deviations(records[:n_train])
-    p_train = np.array([(train_devs >= r).mean() for r in r_arr])
+    p_train = np.array([(devs[:n_train] >= r).mean() for r in r_arr])
     consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_arr, consts.b))
 
-    tail = estimate_tail(deviations(records[n_train:]), r_arr)
+    tail = estimate_tail(devs[n_train:], r_arr)
     cmp = compare_with_envelope(tail, consts)
     dense = tail.counts >= 10
     dominated = bool(np.all(cmp.level_ok[dense]))

@@ -349,12 +349,12 @@ def test_tails_meta_run_diagnostics_identical_across_workers(tmp_path):
     assert cli.main(["tails", "--config", cfg_path, "--out", str(out2), "--workers", "2"]) == 0
     assert (out1 / "tails_meta.json").read_bytes() == (out2 / "tails_meta.json").read_bytes()
     meta = json.loads((out1 / "tails_meta.json").read_text())
-    records = run_trials(load_config(cfg_path))
-    assert meta["boundary_frac"] == sum(r.boundary for r in records) / len(records)
+    trials = run_trials(load_config(cfg_path))
+    assert meta["boundary_frac"] == sum(trials["boundary"].tolist()) / trials.size
     assert 0.0 < meta["boundary_frac"] < 1.0
     assert meta["nonconverged"] == []
     # Q is a quadratic in theta: every lattice has one basin and no tie
-    assert {(r.n_starts, r.lattice_tie_count) for r in records} == {(1, 1)}
+    assert set(zip(trials["n_starts"].tolist(), trials["lattice_tie_count"].tolist())) == {(1, 1)}
     assert meta["multi_basin_frac"] == 0.0 and meta["tie_frac"] == 0.0
 
 
@@ -386,13 +386,16 @@ def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
     assert meta["nonconverged"] == [[i, derive_seed(seed, STREAM_TRIALS, i)] for i in (3, 199)]
     assert meta["n_nonconverged"] == 2
     calls.clear()
-    records = run_trials(load_config(cfg_path))
+    trials = run_trials(load_config(cfg_path))
     assert len(calls) == 300
-    # a fit that raised reports no starts and no ties
-    assert [(r.n_starts, r.lattice_tie_count) for r in records if not r.converged] == [(0, 0)] * 2
-    assert records[19].lattice_tie_count == 3
-    assert 0.0 < meta["multi_basin_frac"] == sum(r.n_starts > 1 for r in records) / 300
-    assert meta["tie_frac"] == sum(r.lattice_tie_count > 1 for r in records) / 300 == 1 / 300
+    # a fit that raised reports no starts, no ties and no boundary
+    failed = trials[[3, 199]]
+    assert failed["n_starts"].tolist() == failed["lattice_tie_count"].tolist() == [0, 0]
+    assert not failed["boundary"].any()
+    assert np.count_nonzero(trials["n_starts"] == 0) == 2
+    assert trials[19]["lattice_tie_count"] == 3
+    assert 0.0 < meta["multi_basin_frac"] == sum((trials["n_starts"] > 1).tolist()) / 300
+    assert meta["tie_frac"] == sum((trials["lattice_tie_count"] > 1).tolist()) / 300 == 1 / 300
 
 
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])
@@ -489,9 +492,9 @@ def test_run_trials_starts_at_most_cpu_count_processes(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = config_from_dict(_linear_doc(montecarlo={"n_trials": 40, "master_seed": 11,
                                                    "R_grid": [0.0, 1.0]}))
-    serial = run_trials(cfg, workers=1)
-    assert run_trials(cfg, workers=1000) == serial
-    assert run_trials(cfg, workers=2) == serial
+    serial = run_trials(cfg, workers=1).tobytes()
+    assert run_trials(cfg, workers=1000).tobytes() == serial
+    assert run_trials(cfg, workers=2).tobytes() == serial
     assert seen == [3, 2]
 
 

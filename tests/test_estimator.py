@@ -25,7 +25,7 @@ from regtails.estimator import (
     normalized_deviation,
     objective,
 )
-from regtails.harness import ScalarDesign, run_trials
+from regtails.harness import STREAM_TRIALS, ScalarDesign, _trial_dtype, derive_seed, run_trials
 from regtails.model import (
     ParameterBox,
     RegressionModel,
@@ -644,12 +644,13 @@ def test_exp_filtered_trials_equal_the_closed_form():
         "montecarlo": {"n_trials": 400, "master_seed": 271828, "R_grid": [0.0, 1.0]},
     })
     grid, kernel = build_grid(cfg), build_kernel(cfg)
-    records = run_trials(cfg)
-    assert len(records) == 400 and all(r.converged for r in records)
-    for r in records:
+    trials = run_trials(cfg)
+    assert trials.size == 400 and np.all(trials["n_starts"] > 0)
+    for i, theta_hat in enumerate(trials["theta_hat"][:, 0]):
         # e^0 + noise
-        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(r.trial_seed), kernel)
-        assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -0.5, 0.5)) <= 5e-8  # box width 1
+        seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
+        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(seed), kernel)
+        assert abs(theta_hat - _exp_const_lse(x, grid, -0.5, 0.5)) <= 5e-8  # box width 1
 
 
 def _one_number(m, g, x) -> tuple[float, float]:
@@ -668,6 +669,13 @@ def _white_design(m, g, level, noise, theta0, scale) -> ScalarDesign:
                         driver="gaussian", model=m)
 
 
+def _fill_one(design: ScalarDesign, seed: int):
+    """The row ``design.fill`` writes from the draws of PCG64(seed)."""
+    rows = np.zeros(1, _trial_dtype(1))
+    design.fill(rows, [np.random.PCG64(seed)])
+    return rows[0]
+
+
 @pytest.mark.parametrize("level, noise, bound", [(0.0, 0.0, -0.5), (-0.3, 0.1, -0.5),
                                                  (2.0 * math.exp(0.5), 0.1, 0.5)])
 def test_closed_form_clips_to_the_bound(level, noise, bound):
@@ -678,13 +686,26 @@ def test_closed_form_clips_to_the_bound(level, noise, bound):
     x = level + noise * white_noise_path("gaussian", g, np.random.PCG64(4))
     s, gram = _one_number(m, g, x)
     assert s <= 0.0 if bound < 0 else s / gram > math.exp(0.5)
-    rec = _white_design(m, g, np.full(g.n_nodes, level), noise, 0.1, 2.0).record(
-        7, 4, np.random.PCG64(4))
-    assert rec.theta_hat == (_exp_const_lse(x, g, -0.5, 0.5),) == (bound,)
-    assert rec.boundary and rec.converged and (rec.n_starts, rec.lattice_tie_count) == (1, 1)
-    assert (rec.trial_index, rec.trial_seed) == (7, 4)
-    assert rec.deviation == 2.0 * abs(bound - 0.1)
-    assert lse_fit(Observation(grid=g, x_values=x), m).theta_hat == rec.theta_hat
+    row = _fill_one(_white_design(m, g, np.full(g.n_nodes, level), noise, 0.1, 2.0), 4)
+    theta_hat = tuple(row["theta_hat"].tolist())
+    assert theta_hat == (_exp_const_lse(x, g, -0.5, 0.5),) == (bound,)
+    assert row["boundary"] and (row["n_starts"], row["lattice_tie_count"]) == (1, 1)
+    assert row["deviation"] == 2.0 * abs(bound - 0.1)
+    assert lse_fit(Observation(grid=g, x_values=x), m).theta_hat == theta_hat
+
+
+@pytest.mark.parametrize("lower, upper", [(-0.0, 0.5), (-0.5, -0.0)])
+def test_closed_form_tie_takes_the_signed_zero_bound(lower, upper):
+    # no noise and a level of 1 make s/G exactly 1, so f^-1 gives +0.0, a tie
+    # with the bound -0.0: every row of the column holds the bound, as lse_fit's clip does
+    m = exp_inner_model(constant_regressors(1), ParameterBox((lower,), (upper,)))
+    g = TimeGrid(5.0, 200)
+    design = _white_design(m, g, np.ones(g.n_nodes), 0.0, 0.1, 2.0)
+    assert design.c == design.gram
+    rows = np.zeros(16, _trial_dtype(1))
+    design.fill(rows, [np.random.PCG64(seed) for seed in range(16)])
+    assert np.all(rows["theta_hat"] == 0.0) and np.all(np.signbit(rows["theta_hat"]))
+    assert rows["boundary"].all()
 
 
 @pytest.mark.parametrize("build", [linear_model, constant_model], ids=["linear", "constant"])
@@ -695,18 +716,19 @@ def test_closed_form_interior_fit_is_s_over_g(build):
     level = m.eval(g.nodes, np.array([2.1]))
     x = level + 0.3 * white_noise_path("gaussian", g, np.random.PCG64(6))
     design = _white_design(m, g, level, 0.3, 2.1, 2.0)
-    rec = design.record(0, 6, np.random.PCG64(6))
+    row = _fill_one(design, 6)
+    (theta_hat,) = row["theta_hat"].tolist()
     z = sample_driver("gaussian", g.n_nodes, np.random.PCG64(6))
-    assert rec.theta_hat == ((design.c + float(design.u @ z)) / design.gram,)
+    assert theta_hat == (design.c + float(design.u @ z)) / design.gram
     s, gram = _one_number(m, g, x)
-    assert rec.theta_hat[0] == pytest.approx(s / gram, rel=1e-12)
+    assert theta_hat == pytest.approx(s / gram, rel=1e-12)
     y = m.scalar.phi(g.nodes)
     wy = trapezoid_weights(g) * y
-    assert abs(rec.theta_hat[0] - (wy @ x) / (wy @ y)) <= 1e-9 * 5.0
-    assert not rec.boundary and rec.converged and (rec.n_starts, rec.lattice_tie_count) == (1, 1)
+    assert abs(theta_hat - (wy @ x) / (wy @ y)) <= 1e-9 * 5.0
+    assert not row["boundary"] and (row["n_starts"], row["lattice_tie_count"]) == (1, 1)
     # np.linalg.norm of one entry, bit for bit
-    assert rec.deviation == normalized_deviation(rec.theta_hat, (2.1,), (2.0,))
-    assert abs(lse_fit(Observation(grid=g, x_values=x), m).theta_hat[0] - rec.theta_hat[0]) <= 1e-9 * 5.0
+    assert row["deviation"] == normalized_deviation((theta_hat,), (2.1,), (2.0,))
+    assert abs(lse_fit(Observation(grid=g, x_values=x), m).theta_hat[0] - theta_hat) <= 1e-9 * 5.0
 
 
 def test_wide_exp_box_runs_where_f_squared_overflows(tmp_path):
@@ -722,10 +744,11 @@ def test_wide_exp_box_runs_where_f_squared_overflows(tmp_path):
     assert cli.main(["tails", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     cfg = load_config(cfg_path)
     grid, kernel = build_grid(cfg), build_kernel(cfg)
-    records = run_trials(cfg)
-    assert len(records) == 200 and all(r.converged for r in records)
-    assert any(r.boundary for r in records)
-    for r in records:
+    trials = run_trials(cfg)
+    assert trials.size == 200 and np.all(trials["n_starts"] > 0)
+    assert trials["boundary"].any()
+    for i, theta_hat in enumerate(trials["theta_hat"][:, 0]):
         # e^0 + noise
-        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(r.trial_seed), kernel)
-        assert abs(r.theta_hat[0] - _exp_const_lse(x, grid, -1.0, 800.0)) <= 1e-12
+        seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
+        x = 1.0 + noise_path("rademacher", grid, np.random.PCG64(seed), kernel)
+        assert abs(theta_hat - _exp_const_lse(x, grid, -1.0, 800.0)) <= 1e-12

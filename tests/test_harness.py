@@ -18,9 +18,10 @@ from regtails.config import (
     build_model,
     build_norming,
     config_from_dict,
+    config_to_dict,
     load_config,
 )
-from regtails.errors import ContractError
+from regtails.errors import ContractError, NonConvergenceError
 from regtails.estimator import Observation, lse_fit, normalized_deviation
 from regtails.harness import (
     MGF_BLOCK,
@@ -28,11 +29,9 @@ from regtails.harness import (
     STREAM_MGF,
     STREAM_PATHS,
     STREAM_TRIALS,
-    TrialRecord,
     clopper_pearson,
     compare_with_envelope,
     derive_seed,
-    deviations,
     estimate_tail,
     fit_exceedance_rate,
     mgf_check,
@@ -94,15 +93,26 @@ def test_derive_seed_on_an_index_array_matches_the_int_form():
 def test_index_streams_are_default_rng_streams_across_seed_blocks():
     start, stop = harness.SEED_BLOCK - 7, 2 * harness.SEED_BLOCK + 5
     streams = harness.index_streams(9, STREAM_PATHS, start, stop)
-    got = [(i, seed, bits.state) for i, seed, bits in streams]
-    assert got == [(i, derive_seed(9, STREAM_PATHS, i),
-                    np.random.default_rng(derive_seed(9, STREAM_PATHS, i)).bit_generator.state)
+    got = [bits.state for bits in streams]
+    assert got == [np.random.default_rng(derive_seed(9, STREAM_PATHS, i)).bit_generator.state
                    for i in range(start, stop)]
     assert list(harness.index_streams(9, STREAM_PATHS, 4, 4)) == []
 
 
+def _trial_rows(q, rows):
+    """``rows`` of (deviation, theta_hat, boundary, n_starts, lattice_tie_count) as run_trials' array."""
+    return np.array(rows, dtype=[("deviation", float), ("theta_hat", float, (q,)), ("boundary", bool),
+                                 ("n_starts", np.int8), ("lattice_tie_count", np.int32)])
+
+
+def _same_rows(got, want):
+    # bit for bit, signed zeros included, and the same fields
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _reference_chunk(cfg, start, stop):
-    """Trials [start, stop), trial i drawn from default_rng(derive_seed(master, STREAM_TRIALS, i))."""
+    """Rows [start, stop), trial i drawn from default_rng(derive_seed(master, STREAM_TRIALS, i))
+    and fitted on its own: lse_fit on the path, or f^-1(s/G) by math.log and a Python clip."""
     grid, model, kernel = build_grid(cfg), build_model(cfg), build_kernel(cfg)
     theta_true = np.asarray(cfg.model.theta_true)
     a_true = model.eval(grid.nodes, theta_true)
@@ -116,7 +126,7 @@ def _reference_chunk(cfg, start, stop):
         u = driver_weights(hw_phi, grid, kernel)
         gram, c = float(hw_phi @ phi), float(hw_phi @ a_true)
         (lo,), (hi,) = model.box.lower, model.box.upper
-    records = []
+    rows = []
     for i in range(start, stop):
         seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
         z = REFERENCE_DRAWS[cfg.noise.driver](np.random.default_rng(seed), n_draws)
@@ -132,10 +142,9 @@ def _reference_chunk(cfg, start, stop):
             theta = lo if y <= lo else hi if y >= hi else y
             theta_hat, n_starts, ties = (theta,), 1, 1
             boundary = theta <= lo + 1e-8 * (hi - lo) or theta >= hi - 1e-8 * (hi - lo)
-        records.append(TrialRecord(
-            i, seed, theta_hat, normalized_deviation(theta_hat, theta_true, norming),
-            True, boundary, n_starts, ties))
-    return records
+        rows.append((normalized_deviation(theta_hat, theta_true, norming), theta_hat,
+                     boundary, n_starts, ties))
+    return _trial_rows(model.q, rows)
 
 
 def _route_config(route, driver, kernel, n_trials=60):
@@ -161,7 +170,16 @@ def test_chunk_records_match_a_default_rng_per_trial(driver, kernel, route):
     # over chunk bounds at odd offsets
     cfg = _route_config(route, driver, kernel)
     assert (build_model(cfg).scalar is None) == (route == "path")
-    assert harness._run_chunk(cfg, 3, 58) == _reference_chunk(cfg, 3, 58)
+    assert _same_rows(harness._run_chunk(cfg, 3, 58), _reference_chunk(cfg, 3, 58))
+
+
+def test_exp_filtered_chunk_takes_f_inverse_per_trial():
+    # the shipped exp_filtered run: over its 5,000 trials np.log of the whole
+    # column differed from math.log in the last bit of 54 (on an AVX-512 CPU),
+    # so only a per-trial f^-1 keeps every row equal to the reference
+    cfg = load_config(CONFIGS / "exp_filtered.json")
+    assert cfg.montecarlo.n_trials == 5000
+    assert _same_rows(harness._run_chunk(cfg, 0, 5000), _reference_chunk(cfg, 0, 5000))
 
 
 @pytest.mark.parametrize("route, driver", [("one_number", "gaussian"),
@@ -188,10 +206,8 @@ def test_a_chunk_builds_no_generator_per_trial(route, driver, monkeypatch):
 def test_run_trials_deterministic_and_parallel_equivalent():
     cfg = _linear_white_config(n_trials=120)
     r1 = run_trials(cfg, workers=1)
-    r2 = run_trials(cfg, workers=1)
-    assert r1 == r2
-    r4 = run_trials(cfg, workers=2)
-    assert r1 == r4
+    assert _same_rows(run_trials(cfg, workers=1), r1)
+    assert _same_rows(run_trials(cfg, workers=2), r1)
 
 
 def test_run_trials_zero_noise_like():
@@ -205,17 +221,16 @@ def test_run_trials_zero_noise_like():
         "norming": "s_T",
         "montecarlo": {"n_trials": 100, "master_seed": 3, "R_grid": [0.0, 1.0]},
     })
-    records = run_trials(cfg)
-    assert all(r.converged for r in records)
+    trials = run_trials(cfg)
+    assert np.all(trials["n_starts"] > 0)
     # constant model: theta_hat = mean of X, deviation = sqrt(T)|mean eps| ~ N(0,1)
-    devs = deviations(records)
+    devs = trials["deviation"]
     assert devs.mean() == pytest.approx(math.sqrt(2 / math.pi), abs=0.25)
 
 
 def test_run_trials_half_normal_deviations():
     cfg = _linear_white_config(n_trials=2000, T=25.0, n_steps=2500)
-    records = run_trials(cfg)
-    devs = deviations(records)
+    devs = run_trials(cfg)["deviation"]
     # closed-form linear estimator: deviation = |N(0,1)| up to O(h)
     se = math.sqrt((1 - 2 / math.pi) / devs.size)
     assert abs(devs.mean() - math.sqrt(2 / math.pi)) <= 3 * se
@@ -268,10 +283,11 @@ def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
     a_true = m.eval(grid.nodes, theta_true)
     norming = build_norming(cfg, m, grid)
     width = m.box.upper[0] - m.box.lower[0]
-    records = run_trials(cfg)
+    trials = run_trials(cfg)
     path_devs = []
-    for r in records:
-        eps = noise_path(driver, grid, np.random.PCG64(r.trial_seed), k)
+    for i, row in enumerate(trials):
+        seed = derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)
+        eps = noise_path(driver, grid, np.random.PCG64(seed), k)
         obs = Observation(grid=grid, x_values=a_true + eps)
         want = lse_fit(obs, m)
         if model.startswith("exp_inner"):
@@ -281,11 +297,11 @@ def test_one_number_trials_match_the_path_fit(model, kernel, driver, tmp_path):
             tol = 5e-8 * width + math.sqrt(16 * 2**-52 * want.q_value / curvature)
         else:
             tol = 1e-9 * width
-        assert abs(r.theta_hat[0] - want.theta_hat[0]) <= tol
-        assert (r.converged, r.boundary, r.n_starts, r.lattice_tie_count) == (
-            True, want.boundary, want.n_starts, want.lattice_tie_count)
+        assert abs(row["theta_hat"][0] - want.theta_hat[0]) <= tol
+        assert (row["boundary"], row["n_starts"], row["lattice_tie_count"]) == (
+            want.boundary, want.n_starts, want.lattice_tie_count)
         path_devs.append(normalized_deviation(want.theta_hat, theta_true, norming))
-    assert _counts(deviations(records)) == _counts(path_devs)
+    assert _counts(trials["deviation"]) == _counts(path_devs)
 
 
 def _shipped_design(name):
@@ -340,8 +356,8 @@ def test_shipped_configs_build_no_path_and_call_no_path_fit(name, monkeypatch):
     monkeypatch.setattr(estimator, "_gauss_newton", never)
     cfg = load_config(CONFIGS / f"{name}.json")
     cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo, n_trials=20))
-    records = run_trials(cfg)
-    assert len(records) == 20 and all(r.converged for r in records)
+    trials = run_trials(cfg)
+    assert trials.size == 20 and np.all(trials["n_starts"] == 1)
 
 
 def test_cosine_regressors_keep_the_path_route(monkeypatch):
@@ -365,7 +381,7 @@ def test_cosine_regressors_keep_the_path_route(monkeypatch):
         "montecarlo": {"n_trials": 10, "master_seed": 7, "R_grid": [0.0, 1.0]},
     })
     assert build_model(cfg).scalar is None
-    assert len(run_trials(cfg)) == 10 == len(fits)
+    assert run_trials(cfg).size == 10 == len(fits)
 
 
 def _exp_filtered_shaped(n_trials):
@@ -377,11 +393,58 @@ def _exp_filtered_shaped(n_trials):
     return doc
 
 
-def test_one_number_trial_replays_from_its_index():
-    cfg = config_from_dict(_exp_filtered_shaped(60))
-    records = run_trials(cfg)
+def _assert_trials_replay(cfg):
+    trials = run_trials(cfg)
     for i in (0, 1, 17, 59):
-        assert harness._run_chunk(cfg, i, i + 1) == [records[i]]
+        assert _same_rows(harness._run_chunk(cfg, i, i + 1), trials[i:i + 1])
+
+
+def test_one_number_trial_replays_from_its_index():
+    _assert_trials_replay(config_from_dict(_exp_filtered_shaped(60)))
+
+
+def test_path_trial_replays_from_its_index():
+    _assert_trials_replay(_route_config("path", "rademacher", {"form": "exponential", "rate": 2.0}))
+
+
+def test_run_trials_memory_per_trial_is_bounded():
+    # a run keeps one 22-byte row per trial and its chunk's columns, not a
+    # record object per trial (about 290 B each)
+    cfg = _linear_white_config(n_trials=20_000, n_steps=50)
+    run_trials(dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo, n_trials=100)))
+    tracemalloc.start()
+    try:
+        trials = run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trials.size == 20_000
+    assert peak <= 100 * 20_000
+
+
+def test_too_many_nonconverged_trials_exit_3_naming_them(tmp_path, monkeypatch, capsys):
+    # two failed fits of 100 trials break the 1% rule; the message names both
+    # trials with the seeds that replay them
+    cfg = _route_config("path", "gaussian", None, n_trials=100)
+    assert build_model(cfg).scalar is None
+    failing = (7, 61)
+    seeds = [derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i) for i in failing]
+    fits = []
+
+    def fit(obs, model):
+        fits.append(None)
+        if len(fits) - 1 in failing:
+            raise NonConvergenceError("capped", best_point=(0.1, -0.2))
+        return lse_fit(obs, model)
+
+    monkeypatch.setattr(harness, "lse_fit", fit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert cli.main(["tails", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "2 of 100 trials failed to converge" in err
+    for i, seed in zip(failing, seeds):
+        assert f"{i} (seed {seed})" in err
 
 
 def test_one_number_tails_bytes_do_not_depend_on_workers(tmp_path):

@@ -11,6 +11,7 @@ from regtails import cli
 from regtails import model as model_module
 from regtails.config import load_config
 from regtails.errors import ConfigError, ContractError, DegenerateModelError, DomainError
+from regtails.estimator import _clip
 from regtails.model import (
     REGRESSOR_REGISTRY,
     ParameterBox,
@@ -79,21 +80,22 @@ def test_box_arrays_built_once():
 
 
 def test_box_clip_signed_zero_takes_the_bound():
-    # a signed-zero tie takes the bound's sign, at either bound, as np.clip does
-    # with array bounds; np.clip's all-scalar call keeps the value's
+    # a signed-zero tie takes the bound's sign, at either bound, for one point
+    # and for a column of points, as lse_fit's Python reference does; np.clip
+    # does so for one point but keeps the value's zero against broadcast bounds
     for box, value, sign in [
         (ParameterBox((0.0,), (1.0,)), -0.0, False),
         (ParameterBox((-0.0,), (1.0,)), 0.0, True),
         (ParameterBox((-1.0,), (0.0,)), -0.0, False),
         (ParameterBox((-1.0,), (-0.0,)), 0.0, True),
     ]:
-        got = box.clip([value])
-        assert got == [0.0] and math.copysign(1.0, got[0]) == (-1.0 if sign else 1.0)
-        want = np.clip(np.array([value]), box.lower_arr, box.upper_arr)
-        assert bool(np.signbit(want[0])) is sign
-    assert np.signbit(np.clip(-0.0, 0.0, 1.0))
+        for theta in (np.array([value]), np.full((9, 1), value)):
+            got = _clip(theta, box)
+            assert got.shape == theta.shape and np.all(got == 0.0)
+            assert np.all(np.signbit(got) == sign)
+        assert bool(np.signbit(np.clip(np.array([value]), box.lower_arr, box.upper_arr)[0])) is sign
     box = ParameterBox((0.0, -1.0), (1.0, 2.0))
-    assert box.clip([-3.0, 0.5]) == [0.0, 0.5] and box.clip([0.25, 7.0]) == [0.25, 2.0]
+    assert _clip(np.array([[-3.0, 0.5], [0.25, 7.0]]), box).tolist() == [[0.0, 0.5], [0.25, 2.0]]
 
 
 def test_gradients_match_finite_differences(exp1):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,6 +534,21 @@ def test_exponential_taps_are_cell_averages(rate, h):
     # one read-only table per (kernel, h), shared by every equal kernel
     assert FilterKernel.exponential(rate).taps(h) is taps
     assert not taps.flags.writeable
+
+
+def test_exponential_fine_taps_are_built_in_place():
+    # at the fine step the taps hold the 65,538 edges (0.5 MB) and one array of
+    # their size; the expression with its temporaries peaked at 2.1 MB
+    kernel = FilterKernel.exponential(1.2345)  # a kernel whose taps no other test builds
+    step = kernel.truncation_horizon / noise._FINE_CELLS
+    tracemalloc.start()
+    try:
+        taps = kernel.taps(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taps.size == noise._FINE_CELLS + 1
+    assert peak < 1_500_000
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
