@@ -5,9 +5,8 @@ The guaranteed exponential rate is
     b = c0 / (8 * d0 * (1 + q)) - beta,
 
 with the stationary specialization d0 = 2*pi*f0, so b = c0 / (16*pi*f0*(1+q)) - beta.
-The prefactor of the envelope B_cal * exp(-b R^2) is not pinned down by theory;
-it is a calibration constant, default 1, optionally fitted to a training tail
-(see :func:`calibrate_prefactor`).
+The envelope is exp(-b R^2), with prefactor 1; :func:`calibrate_prefactor` gives
+the smallest prefactor a tail demands at rate b, which no verdict reads.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .errors import ContractError
 #: Emitted with every tails report.  The consistency envelope at level
 #: rho * T^{-nu} is obtained by substituting R = rho * T^{1/2 - nu} into the
 #: R-level envelope, which makes the exponent quadratic in rho:
-#: B_cal * exp(-b * rho^2 * T^{1 - 2*nu}).  A linear-in-rho exponent is NOT used.
+#: exp(-b * rho^2 * T^{1 - 2*nu}).  A linear-in-rho exponent is NOT used.
 CONSISTENCY_EXPONENT_NOTE = (
     "consistency envelope uses exp(-b*rho^2*T^(1-2*nu)); the exponent is "
     "quadratic in rho because the level R = rho*T^(1/2-nu) enters the R^2 envelope"
@@ -74,23 +73,17 @@ class BoundConstants:
 
     The constructor derives d0 = 2*pi*f0, the slack beta when none is given
     (:func:`default_beta`) and the rate b.  A run always takes that default
-    slack and B_cal = 1, which a ``B_cal: "calibrate"`` config then refits
-    (:func:`calibrate_prefactor`); only tests pass another ``beta``.
-    ``dataclasses.replace`` keeps the resolved beta, so a copy with another
-    ``b_cal`` has the same d0 and b.
+    slack; only tests pass another ``beta``.
     """
 
     q: int
     c0: float
     f0: float
     beta: float | None = None
-    b_cal: float = 1.0
     d0: float = field(init=False)
     b: float = field(init=False)
 
     def __post_init__(self):
-        if self.b_cal < 0:
-            raise ContractError(f"calibration prefactor must be >= 0, got {self.b_cal}")
         d0 = 2.0 * math.pi * self.f0
         object.__setattr__(self, "d0", d0)
         if self.beta is None:
@@ -110,19 +103,18 @@ def noise_integral_tail(d0: float, delta_norm_sq: float, x: float) -> float:
     return math.exp(-(x * x) / (2.0 * d0 * delta_norm_sq))
 
 
-def tail_envelope(consts: BoundConstants, R: float, clip: bool = False) -> float:
-    """Envelope B_cal * exp(-b * R^2); optionally clipped to 1 as a probability."""
+def tail_envelope(consts: BoundConstants, R: float) -> float:
+    """Envelope exp(-b * R^2), a probability at every level R >= 0."""
     if R < 0:
         raise ContractError(f"level R must be >= 0, got {R}")
-    val = consts.b_cal * math.exp(-consts.b * R * R)
-    return min(1.0, val) if clip else val
+    return math.exp(-consts.b * R * R)
 
 
 def consistency_envelope(consts: BoundConstants, rho: float, nu: float, T: float) -> float:
     """Envelope for the T^{-1/2}-scaled deviation at level rho * T^{-nu}.
 
     Equals the R-level envelope at R = rho * T^(1/2 - nu), hence
-    B_cal * exp(-b * rho^2 * T^(1 - 2*nu)); see CONSISTENCY_EXPONENT_NOTE.
+    exp(-b * rho^2 * T^(1 - 2*nu)); see CONSISTENCY_EXPONENT_NOTE.
     """
     _check_positive(rho=rho, T=T)
     if not 0.0 <= nu < 0.5:
@@ -131,7 +123,7 @@ def consistency_envelope(consts: BoundConstants, rho: float, nu: float, T: float
 
 
 def moderate_deviation_envelope(consts: BoundConstants, h: float, T: float) -> float:
-    """Polynomial envelope B_cal * T^(-b h^2) at levels h * sqrt(ln T); needs T > 1.
+    """Polynomial envelope T^(-b h^2) at levels h * sqrt(ln T); needs T > 1.
 
     Computed as the R-level envelope at R = h * sqrt(ln T), making the identity
     with tail_envelope exact.
@@ -143,7 +135,7 @@ def moderate_deviation_envelope(consts: BoundConstants, h: float, T: float) -> f
 
 
 def calibrate_prefactor(p_hat, r_grid, b: float) -> float:
-    """Smallest B_cal with B_cal * exp(-b R^2) >= p_hat(R) at every level."""
+    """Smallest prefactor B with B * exp(-b R^2) >= p_hat(R) at every level."""
     p_hat = np.asarray(p_hat, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if p_hat.shape != r_grid.shape or p_hat.size == 0:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import CONSISTENCY_EXPONENT_NOTE, BoundConstants, calibrate_prefactor
+from .bounds import CONSISTENCY_EXPONENT_NOTE, BoundConstants
 from .config import (
     ExperimentConfig,
     as_seed,
@@ -63,10 +63,6 @@ from .noise import (
     ito_nisio_path,
     noise_path,
 )
-
-#: share of the trials that a ``B_cal: "calibrate"`` run fits the prefactor to
-CALIBRATION_SHARE = 0.1
-
 
 # -- deterministic serialization helpers -------------------------------------
 
@@ -176,32 +172,22 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 def _constants_dict(consts: BoundConstants) -> dict:
     return {
         "q": consts.q, "c0": consts.c0, "d0": consts.d0, "f0": consts.f0,
-        "beta": consts.beta, "b": consts.b, "B_cal": consts.b_cal,
+        "beta": consts.beta, "b": consts.b,
     }
 
 
 def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     n = cfg.montecarlo.n_trials
-    n_train = 0
-    if cfg.bounds.B_cal == "calibrate":
-        n_train = max(1, round(CALIBRATION_SHARE * n))
-    if n - n_train < MIN_TAIL_TRIALS:
+    if n < MIN_TAIL_TRIALS:
         raise ConfigError(
-            f"montecarlo.n_trials: {n} trials leave {n - n_train} for tail estimation "
-            f"after {n_train} calibration trials; need at least {MIN_TAIL_TRIALS}"
-        )
+            f"montecarlo.n_trials: tails needs at least {MIN_TAIL_TRIALS} trials, got {n}")
     model = build_model(cfg)
     grid = build_grid(cfg)
     kernel = build_kernel(cfg)
     consts, extras = resolve_constants(cfg, model, grid, kernel)
 
     trials = run_trials(cfg, workers=workers)
-    devs = trials["deviation"]
-    r_grid = np.asarray(cfg.montecarlo.R_grid)
-    if n_train:
-        p_train = np.array([(devs[:n_train] >= r).mean() for r in r_grid])
-        consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_grid, consts.b))
-    tail = estimate_tail(devs[n_train:], r_grid)
+    tail = estimate_tail(trials["deviation"], np.asarray(cfg.montecarlo.R_grid))
     cmp = compare_with_envelope(tail, consts)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,12 +211,11 @@ def cmd_tails(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         "fitted_rate": tail.fitted_rate,
         "b_cert": cmp.b_cert,
         "b_cert_ratio": None if cmp.b_cert is None else cmp.b_cert / consts.b,
+        "B_needed": cmp.B_needed,
         "rate_ok": cmp.rate_ok,
         "level_verdicts": [bool(v) for v in cmp.level_ok],
         "overall_pass": cmp.overall_pass,
         "n_trials": n,
-        "n_train": n_train,
-        "n_eval": tail.n_trials,
         "n_nonconverged": len(failed),
         "nonconverged": [[i, derive_seed(cfg.montecarlo.master_seed, STREAM_TRIALS, i)]
                          for i in failed],

@@ -42,6 +42,7 @@ _REMOVED = {
     "noise.prehistory": "not a setting: the filter prehistory is derived from the kernel",
     "bounds.beta": "not a setting: the slack is a thousandth of the rate before slack",
     "bounds.equivalence_pairs": f"not a setting: c0 is estimated from {EQUIVALENCE_PAIRS} pairs",
+    "bounds.B_cal": "not a setting: the envelope's prefactor is 1",
 }
 
 
@@ -220,8 +221,6 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class BoundsConfig:
-    # "fixed": B = 1; "calibrate": fitted to the first trials (cli.CALIBRATION_SHARE)
-    B_cal: str = _key(_one_of(("fixed", "calibrate")), "fixed")
     c0: float | str = _key(_positive, "estimate")       # "estimate": from pair sampling
     f0: float | str = _key(_positive, "auto")           # "auto": from the kernel spectrum
 

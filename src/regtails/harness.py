@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config as _config
-from .bounds import BoundConstants, tail_envelope
+from .bounds import BoundConstants, calibrate_prefactor, tail_envelope
 from .errors import ContractError, NonConvergenceError
 from .estimator import Observation, _at_bound, _clip, lse_fit, normalized_deviation
 from .model import RegressionModel
@@ -389,37 +389,40 @@ class EnvelopeComparison:
     rate_ok: bool
     overall_pass: bool
     b_cert: float | None
+    B_needed: float
 
 
 def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> EnvelopeComparison:
     """Per-level and rate verdicts for envelope domination.
 
-    The envelope is evaluated at each level and clipped to 1.  A level passes
-    when its lower confidence limit does not exceed the envelope (the bound is
-    not violated beyond binomial noise); the rate verdict asks the fitted
+    The envelope exp(-b R^2) is evaluated at each level.  A level passes when
+    its lower confidence limit does not exceed the envelope (the bound is not
+    violated beyond binomial noise); the rate verdict asks the fitted
     exceedance rate to be at least the guaranteed b.
 
     ``b_cert`` is the largest rate the lower limits certify,
-    min ln(B_cal / ci_low(R)) / R^2 over the levels with R > 0 and ci_low > 0
+    min ln(1 / ci_low(R)) / R^2 over the levels with R > 0 and ci_low > 0
     (None when there is no such level): b_cert >= b exactly when each of those
-    levels lies under the unclipped envelope B_cal * exp(-b R^2).  A calibrated
-    B_cal of 0 certifies no rate: b_cert is then -inf.
+    levels lies under the envelope.  ``B_needed`` is the smallest prefactor the
+    lower limits demand at rate b, max ci_low(R) exp(b R^2)
+    (:func:`~regtails.bounds.calibrate_prefactor`): at most 1 exactly when
+    every level passes, up to the levels' 1e-15 tolerance.  No verdict reads
+    either.
     """
-    envelope = np.array([tail_envelope(consts, float(r), clip=True) for r in tail.r_grid])
+    envelope = np.array([tail_envelope(consts, float(r)) for r in tail.r_grid])
     level_ok = tail.ci_low <= envelope + 1e-15
     rate_ok = bool(np.isfinite(tail.fitted_rate) and tail.fitted_rate >= consts.b)
     certified = (tail.r_grid > 0) & (tail.ci_low > 0)
     b_cert = None
     if certified.any():
-        with np.errstate(divide="ignore"):  # log(0) = -inf when B_cal = 0
-            b_cert = float(np.min(np.log(consts.b_cal / tail.ci_low[certified])
-                                  / tail.r_grid[certified] ** 2))
+        b_cert = float(np.min(np.log(1.0 / tail.ci_low[certified]) / tail.r_grid[certified] ** 2))
     return EnvelopeComparison(
         envelope=envelope,
         level_ok=level_ok,
         rate_ok=rate_ok,
         overall_pass=bool(level_ok.all() and rate_ok),
         b_cert=b_cert,
+        B_needed=calibrate_prefactor(tail.ci_low, tail.r_grid, consts.b),
     )
 
 

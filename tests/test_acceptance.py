@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Every tolerance is fixed here; nothing is calibrated after the fact.
 """
 
-import dataclasses
 import math
 import time
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import regtails.cli as cli
-from regtails.bounds import BoundConstants, calibrate_prefactor
+from regtails.bounds import BoundConstants
 from regtails.config import BasisConfig, config_from_dict
 from regtails.errors import ContractError
 from regtails.estimator import Observation, lse_fit
@@ -143,13 +142,7 @@ def test_criterion_04_envelope_domination(driver):
                                                derive_seed(cfg.montecarlo.master_seed, 4, 0))
     consts = BoundConstants(q=1, c0=c0_hat, f0=f0)
 
-    devs = run_trials(cfg)["deviation"]
-    n_train = devs.size // 10
-    r_arr = np.asarray(r_grid)
-    p_train = np.array([(devs[:n_train] >= r).mean() for r in r_arr])
-    consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_train, r_arr, consts.b))
-
-    tail = estimate_tail(devs[n_train:], r_arr)
+    tail = estimate_tail(run_trials(cfg)["deviation"], np.asarray(r_grid))
     cmp = compare_with_envelope(tail, consts)
     dense = tail.counts >= 10
     dominated = bool(np.all(cmp.level_ok[dense]))
@@ -157,7 +150,7 @@ def test_criterion_04_envelope_domination(driver):
     elapsed = time.perf_counter() - t0
     _report(4, dominated and rate_ok, elapsed, 600.0,
             f"driver={driver}: b={consts.b:.4f} c0_hat={c0_hat:.4f} "
-            f"B_cal={consts.b_cal:.3f} fitted_rate={tail.fitted_rate:.3f} "
+            f"B_needed={cmp.B_needed:.3f} fitted_rate={tail.fitted_rate:.3f} "
             f"levels>=10 dominated={dominated}")
 
 
@@ -274,8 +267,7 @@ def test_criterion_09_bound_formula_identities():
         a = bounds.stationary_rate(q, c0, f0, 0.0)
         b = bounds.exponent_rate(q, c0, 2 * math.pi * f0, 0.0)
         ok = ok and abs(a - b) <= 1e-14 * abs(b)
-        consts = BoundConstants(q=q, c0=c0, f0=f0, beta=0.0,
-                                b_cal=float(rng.uniform(0.5, 3.0)))
+        consts = BoundConstants(q=q, c0=c0, f0=f0, beta=0.0)
         h = float(rng.uniform(0.1, 3.0))
         T = float(rng.uniform(1.5, 200.0))
         lhs = bounds.moderate_deviation_envelope(consts, h, T)
@@ -301,7 +293,7 @@ def test_criterion_10_byte_identical_reproducibility(tmp_path):
         "norming": "d_T",
         "montecarlo": {"n_trials": 2000, "master_seed": 424242,
                        "R_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
-        "bounds": {"B_cal": "calibrate", "c0": "estimate"},
+        "bounds": {"c0": "estimate"},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))

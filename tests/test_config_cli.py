@@ -45,7 +45,7 @@ def _linear_doc(**overrides):
         "norming": "d_T",
         "montecarlo": {"n_trials": 300, "master_seed": 11,
                        "R_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
-        "bounds": {"B_cal": "calibrate", "c0": "estimate"},
+        "bounds": {"c0": "estimate"},
         "output": {"directory": "out"},
     }
     doc.update(overrides)
@@ -84,11 +84,14 @@ _REMOVED_BOUNDS = [
     (lambda d: d["bounds"].update(beta="auto"), "bounds.beta"),
     (lambda d: d["bounds"].update(beta=0.001), "bounds.beta"),
     (lambda d: d["bounds"].update(equivalence_pairs=2000), "bounds.equivalence_pairs"),
+    *[(lambda d, v=v: d["bounds"].update(B_cal=v), "bounds.B_cal")
+      for v in ("fixed", "calibrate", {"mode": "fixed", "value": 2.0})],
 ]
 _REMOVED_REASONS = {
     "noise.prehistory": "derived from the kernel",
     "bounds.beta": "a thousandth of the rate before slack",
     "bounds.equivalence_pairs": "estimated from 2000 pairs",
+    "bounds.B_cal": "the envelope's prefactor is 1",
 }
 
 # values of the wrong type (an optional object may be absent or null, nothing
@@ -98,7 +101,6 @@ _REJECTED = [
     (lambda d: d.update(bounds=False), "bounds"),
     (lambda d: d.update(output=[]), "output"),
     (lambda d: d["model"].update(parameters=0), "model.parameters"),
-    (lambda d: d["bounds"].update(B_cal=False), "bounds.B_cal"),
     (lambda d: d["output"].update(directory=5), "output.directory"),
     (lambda d: d["output"].update(directory=""), "output.directory"),
     (lambda d: d["noise"].update(kernel={"form": "tabulated", "file": 5}), "noise.kernel.file"),
@@ -114,9 +116,6 @@ _REJECTED = [
     (lambda d: d["noise"].update(basis={"family": "haar", "n_terms": 8, "horizon": 5.0}),
      "noise.basis.family"),
     (lambda d: d["output"].update(formats=["csv"]), "output.formats"),
-    # B_cal is a word: an object is rejected naming it
-    (lambda d: d["bounds"].update(B_cal={"mode": "calibrate", "fraction": 0.1}), "bounds.B_cal"),
-    (lambda d: d["bounds"].update(B_cal={"mode": "fixed", "value": 2.0}), "bounds.B_cal"),
     (lambda d: d["montecarlo"].update(master_seed=2**64), "montecarlo.master_seed"),
     *[(lambda d, v=v: d["noise"].update(kernel={"form": v, "rate": 1.0}), "noise.kernel.form")
       for v in ({}, [], 5, None)],
@@ -152,15 +151,15 @@ def test_round_trip_identity():
     (lambda d: d["model"]["box"].update(lower=[5.0]), "model.box"),
     (lambda d: d["noise"].update(driver="levy"), "noise.driver"),
     (lambda d: d["model"].update(name="spline"), "model.name"),
-    (lambda d: d["bounds"].update(B_cal="guess"), "bounds.B_cal"),
     (lambda d: d["noise"].update(kernel=5), "noise.kernel.form"),
     (lambda d: d.update(noise=5), "noise"),
-    (lambda d: d["bounds"].update(B_cal=[1.0]), "bounds.B_cal"),
     *_MISSPELLED,
     *_REJECTED,
     *[(lambda d, v=v: d["noise"].update(prehistory=v), "noise.prehistory")
       for v in ("auto", 5.0, None)],
     *_REMOVED_BOUNDS,
+    # a removed key is named, with its reason, whatever its value
+    *[(lambda d, v=v: d["bounds"].update(B_cal=v), "bounds.B_cal") for v in (False, [1.0])],
 ])
 def test_validation_names_offending_field(mutate, field):
     doc = _linear_doc()
@@ -216,7 +215,7 @@ _SHIPPED_CANONICAL = {
         "montecarlo": {"n_trials": 5000, "master_seed": 271828,
                        "R_grid": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5,
                                   2.75, 3.0]},
-        "bounds": {"B_cal": "calibrate", "c0": "estimate", "f0": "auto"},
+        "bounds": {"c0": "estimate", "f0": "auto"},
         "output": {"directory": "out_exp_filtered"},
     },
     "linear_white.json": {
@@ -226,7 +225,7 @@ _SHIPPED_CANONICAL = {
         "norming": "d_T",
         "montecarlo": {"n_trials": 5000, "master_seed": 31415,
                        "R_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
-        "bounds": {"B_cal": "calibrate", "c0": 1.0, "f0": "auto"},
+        "bounds": {"c0": 1.0, "f0": "auto"},
         "output": {"directory": "out_linear_white"},
     },
 }
@@ -398,12 +397,27 @@ def test_tails_meta_lists_nonconverged_trials(tmp_path, monkeypatch):
     assert meta["tie_frac"] == sum((trials["lattice_tie_count"] > 1).tolist()) / 300 == 1 / 300
 
 
+@pytest.mark.parametrize("name", ["exp_filtered", "linear_white"])
+def test_shipped_tails_need_no_prefactor_above_one(tmp_path, name):
+    # every trial is tested against exp(-b R^2); B_needed, the smallest prefactor
+    # the lower limits demand at rate b, is at most 1 exactly when every level passes
+    out = tmp_path / name
+    assert cli.main(["tails", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+    meta = json.loads((out / "tails_meta.json").read_text())
+    assert meta["n_trials"] == 5000
+    assert not {"n_train", "n_eval"} & set(meta) and "B_cal" not in meta["constants"]
+    assert meta["overall_pass"] and all(meta["level_verdicts"])
+    assert meta["B_needed"] <= 1.0
+    rows = [line.split(",") for line in (out / "tails.csv").read_text().splitlines()[3:]]
+    assert {row[2] for row in rows} == {"5000"}
+
+
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])
 def test_envelope_verdict_can_fail_end_to_end(tmp_path, c0, passes):
     # white noise gives d0 = 1 and q = 1, so b = 0.999 * c0 / 16: at c0 = 50 the
     # envelope decays at b = 3.12, far faster than the empirical tail
     doc = _linear_doc()
-    doc["bounds"] = {"B_cal": "fixed", "c0": c0}
+    doc["bounds"] = {"c0": c0}
     cfg_path = _write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert cli.main(["tails", "--config", cfg_path, "--out", str(out)]) == 0
@@ -411,6 +425,7 @@ def test_envelope_verdict_can_fail_end_to_end(tmp_path, c0, passes):
     assert meta["constants"]["b"] == pytest.approx(0.999 * c0 / 16.0)
     assert meta["overall_pass"] is passes
     assert meta["rate_ok"] is passes
+    assert (meta["B_needed"] <= 1.0) is all(meta["level_verdicts"])
     rows = [line.split(",") for line in (out / "tails.csv").read_text().splitlines()[3:]]
     assert ("fail" in [row[-1] for row in rows]) is not passes
     # the certified rate reaches b exactly when every level it is taken over passes
@@ -682,15 +697,9 @@ def test_basis_outside_simulate_exits_2_before_any_computation(tmp_path, monkeyp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_trials,b_cal,n_eval", [
-    (105, "calibrate", 95),
-    (99, "fixed", 99),
-])
-def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
-                                                n_trials, b_cal, n_eval):
+def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys):
     doc = _linear_doc()
-    doc["montecarlo"]["n_trials"] = n_trials
-    doc["bounds"]["B_cal"] = b_cal
+    doc["montecarlo"]["n_trials"] = 99
     cfg_path = _write_config(tmp_path, doc)
 
     def never(cfg, workers=1):
@@ -700,7 +709,7 @@ def test_too_few_trials_exit_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert cli.main(["tails", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "montecarlo.n_trials" in err
-    assert f"leave {n_eval} for tail estimation" in err
+    assert "at least 100 trials, got 99" in err
 
 
 def test_simulate_with_one_path_exits_2_before_any_path(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
 from regtails import cli, estimator, harness
-from regtails.bounds import BoundConstants, calibrate_prefactor
+from regtails.bounds import BoundConstants
 from regtails.config import (
     build_grid,
     build_kernel,
@@ -586,37 +586,46 @@ def test_fitted_rate_excludes_sparse_levels():
     assert rate == pytest.approx(dense)
 
 
-def test_compare_with_envelope_calibrated_passes():
+def test_compare_with_envelope_half_normal_passes():
     rng = np.random.default_rng(9)
     devs = np.abs(rng.standard_normal(20_000))
     r = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
     consts = BoundConstants(q=1, c0=1.0, f0=1.0 / (2 * math.pi), beta=0.0)  # b = 1/16
-    p_hat = np.array([(devs >= x).mean() for x in r])
-    consts = dataclasses.replace(consts, b_cal=calibrate_prefactor(p_hat, r, consts.b))
     tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
     assert cmp.overall_pass
     assert cmp.rate_ok  # half-normal rate 1/2 >= 1/16
     assert np.all(cmp.level_ok)
-    # the envelope is clipped to a probability
-    assert compare_with_envelope(tail, dataclasses.replace(consts, b_cal=3.0)).envelope[0] == 1.0
+    assert cmp.envelope[0] == 1.0
+    assert cmp.B_needed <= 1.0
 
 
 def test_compare_with_envelope_adversarial_fails():
     devs = np.full(500, 10.0)
     r = np.array([1.0, 2.0])
-    consts = BoundConstants(q=1, c0=8.0, f0=0.5 / (2 * math.pi), beta=0.0, b_cal=1.0)  # b = 1
+    consts = BoundConstants(q=1, c0=8.0, f0=0.5 / (2 * math.pi), beta=0.0)  # b = 1
     tail = estimate_tail(devs, r)
     cmp = compare_with_envelope(tail, consts)
     assert list(cmp.envelope) == [math.exp(-1.0), math.exp(-4.0)]
     assert not cmp.level_ok.all()
     assert not cmp.overall_pass
     assert cmp.b_cert < consts.b
-    # a calibrated prefactor of 0 (no training trial reached a level) certifies
-    # no rate, and says so without a log(0) warning
-    assert compare_with_envelope(tail, dataclasses.replace(consts, b_cal=0.0)).b_cert == -math.inf
+    assert cmp.B_needed > 1.0
     # no level with R > 0 has a positive lower limit, so none certifies a rate
     assert compare_with_envelope(estimate_tail(np.zeros(500), r), consts).b_cert is None
+
+
+@pytest.mark.parametrize("last_ci_low,passes", [(0.01, True), (0.05, False)])
+def test_b_needed_exceeds_one_exactly_when_a_level_fails(last_ci_low, passes):
+    # b = 1: the envelope is 1, e^-1 and e^-4 = 0.0183 at R = 0, 1 and 2, and
+    # only the last level's lower limit moves, to either side of e^-4
+    consts = BoundConstants(q=1, c0=8.0, f0=0.5 / (2 * math.pi), beta=0.0)
+    tail = estimate_tail(np.full(500, 10.0), np.array([0.0, 1.0, 2.0]))
+    tail = dataclasses.replace(tail, ci_low=np.array([0.9, 0.3, last_ci_low]))
+    cmp = compare_with_envelope(tail, consts)
+    assert cmp.level_ok.tolist() == [True, True, passes]
+    assert (cmp.B_needed <= 1.0) is passes
+    assert cmp.B_needed == max(0.9, 0.3 * math.e, last_ci_low * math.exp(4.0))
 
 
 # -- MGF checker ---------------------------------------------------------------
