@@ -389,7 +389,7 @@ class EnvelopeComparison:
     rate_ok: bool
     overall_pass: bool
     b_cert: float | None
-    B_needed: float
+    B_needed: float | None
 
 
 def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> EnvelopeComparison:
@@ -404,25 +404,29 @@ def compare_with_envelope(tail: TailEstimate, consts: BoundConstants) -> Envelop
     min ln(1 / ci_low(R)) / R^2 over the levels with R > 0 and ci_low > 0
     (None when there is no such level): b_cert >= b exactly when each of those
     levels lies under the envelope.  ``B_needed`` is the smallest prefactor the
-    lower limits demand at rate b, max ci_low(R) exp(b R^2)
-    (:func:`~regtails.bounds.calibrate_prefactor`): at most 1 exactly when
-    every level passes, up to the levels' 1e-15 tolerance.  No verdict reads
-    either.
+    lower limits demand at rate b, max ci_low(R) exp(b R^2) over the levels
+    with R > 0 (:func:`~regtails.bounds.calibrate_prefactor`; None when there
+    is no such level): at most 1 exactly when every level passes, up to the
+    levels' 1e-15 tolerance, since the R = 0 level, where the envelope is 1,
+    always passes.  No verdict reads either.
     """
     envelope = np.array([tail_envelope(consts, float(r)) for r in tail.r_grid])
     level_ok = tail.ci_low <= envelope + 1e-15
     rate_ok = bool(np.isfinite(tail.fitted_rate) and tail.fitted_rate >= consts.b)
-    certified = (tail.r_grid > 0) & (tail.ci_low > 0)
-    b_cert = None
+    positive = tail.r_grid > 0
+    certified = positive & (tail.ci_low > 0)
+    b_cert = B_needed = None
     if certified.any():
         b_cert = float(np.min(np.log(1.0 / tail.ci_low[certified]) / tail.r_grid[certified] ** 2))
+    if positive.any():
+        B_needed = calibrate_prefactor(tail.ci_low[positive], tail.r_grid[positive], consts.b)
     return EnvelopeComparison(
         envelope=envelope,
         level_ok=level_ok,
         rate_ok=rate_ok,
         overall_pass=bool(level_ok.all() and rate_ok),
         b_cert=b_cert,
-        B_needed=calibrate_prefactor(tail.ci_low, tail.r_grid, consts.b),
+        B_needed=B_needed,
     )
 
 

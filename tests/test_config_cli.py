@@ -410,6 +410,13 @@ def test_shipped_tails_need_no_prefactor_above_one(tmp_path, name):
     assert meta["B_needed"] <= 1.0
     rows = [line.split(",") for line in (out / "tails.csv").read_text().splitlines()[3:]]
     assert {row[2] for row in rows} == {"5000"}
+    # taken over the levels with R > 0: the R = 0 level's lower limit,
+    # 0.025^(1/n) = 0.99926, would hide the margin under the envelope
+    b = meta["constants"]["b"]
+    assert meta["B_needed"] == pytest.approx(
+        max(float(row[4]) * math.exp(b * float(row[0]) ** 2) for row in rows if float(row[0]) > 0),
+        rel=1e-12)
+    assert meta["B_needed"] < 0.99
 
 
 @pytest.mark.parametrize("c0,passes", [(50.0, False), (1.0, True)])

@@ -625,7 +625,15 @@ def test_b_needed_exceeds_one_exactly_when_a_level_fails(last_ci_low, passes):
     cmp = compare_with_envelope(tail, consts)
     assert cmp.level_ok.tolist() == [True, True, passes]
     assert (cmp.B_needed <= 1.0) is passes
-    assert cmp.B_needed == max(0.9, 0.3 * math.e, last_ci_low * math.exp(4.0))
+    # taken over the levels with R > 0: the R = 0 level's 0.9 does not enter
+    assert cmp.B_needed == max(0.3 * math.e, last_ci_low * math.exp(4.0))
+
+
+def test_b_needed_is_none_without_a_positive_level():
+    # as b_cert: a grid of R = 0 alone leaves no level to demand a prefactor
+    consts = BoundConstants(q=1, c0=8.0, f0=0.5 / (2 * math.pi), beta=0.0)
+    cmp = compare_with_envelope(estimate_tail(np.full(500, 10.0), np.array([0.0])), consts)
+    assert cmp.B_needed is None and cmp.b_cert is None
 
 
 # -- MGF checker ---------------------------------------------------------------
@@ -798,6 +806,19 @@ def test_mgf_rademacher_replications_match_integers_bit_for_bit(weight):
     lam = np.array([0.5, 1.5, 2.0])
     rep = mgf_check("rademacher", delta, g, 1.0, lam, 17, kernel=kernel)
     assert np.all(rep.empirical_mean == _rademacher_mgf_means_by_integers(delta, g, lam, 17, kernel))
+
+
+def test_mgf_rademacher_replications_match_integers_at_the_check_filtered_shape():
+    # the check-filtered benchmark's filtered probe: T = 50, N = 2501 and the
+    # exponential kernel at rate 1 give 3,501 weights, drawn as 8 x 3,501 values
+    # a block (28,008, an even count that continues the words' stream)
+    g = TimeGrid(50.0, 2500)
+    kernel = FilterKernel.exponential(1.0)
+    flat = np.ones(g.n_nodes)
+    assert driver_weights(trapezoid_weights(g) * g.h * flat, g, kernel).size == 3501
+    lam = np.array([0.0, 0.3, 0.6, 0.95]) * math.sqrt(8.0 / g.T)
+    rep = mgf_check("rademacher", flat, g, 1.0, lam, 1, kernel=kernel)
+    assert np.all(rep.empirical_mean == _rademacher_mgf_means_by_integers(flat, g, lam, 1, kernel))
 
 
 def test_mgf_filtered_peak_memory_stays_below_a_megabyte():

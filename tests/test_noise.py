@@ -82,6 +82,37 @@ def test_every_driver_reads_only_a_bare_pcg64(kind):
             sample_driver(kind, 5, stream)
 
 
+@pytest.mark.parametrize("count", [1, 2, 2501, 7001, 28_008])
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_draws_are_fresh_writeable_float64(kind, count):
+    # np.array_equal against a float reference also passes on an int8 array of
+    # +-1, so the dtype and layout are asserted on their own
+    bits = np.random.PCG64(5)
+    first, second = (sample_driver(kind, count, bits) for _ in range(2))
+    for draws in (first, second):
+        assert draws.dtype == np.float64 and draws.shape == (count,)
+        assert draws.flags.c_contiguous and draws.flags.writeable and draws.flags.owndata
+    assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("count", [7001, 28_008, 100_001])
+def test_rademacher_draw_holds_words_mask_and_values_only(count):
+    # at its peak a draw holds ceil(count/2) raw words (4 bytes a value), the
+    # one-byte sign mask and the float64 values: 13 bytes a value.  A float
+    # multiply of the mask peaked at 21 bytes a value at 7,001 values, its
+    # cast buffer a second float temporary
+    bits = np.random.PCG64(3)
+    sample_driver("rademacher", 2, bits)  # warm-up: the measured draw allocates only its arrays
+    tracemalloc.start()
+    try:
+        draws = sample_driver("rademacher", count, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.size == count
+    assert peak <= 13 * count + 2048
+
+
 # -- seeding many streams at once -------------------------------------------------
 
 
