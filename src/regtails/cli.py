@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from functools import partial
@@ -409,5 +410,18 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of ``python -m regtails.cli`` and the ``regtails`` script.
+
+    Everything imported so far lives until the process exits, so it is moved
+    to the collector's permanent generation: neither the run's full
+    collections nor the ones at exit scan it, and forked workers inherit it
+    frozen.  ``main`` leaves the collector alone, since a caller in the same
+    process would have its own garbage pinned too.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -297,16 +297,39 @@ def config_to_dict(cfg) -> dict:
     return doc
 
 
+class _Pairs(list):
+    """A JSON object as parsed: its (key, value) pairs in order, repeats kept."""
+
+
+def _unique(value, where: str):
+    """The parsed document with each object a dict; a repeated key is rejected by its path."""
+    if isinstance(value, _Pairs):
+        doc = {}
+        for key, item in value:
+            path = f"{where}.{key}" if where else key
+            if key in doc:
+                _fail(path, "repeated key; an object names each key once")
+            doc[key] = _unique(item, path)
+        return doc
+    if isinstance(value, list):
+        return [_unique(item, where) for item in value]
+    return value
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_Pairs)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
-    return config_from_dict(doc)
+    return config_from_dict(_unique(doc, ""))
 
 
 def load_config(path) -> ExperimentConfig:
-    return config_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path}: {err}") from None
+    return config_from_json(text)
 
 
 # -- builders: config -> runtime objects ------------------------------------

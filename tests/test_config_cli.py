@@ -1,6 +1,8 @@
+import ast
 import concurrent.futures
 import copy
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -811,6 +813,70 @@ def test_cli_subcommands_run_without_scipy(tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     assert cli.main(["tails", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("pair, repeat, key", [
+    ('"norming": "d_T"', '"norming": "s_T"', "norming"),
+    ('"n_trials": 300', '"n_trials": 100', "montecarlo.n_trials"),
+], ids=["top-level", "nested"])
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys, pair, repeat, key):
+    # the JSON module keeps a repeated key's last value; a config names each key once
+    text = json.dumps(_linear_doc()).replace(pair, f"{pair}, {repeat}")
+    assert config_from_dict(json.loads(text))  # valid but for the repeat
+    with pytest.raises(ConfigError, match=rf"^{key}: repeated key"):
+        config_from_json(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["constants", "--config", str(path)]) == 2
+    assert f"config error: {key}: repeated key" in capsys.readouterr().err
+
+
+def test_directory_as_config_exits_2(tmp_path, capsys):
+    assert cli.main(["constants", "--config", str(tmp_path)]) == 2
+    assert f"config error: config file {tmp_path}: " in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_linear_doc()).encode())
+    assert cli.main(["constants", "--config", str(path)]) == 2
+    assert f"config error: config file {path}: " in capsys.readouterr().err
+
+
+def _main_block_entry() -> str:
+    """The function that ``if __name__ == "__main__":`` in cli.py calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    return stmt.value.func.id
+
+
+def test_console_script_names_the_main_block_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == f'regtails = "regtails.cli:{_main_block_entry()}"'
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    code = ("import gc, runpy, sys\n"
+            f"sys.argv = ['regtails', 'constants', '--config', {str(CONFIGS / 'linear_white.json')!r}]\n"
+            "try:\n"
+            "    runpy.run_module('regtails.cli', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code, gc.get_freeze_count() > 0)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "True"]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # an in-process caller's own garbage must stay collectable
+    before = gc.get_freeze_count()
+    assert cli.main(["constants", "--config", str(CONFIGS / "linear_white.json")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_simulate_outputs(tmp_path):
